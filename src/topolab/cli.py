@@ -71,7 +71,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--json", dest="json_path", metavar="FILE",
                    help="also write structured reports to FILE")
     p.add_argument("--jobs", type=int,
-                   default=int(os.environ.get("TOPOLAB_JOBS", "1")),
                    help="worker processes (default $TOPOLAB_JOBS or 1)")
 
     return parser
@@ -139,7 +138,14 @@ def _cmd_enumerate(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    if args.jobs < 1:
+    jobs = args.jobs
+    if jobs is None:
+        text = os.environ.get("TOPOLAB_JOBS", "1")
+        try:
+            jobs = int(text)
+        except ValueError:
+            raise BadParams(f"TOPOLAB_JOBS={text!r} is not an integer") from None
+    if jobs < 1:
         raise BadParams("--jobs must be at least 1")
     witness_limit = None if args.all_witnesses else args.witness_limit
     claims = tuple(dict.fromkeys(args.claim)) if args.claim else verifier.CLAIM_IDS
@@ -149,14 +155,7 @@ def _cmd_verify(args) -> int:
                  else verifier.default_scope(claim_id).max_points)
         scopes[claim_id] = verifier.Scope(bound, map_cap=args.map_cap,
                                           witness_limit=witness_limit)
-    # group by scope so claims sharing an encoding share their sweep
-    groups = {}
-    for claim_id in claims:
-        groups.setdefault(scopes[claim_id], []).append(claim_id)
-    by_claim = {}
-    for scope, group in groups.items():
-        for report in verifier.verify_all(scope, claims=tuple(group), jobs=args.jobs):
-            by_claim[report.claim] = report
+    by_claim = verifier._verify_claims(scopes, jobs)
     reports = [by_claim[c] for c in claims]
     print(f"note: {verifier.SCOPE_NOTE}")
     header = (f"{'CLAIM':<10} {'OUTCOME':<15} {'N<=':>3} {'INSTANCES':>12} "

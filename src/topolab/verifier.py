@@ -18,8 +18,10 @@ import json
 import time
 from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import nullcontext
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import islice
 from typing import NamedTuple
 
 from . import _kernels, axioms, classes, maps
@@ -155,12 +157,11 @@ class Scope:
         if self.max_points > MAX_SCOPE_POINTS:
             raise ScopeTooLarge(
                 f"sweeps are capped at {MAX_SCOPE_POINTS} points, got {self.max_points}")
-        if self.map_cap is not None and (not isinstance(self.map_cap, int)
-                                         or self.map_cap < 1):
-            raise BadParams("map_cap must be None or a positive integer")
-        if self.witness_limit is not None and (not isinstance(self.witness_limit, int)
-                                               or self.witness_limit < 1):
-            raise BadParams("witness_limit must be None or a positive integer")
+        for name in ("map_cap", "witness_limit"):
+            value = getattr(self, name)
+            if value is not None and (not isinstance(value, int)
+                                      or isinstance(value, bool) or value < 1):
+                raise BadParams(f"{name} must be None or a positive integer")
 
     def to_record(self) -> dict:
         return {"max_points": self.max_points, "map_cap": self.map_cap,
@@ -188,17 +189,27 @@ class Witness:
 
 
 def witness_from_record(obj) -> Witness:
-    """Parse a witness record, re-validating the embedded spaces and maps."""
+    """Parse a witness record, re-validating the embedded spaces and maps
+    and checking that they bind the claim's spaces and maps."""
     if not isinstance(obj, dict):
         raise BadParams("witness record must be an object")
-    for key in ("claim", "spaces", "maps", "hypotheses", "conclusion"):
+    for key, kind in (("claim", str), ("spaces", list), ("maps", list),
+                      ("hypotheses", dict), ("conclusion", dict)):
         if key not in obj:
             raise BadParams(f"witness record is missing {key!r}")
+        if not isinstance(obj[key], kind):
+            raise BadParams(f"witness record field {key!r} must be a {kind.__name__}")
     claim = obj["claim"]
     if claim not in _CLAIMS:
         raise BadParams(f"unknown claim id {claim!r}")
+    if len(obj["conclusion"]) != 1:
+        raise BadParams("witness record field 'conclusion' must hold one entry")
     spaces = tuple(space_from_record(s) for s in obj["spaces"])
     parsed_maps = tuple(map_from_record(m) for m in obj["maps"])
+    try:
+        _bind(claim, spaces, parsed_maps)
+    except ArityMismatch as exc:
+        raise BadParams(f"witness record does not fit its claim: {exc}") from None
     hyps = tuple((k, bool(v)) for k, v in obj["hypotheses"].items())
     (c_label, c_value), = obj["conclusion"].items()
     return Witness(claim=claim, spaces=spaces, maps=parsed_maps,
@@ -338,39 +349,28 @@ def check_instance(claim_id: str, spaces, bound_maps=()) -> bool:
 
 # ---------------------------------------------------------------- mask path
 
-class _SpaceInfo:
-    __slots__ = ("open", "closed", "amc", "amo", "t_alpha_m", "dichotomy")
-
-    def __init__(self, space: FiniteSpace):
-        masks = classes._masks(space)
-        idx = classes.CLASS_IDS.index
-        self.open = masks[idx("open")]
-        self.closed = masks[idx("closed")]
-        self.amc = masks[idx("alpha_m_closed")]
-        self.amo = masks[idx("alpha_m_open")]
-        self.t_alpha_m = self.amc == self.closed
-        clopen = masks[idx("clopen")]
-        alpha_closed = masks[idx("alpha_closed")]
-        ok = True
-        for x in range(space.n):
-            s = 1 << x
-            if not (alpha_closed >> s & 1 or clopen >> s & 1):
-                ok = False
-                break
-        self.dichotomy = ok
-
-
-@lru_cache(maxsize=65536)
-def _space_info(space: FiniteSpace) -> _SpaceInfo:
-    return _SpaceInfo(space)
+# the class masks map_masks reads on each side of a pair
+_MAP_SIDE = tuple(classes.CLASS_IDS.index(name)
+                  for name in ("open", "closed", "alpha_m_closed", "alpha_m_open"))
 
 
 @lru_cache(maxsize=65536)
 def _pair_masks(x: FiniteSpace, y: FiniteSpace):
-    ix = _space_info(x)
-    iy = _space_info(y)
-    return _kernels.map_masks(x.n, ix.open, ix.closed, ix.amc, ix.amo,
-                              y.n, iy.open, iy.closed, iy.amc, iy.amo)
+    mx, my = classes._masks(x), classes._masks(y)
+    return _kernels.map_masks(x.n, *(mx[i] for i in _MAP_SIDE),
+                              y.n, *(my[i] for i in _MAP_SIDE))
+
+
+def _space_flags(spaces) -> dict:
+    """Axiom flag name -> tuple of that flag, indexed by stream position."""
+    idx = classes.CLASS_IDS.index
+    t_alpha_m, dichotomy = [], []
+    for s in spaces:
+        masks = classes._masks(s)
+        t_alpha_m.append(masks[idx("alpha_m_closed")] == masks[idx("closed")])
+        either = masks[idx("alpha_closed")] | masks[idx("clopen")]
+        dichotomy.append(all(either >> (1 << p) & 1 for p in range(s.n)))
+    return {"T_alpha_m": tuple(t_alpha_m), "singleton_dichotomy": tuple(dichotomy)}
 
 
 def _map_count(n_dom: int, n_cod: int, cap) -> int:
@@ -392,35 +392,6 @@ def _count_instances(enc, spaces, scope: Scope) -> int:
                for c, cc in sizes.items())
 
 
-def _space_axiom_flag(name: str, info: _SpaceInfo) -> bool:
-    return info.t_alpha_m if name == "T_alpha_m" else info.dichotomy
-
-
-def _build_pair_witness(claim_id, x, y, rank):
-    f = SpaceMap(x, y, assignment_from_index(rank, x.n, y.n))
-    hyps, concl, holds = evaluate_instance(claim_id, (x, y), (f,))
-    if holds:
-        raise InternalCheckError(
-            f"sweep marked a passing instance of {claim_id} as failing")
-    return Witness(claim=claim_id, spaces=(x, y), maps=(f,),
-                   hypotheses=hyps, conclusion=concl)
-
-
-def _build_triple_witness(claim_id, x, y, z, f_rank, g_rank):
-    f = SpaceMap(x, y, assignment_from_index(f_rank, x.n, y.n))
-    g = SpaceMap(y, z, assignment_from_index(g_rank, y.n, z.n))
-    hyps, concl, holds = evaluate_instance(claim_id, (x, y, z), (f, g))
-    if holds:
-        raise InternalCheckError(
-            f"sweep marked a passing instance of {claim_id} as failing")
-    return Witness(claim=claim_id, spaces=(x, y, z), maps=(f, g),
-                   hypotheses=hyps, conclusion=concl)
-
-
-def _allowed_bits(n_maps: int, cap) -> int:
-    return (1 << (n_maps if cap is None else min(n_maps, cap))) - 1
-
-
 def _iter_bits(bits):
     while bits:
         b = bits & -bits
@@ -428,88 +399,102 @@ def _iter_bits(bits):
         yield b.bit_length() - 1
 
 
-def _sweep_chunk(claim_id: str, scope: Scope, start: int, stop: int):
-    """Failures and witnesses contributed by outer-space positions [start, stop)."""
-    enc = _ENCODINGS[_CLAIMS[claim_id][0]]
+def _witness(claim_id: str, spaces, positions, ranks) -> Witness:
+    """Rebuild one failing binding and re-check it with the direct predicates."""
+    bound = tuple(spaces[i] for i in positions)
+    bound_maps = tuple(SpaceMap(a, b, assignment_from_index(rank, a.n, b.n))
+                       for a, b, rank in zip(bound, bound[1:], ranks))
+    hyps, concl, holds = evaluate_instance(claim_id, bound, bound_maps)
+    if holds:
+        raise InternalCheckError(
+            f"sweep marked a passing instance of {claim_id} as failing")
+    return Witness(claim=claim_id, spaces=bound, maps=bound_maps,
+                   hypotheses=hyps, conclusion=concl)
+
+
+def _sweep_chunk(encs, scope: Scope, flags: dict, start: int, stop: int):
+    """Failure count and first failing bindings of each encoding in ``encs``
+    (all of one kind), over outer-space positions [start, stop).
+
+    A binding is (space positions, map ranks).  Every encoding is folded
+    from the same masks while the walk is at that binding.
+    """
     spaces = spaces_up_to(scope.max_points)
-    limit = scope.witness_limit
-    failures = 0
-    witnesses = []
+    limit, cap = scope.witness_limit, scope.map_cap
+    t_alpha_m = flags["T_alpha_m"]
+    failures = [0] * len(encs)
+    found = [[] for _ in encs]
 
-    def room():
-        return limit is None or len(witnesses) < limit
+    def room(k):
+        return None if limit is None else max(0, limit - len(found[k]))
 
-    if isinstance(enc, _SpaceClaim):
+    if isinstance(encs[0], _SpaceClaim):
         for ix in range(start, stop):
-            s = spaces[ix]
-            info = _space_info(s)
-            if _space_axiom_flag(enc.hyp, info) and not _space_axiom_flag(enc.concl, info):
-                failures += 1
-                if room():
-                    hyps, concl, holds = evaluate_instance(claim_id, (s,), ())
-                    if holds:
-                        raise InternalCheckError(
-                            f"sweep marked a passing instance of {claim_id} as failing")
-                    witnesses.append(Witness(claim=claim_id, spaces=(s,), maps=(),
-                                             hypotheses=hyps, conclusion=concl))
-        return failures, witnesses
+            for k, enc in enumerate(encs):
+                if flags[enc.hyp][ix] and not flags[enc.concl][ix]:
+                    failures[k] += 1
+                    found[k].extend(islice([((ix,), ())], room(k)))
+        return failures, found
 
-    if isinstance(enc, _PairClaim):
-        hyp_idx = [_PROP_IDX[name] for name in enc.map_hyp]
-        concl_idx = _PROP_IDX[enc.concl_map] if enc.concl_map else None
+    if isinstance(encs[0], _PairClaim):
         for ix in range(start, stop):
             x = spaces[ix]
-            if enc.space_hyp_x and not _space_info(x).t_alpha_m:
+            active = [(k, enc) for k, enc in enumerate(encs)
+                      if t_alpha_m[ix] or not enc.space_hyp_x]
+            if not active:
                 continue
-            for y in spaces:
+            for iy, y in enumerate(spaces):
                 masks = _pair_masks(x, y)
-                n_maps = y.n ** x.n
-                hyp_bits = _allowed_bits(n_maps, scope.map_cap)
-                for i in hyp_idx:
-                    hyp_bits &= masks[i]
-                    if not hyp_bits:
-                        break
-                if not hyp_bits:
-                    continue
-                if concl_idx is None:
-                    fail_bits = 0 if _space_info(y).t_alpha_m else hyp_bits
-                else:
-                    fail_bits = hyp_bits & ~masks[concl_idx]
-                if not fail_bits:
-                    continue
-                failures += fail_bits.bit_count()
-                for rank in _iter_bits(fail_bits):
-                    if not room():
-                        break
-                    witnesses.append(_build_pair_witness(claim_id, x, y, rank))
-        return failures, witnesses
+                allowed = (1 << _map_count(x.n, y.n, cap)) - 1
+                for k, enc in active:
+                    hyp_bits = allowed
+                    for name in enc.map_hyp:
+                        hyp_bits &= masks[_PROP_IDX[name]]
+                    if enc.concl_map:
+                        fail_bits = hyp_bits & ~masks[_PROP_IDX[enc.concl_map]]
+                    else:
+                        fail_bits = 0 if t_alpha_m[iy] else hyp_bits
+                    failures[k] += fail_bits.bit_count()
+                    found[k].extend(islice(
+                        (((ix, iy), (rank,)) for rank in _iter_bits(fail_bits)),
+                        room(k)))
+        return failures, found
 
-    prop_idx = _PROP_IDX[enc.map_prop]
+    # triples: f: X -> Y and g: Y -> Z with Y T_alpha_m; each row holds the
+    # encodings' property bits from one space to every space
+    props = [_PROP_IDX[enc.map_prop] for enc in encs]
+    middles = [iy for iy in range(len(spaces)) if t_alpha_m[iy]]
+    rows = {}
+    for i in sorted(set(range(start, stop)).union(middles)):
+        rows[i] = []
+        for z in spaces:
+            masks = _pair_masks(spaces[i], z)
+            rows[i].append([masks[p] for p in props])
     for ix in range(start, stop):
         x = spaces[ix]
-        for y in spaces:
-            if not _space_info(y).t_alpha_m:
+        for iy in middles:
+            y = spaces[iy]
+            f_allowed = (1 << _map_count(x.n, y.n, cap)) - 1
+            f_ranks = [list(_iter_bits(bits & f_allowed)) for bits in rows[ix][iy]]
+            if not any(f_ranks):
                 continue
-            f_bits = (_pair_masks(x, y)[prop_idx]
-                      & _allowed_bits(y.n ** x.n, scope.map_cap))
-            if not f_bits:
-                continue
-            f_ranks = list(_iter_bits(f_bits))
-            for z in spaces:
-                g_bits = (_pair_masks(y, z)[prop_idx]
-                          & _allowed_bits(z.n ** y.n, scope.map_cap))
-                if not g_bits:
-                    continue
-                g_ranks = list(_iter_bits(g_bits))
-                target = _pair_masks(x, z)[prop_idx]
-                want = -1 if limit is None else max(0, limit - len(witnesses))
-                count, pairs = _kernels.composition_failures(
-                    x.n, y.n, z.n, f_ranks, g_ranks, target, want)
-                failures += count
-                for f_rank, g_rank in pairs:
-                    witnesses.append(
-                        _build_triple_witness(claim_id, x, y, z, f_rank, g_rank))
-    return failures, witnesses
+            for iz, z in enumerate(spaces):
+                g_allowed = (1 << _map_count(y.n, z.n, cap)) - 1
+                for k, g_bits in enumerate(rows[iy][iz]):
+                    g_bits &= g_allowed
+                    if not f_ranks[k] or not g_bits:
+                        continue
+                    want = room(k)
+                    count, pairs = _kernels.composition_failures(
+                        x.n, y.n, z.n, f_ranks[k], list(_iter_bits(g_bits)),
+                        rows[ix][iz][k], -1 if want is None else want)
+                    failures[k] += count
+                    found[k].extend(((ix, iy, iz), ranks) for ranks in pairs)
+    return failures, found
+
+
+def _sweep_chunk_star(args):
+    return _sweep_chunk(*args)
 
 
 def _chunks(total: int, jobs: int):
@@ -518,28 +503,22 @@ def _chunks(total: int, jobs: int):
     return [(lo, min(lo + step, total)) for lo in range(0, total, step)]
 
 
-def _run_sweep(claim_id: str, scope: Scope, jobs: int):
+def _run_sweep(encs, scope: Scope, jobs: int, pool):
+    """(failures, witness bindings) of each encoding in ``encs``, all of one
+    kind, from one walk of the scope split over the pool's workers."""
     spaces = spaces_up_to(scope.max_points)
-    total = len(spaces)
-    if jobs <= 1 or total <= 1:
-        failures, witnesses = _sweep_chunk(claim_id, scope, 0, total)
-    else:
-        failures = 0
-        witnesses = []
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            parts = _chunks(total, jobs)
-            for part_failures, part_witnesses in pool.map(
-                    _sweep_chunk_star,
-                    [(claim_id, scope, lo, hi) for lo, hi in parts]):
-                failures += part_failures
-                witnesses.extend(part_witnesses)
-        if scope.witness_limit is not None:
-            witnesses = witnesses[:scope.witness_limit]
-    return failures, tuple(witnesses)
-
-
-def _sweep_chunk_star(args):
-    return _sweep_chunk(*args)
+    flags = _space_flags(spaces)
+    parts = _chunks(len(spaces), jobs) if pool is not None else [(0, len(spaces))]
+    args = [(encs, scope, flags, lo, hi) for lo, hi in parts]
+    results = (pool.map(_sweep_chunk_star, args) if len(parts) > 1
+               else map(_sweep_chunk_star, args))
+    failures = [0] * len(encs)
+    found = [[] for _ in encs]
+    for part_failures, part_found in results:
+        for k in range(len(encs)):
+            failures[k] += part_failures[k]
+            found[k].extend(part_found[k])
+    return [(f, bindings[:scope.witness_limit]) for f, bindings in zip(failures, found)]
 
 
 def default_scope(claim_id: str) -> Scope:
@@ -556,61 +535,61 @@ def claim_statement(claim_id: str) -> str:
     return _CLAIMS[claim_id][1]
 
 
+def _verify_claims(claim_scopes: dict, jobs: int) -> dict:
+    """Reports keyed by claim id for ``{claim id: scope}``.
+
+    Claims of one kind and scope are answered by one sweep, and report its
+    wall time.  Ids restating one encoding are folded once and reported
+    separately.  With jobs > 1 every sweep shares one process pool.
+    """
+    groups = {}     # (kind, scope) -> {encoding key: [claim ids]}
+    for claim_id, scope in claim_scopes.items():
+        if claim_id not in _CLAIMS:
+            raise BadParams(f"unknown claim id {claim_id!r}")
+        key = _CLAIMS[claim_id][0]
+        kind = type(_ENCODINGS[key])
+        groups.setdefault((kind, scope), {}).setdefault(key, []).append(claim_id)
+    reports = {}
+    with ProcessPoolExecutor(max_workers=jobs) if jobs > 1 else nullcontext() as pool:
+        for (_, scope), by_encoding in groups.items():
+            started = time.perf_counter()
+            results = _run_sweep([_ENCODINGS[key] for key in by_encoding],
+                                 scope, jobs, pool)
+            wall = time.perf_counter() - started
+            spaces = spaces_up_to(scope.max_points)
+            for (key, claim_ids), (failures, bindings) in zip(by_encoding.items(),
+                                                              results):
+                instances = _count_instances(_ENCODINGS[key], spaces, scope)
+                for claim_id in claim_ids:
+                    witnesses = tuple(_witness(claim_id, spaces, *b) for b in bindings)
+                    if bool(failures) != bool(witnesses):
+                        raise InternalCheckError(
+                            f"claim {claim_id}: {failures} failures but "
+                            f"{len(witnesses)} witnesses")
+                    reports[claim_id] = TheoremReport(
+                        claim=claim_id, statement=_CLAIMS[claim_id][1], scope=scope,
+                        instances=instances, failures=failures,
+                        outcome="refuted" if failures else "holds-on-scope",
+                        witnesses=witnesses, wall_time=wall)
+    return reports
+
+
 def verify(claim_id: str, scope: Scope = None, jobs: int = 1) -> TheoremReport:
     """Sweep one claim over a scope (default per claim kind) and report."""
-    if claim_id not in _CLAIMS:
-        raise BadParams(f"unknown claim id {claim_id!r}")
-    if scope is None:
-        scope = default_scope(claim_id)
-    started = time.perf_counter()
-    failures, witnesses = _run_sweep(claim_id, scope, jobs)
-    wall = time.perf_counter() - started
-    enc = _ENCODINGS[_CLAIMS[claim_id][0]]
-    instances = _count_instances(enc, spaces_up_to(scope.max_points), scope)
-    outcome = "refuted" if failures else "holds-on-scope"
-    if bool(failures) != bool(witnesses):
-        raise InternalCheckError(
-            f"claim {claim_id}: {failures} failures but {len(witnesses)} witnesses")
-    return TheoremReport(claim=claim_id, statement=_CLAIMS[claim_id][1],
-                         scope=scope, instances=instances, failures=failures,
-                         outcome=outcome, witnesses=witnesses, wall_time=wall)
+    return verify_all(scope, claims=(claim_id,), jobs=jobs)[0]
 
 
 def verify_all(scope: Scope = None, claims=None, jobs: int = 1):
-    """Reports for every claim id (or a subset), reusing shared sweeps.
+    """Reports for every claim id (or a subset), in the order given.
 
     With ``scope=None`` each claim runs at its per-kind default scope.
-    Claims that restate the same encoding are swept once per scope and
-    reported separately.
+    Claims of one kind and scope share one sweep; claims that restate the
+    same encoding are folded once and reported separately.
     """
-    if claims is None:
-        claims = CLAIM_IDS
-    reports = []
-    shared = {}
-    for claim_id in claims:
-        if claim_id not in _CLAIMS:
-            raise BadParams(f"unknown claim id {claim_id!r}")
-        claim_scope = scope if scope is not None else default_scope(claim_id)
-        key = (_CLAIMS[claim_id][0], claim_scope)
-        if key in shared:
-            failures, witnesses, wall = shared[key]
-            enc = _ENCODINGS[_CLAIMS[claim_id][0]]
-            instances = _count_instances(
-                enc, spaces_up_to(claim_scope.max_points), claim_scope)
-            outcome = "refuted" if failures else "holds-on-scope"
-            witnesses = tuple(
-                Witness(claim=claim_id, spaces=w.spaces, maps=w.maps,
-                        hypotheses=w.hypotheses, conclusion=w.conclusion)
-                for w in witnesses)
-            reports.append(TheoremReport(
-                claim=claim_id, statement=_CLAIMS[claim_id][1], scope=claim_scope,
-                instances=instances, failures=failures, outcome=outcome,
-                witnesses=witnesses, wall_time=wall))
-        else:
-            report = verify(claim_id, claim_scope, jobs=jobs)
-            shared[key] = (report.failures, report.witnesses, report.wall_time)
-            reports.append(report)
-    return reports
+    claims = CLAIM_IDS if claims is None else tuple(claims)
+    by_claim = _verify_claims(
+        {c: scope if scope is not None else default_scope(c) for c in claims}, jobs)
+    return [by_claim[c] for c in claims]
 
 
 def validate_witness(report: TheoremReport) -> bool:

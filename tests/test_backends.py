@@ -9,9 +9,12 @@ import pytest
 from topolab import _kernels
 from topolab._kernels import pure
 
-compiled = pytest.importorskip(
-    "topolab._kernels._speedups",
-    reason="compiled backend not built on this interpreter")
+
+@pytest.fixture
+def compiled():
+    return pytest.importorskip(
+        "topolab._kernels._speedups",
+        reason="compiled backend not built on this interpreter")
 
 
 def opens_of(fm, n):
@@ -23,18 +26,18 @@ def all_spaces(max_n):
             for n in range(max_n + 1) for fm in pure.enumerate_masks(n)]
 
 
-def test_enumerate_masks_agree():
+def test_enumerate_masks_agree(compiled):
     for n in range(6):
         assert pure.enumerate_masks(n) == compiled.enumerate_masks(n)
 
 
-def test_space_pack_and_class_masks_agree():
+def test_space_pack_and_class_masks_agree(compiled):
     for n, opens in all_spaces(4):
         assert pure.space_pack(n, opens) == compiled.space_pack(n, opens)
         assert pure.class_masks(n, opens) == compiled.class_masks(n, opens)
 
 
-def test_map_masks_agree():
+def test_map_masks_agree(compiled):
     def side(n, opens):
         cm = pure.class_masks(n, opens)
         return cm[0], cm[1], cm[13], cm[14]
@@ -46,7 +49,7 @@ def test_map_masks_agree():
         assert got_p == got_c, (nx, ox, ny, oy)
 
 
-def test_composition_failures_agree():
+def test_composition_failures_agree(compiled):
     rng = random.Random(20240817)
     for _ in range(250):
         nx, ny, nz = (rng.randint(0, 3) for _ in range(3))
@@ -82,6 +85,7 @@ def _backend_of(env_value):
     return out.returncode, out.stdout.strip(), out.stderr
 
 
+@pytest.mark.usefixtures("compiled")
 def test_backend_selection_env():
     code, backend, _ = _backend_of(None)
     assert code == 0 and backend == "compiled"
@@ -106,6 +110,7 @@ def test_pure_backend_runs_the_full_pipeline():
     assert out.stdout.strip() == "refuted 2 (0, 1, 3)"
 
 
+@pytest.mark.usefixtures("compiled")
 def test_parallel_sweep_identical_across_backends(tmp_path):
     outs = []
     for backend in ("pure", "compiled"):

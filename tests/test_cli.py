@@ -204,6 +204,17 @@ def test_verify_note_line(capsys):
     assert "not a proof" in out
 
 
+def test_verify_jobs_from_environment(monkeypatch, capsys):
+    monkeypatch.setenv("TOPOLAB_JOBS", "abc")
+    code, out, _ = run_cli("enumerate", "-n", "1", capsys=capsys)
+    assert code == 0 and out == '{"n":1,"opens":[[],[0]]}\n'
+    argv = ("verify", "--claim", "T3_2_ab", "--max-points", "1")
+    code, _, err = run_cli(*argv, capsys=capsys)
+    assert code == 1 and "TOPOLAB_JOBS" in err
+    code, _, _ = run_cli(*argv, "--jobs", "1", capsys=capsys)
+    assert code == 0
+
+
 def test_verify_scope_too_large(capsys):
     code, _, err = run_cli("verify", "--max-points", "6", capsys=capsys)
     assert code == 2

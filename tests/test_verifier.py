@@ -109,6 +109,10 @@ def test_scope_bounds():
         verifier.Scope(max_points=3, witness_limit=0)
     with pytest.raises(BadParams):
         verifier.Scope(max_points=3, map_cap=0)
+    with pytest.raises(BadParams):
+        verifier.Scope(max_points=3, map_cap=True)
+    with pytest.raises(BadParams):
+        verifier.Scope(max_points=3, witness_limit=True)
     rec = verifier.Scope(max_points=2, map_cap=7).to_record()
     assert rec == {"max_points": 2, "map_cap": 7, "witness_limit": 5}
 
@@ -229,6 +233,57 @@ def test_verify_all_shares_encodings_but_reports_separately():
             assert w.claim == b
 
 
+SPACE_IDS = ("T3_2_ab", "T3_2_ba")
+TRIPLE_IDS = ("P3_6", "T3_8a", "T3_8b", "P3_11")
+PAIR_IDS = tuple(c for c in T.CLAIM_IDS if c not in SPACE_IDS + TRIPLE_IDS)
+
+
+def _brute_bindings(claim_id, scope):
+    """Every binding of the claim in (x, y[, z], map rank) order."""
+    from itertools import islice
+    from topolab.enumeration import enumerate_maps, spaces_up_to
+    pool = spaces_up_to(scope.max_points)
+
+    def maps(a, b):
+        return list(islice(enumerate_maps(a, b), scope.map_cap))
+
+    if claim_id in SPACE_IDS:
+        return [((x,), ()) for x in pool]
+    if claim_id in PAIR_IDS:
+        return [((x, y), (f,)) for x in pool for y in pool for f in maps(x, y)]
+    return [((x, y, z), (f, g)) for x in pool for y in pool for z in pool
+            for f in maps(x, y) for g in maps(y, z)]
+
+
+@pytest.mark.parametrize("scope", [verifier.Scope(max_points=2),
+                                   verifier.Scope(max_points=2, map_cap=2,
+                                                  witness_limit=None)])
+def test_sweep_matches_brute_force(scope):
+    reports = {r.claim: r for r in T.verify_all(scope=scope)}
+    for cid in T.CLAIM_IDS:
+        bindings = _brute_bindings(cid, scope)
+        failing = [b for b in bindings if not T.check_instance(cid, *b)]
+        r = reports[cid]
+        assert r.instances == len(bindings), cid
+        assert r.failures == len(failing), cid
+        assert [(w.spaces, w.maps) for w in r.witnesses] == \
+            failing[:scope.witness_limit], cid
+
+
+def test_verify_is_verify_all_for_one_claim():
+    scope = verifier.Scope(max_points=3)
+    together = {r.claim: r.to_record() for r in T.verify_all(scope=scope)}
+    for cid in T.CLAIM_IDS:
+        assert T.verify(cid, scope).to_record() == together[cid], cid
+
+
+def test_pair_sweep_requests_each_pair_once():
+    verifier._pair_masks.cache_clear()
+    T.verify_all(scope=verifier.Scope(max_points=3), claims=PAIR_IDS)
+    info = verifier._pair_masks.cache_info()
+    assert (info.misses, info.hits) == (35 * 35, 0)
+
+
 def test_verify_rejects_bad_scope_or_claim():
     with pytest.raises(BadParams):
         T.verify("nope")
@@ -272,6 +327,17 @@ def test_witness_from_record_rejects_bad_input():
                                       "hypotheses": {}, "conclusion": {}})
     with pytest.raises(BadParams):
         verifier.witness_from_record([])
+    good = T.verify("T3_9b", verifier.Scope(max_points=2)).witnesses[0].to_record()
+    for key, bad in (("conclusion", {"closed_map(f)": False, "other": True}),
+                     ("conclusion", [["closed_map(f)", False]]),
+                     ("hypotheses", [["alpha_m_closed_map(f)", True]]),
+                     ("maps", {}),
+                     ("spaces", 5),
+                     ("claim", ["T3_9b"]),
+                     ("claim", "T3_2_ab")):    # one space and no map
+        with pytest.raises(BadParams):
+            verifier.witness_from_record(dict(good, **{key: bad}))
+    assert verifier.witness_from_record(good).claim == "T3_9b"
 
 
 def test_report_record_shape():
