@@ -1,3 +1,5 @@
+from itertools import permutations
+
 import pytest
 
 import topolab as T
@@ -31,9 +33,34 @@ def test_homeo_counts_against_orbit_oracle():
 
 
 def test_homeo_count_pins():
-    expect = {0: 1, 1: 1, 2: 3, 3: 9, 4: 33}
+    expect = {0: 1, 1: 1, 2: 3, 3: 9, 4: 33, 5: 139}
     for n, k in expect.items():
         assert sum(1 for _ in en.enumerate_topologies_up_to_homeo(n)) == k
+
+
+def test_homeo_reps_are_least_relabelings():
+    # the orbit walk against canonical_form on every labeled space
+    for n in range(5):
+        reps = [s.opens for s in en.enumerate_topologies_up_to_homeo(n)]
+        assert reps == sorted({en.canonical_form(s).opens
+                               for s in en.enumerate_topologies(n)})
+
+
+def test_homeo_reps_partition_five_points():
+    reps = list(en.enumerate_topologies_up_to_homeo(5))
+    assert len({r.opens for r in reps}) == len(reps)
+    total = 0
+    for r in reps:
+        assert en.canonical_form(r) == r
+        total += len({en.relabel(r, p).opens for p in permutations(range(5))})
+    assert total == 6942
+
+
+def test_homeo_sharding_partitions_the_reps():
+    whole = list(en.enumerate_topologies_up_to_homeo(4))
+    parts = [list(en.enumerate_topologies_up_to_homeo(4, shard=(i, 3)))
+             for i in range(3)]
+    assert sorted(sum(parts, []), key=lambda s: s.opens) == whole
 
 
 def test_emitted_spaces_validate_and_are_unique():
@@ -75,6 +102,9 @@ def test_scope_caps():
         list(en.enumerate_topologies_up_to_homeo(6))
     with pytest.raises(ScopeTooLarge):
         en.spaces_up_to(6)
+    assert en.canonical_form(T.indiscrete(7)) == T.indiscrete(7)
+    with pytest.raises(ScopeTooLarge):
+        en.canonical_form(T.discrete(8))
     with pytest.raises(BadParams):
         list(en.enumerate_topologies(-1))
     with pytest.raises(BadParams):
@@ -91,6 +121,12 @@ def test_relabel():
         en.relabel(sierp, (0, 0))
     with pytest.raises(BadParams):
         en.relabel(sierp, (0, 1, 2))
+    with pytest.raises(BadParams):
+        en.relabel(sierp, (True, False))
+    with pytest.raises(BadParams):
+        en.relabel(sierp, (0.0, 1))
+    with pytest.raises(BadParams):
+        en.relabel(sierp, 2)
 
 
 def test_canonical_form():
@@ -105,7 +141,6 @@ def test_canonical_form():
 
 def test_canonical_form_classifies_homeomorphism():
     # canonical forms agree exactly on orbit membership
-    from itertools import permutations
     for s in en.enumerate_topologies(3):
         c = en.canonical_form(s)
         orbit = {en.relabel(s, p).opens for p in permutations(range(3))}
@@ -113,7 +148,6 @@ def test_canonical_form_classifies_homeomorphism():
 
 
 def test_predicates_invariant_under_relabeling():
-    from itertools import permutations
     for s in en.enumerate_topologies(3):
         ax = T.axiom_report(s)
         for p in permutations(range(3)):
