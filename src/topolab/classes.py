@@ -21,6 +21,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from . import _kernels
+from .errors import BadParams, ScopeTooLarge
 from .space import FiniteSpace, PointSet, family_sort_key
 
 CLASS_IDS = _kernels.CLASS_ORDER
@@ -160,36 +161,36 @@ def classify_subset(space: FiniteSpace, a: PointSet) -> ClassificationReport:
     return ClassificationReport(*(p(space, a) for p in _PREDICATES))
 
 
+def _class_index(class_id: str) -> int:
+    if class_id not in CLASS_IDS:
+        raise BadParams(f"unknown class id {class_id!r}")
+    return CLASS_IDS.index(class_id)
+
+
 def family_mask(space: FiniteSpace, class_id: str) -> int:
     """Family mask of one class (bit A set iff subset A belongs); n <= 6."""
-    if class_id not in CLASS_IDS:
-        raise ValueError(f"unknown class id {class_id!r}")
+    i = _class_index(class_id)
     if space.n > MASK_LIMIT:
-        raise ValueError(f"family masks need n <= {MASK_LIMIT}, got {space.n}")
-    return _masks(space)[CLASS_IDS.index(class_id)]
+        raise ScopeTooLarge(f"family masks need n <= {MASK_LIMIT}, got {space.n}")
+    return _masks(space)[i]
 
 
 @lru_cache(maxsize=65536)
-def _family_tuple(space: FiniteSpace, class_id: str) -> tuple:
+def _family_tuple(space: FiniteSpace, i: int) -> tuple:
     if space.n <= MASK_LIMIT:
-        fm = _masks(space)[CLASS_IDS.index(class_id)]
+        fm = _masks(space)[i]
         members = [a for a in space.subsets() if fm >> a & 1]
     else:
-        pred = _PREDICATES[CLASS_IDS.index(class_id)]
-        members = [a for a in space.subsets() if pred(space, a)]
+        members = [a for a in space.subsets() if _PREDICATES[i](space, a)]
     members.sort(key=family_sort_key)
     return tuple(members)
 
 
 def family(space: FiniteSpace, class_id: str) -> list:
     """All subsets of one class, canonically ordered.  Memoized per space."""
-    if class_id not in CLASS_IDS:
-        raise ValueError(f"unknown class id {class_id!r}")
-    return list(_family_tuple(space, class_id))
+    return list(_family_tuple(space, _class_index(class_id)))
 
 
 def family_set(space: FiniteSpace, class_id: str) -> frozenset:
     """Same members as :func:`family`, as a frozenset for O(1) lookups."""
-    if class_id not in CLASS_IDS:
-        raise ValueError(f"unknown class id {class_id!r}")
-    return frozenset(_family_tuple(space, class_id))
+    return frozenset(_family_tuple(space, _class_index(class_id)))

@@ -145,8 +145,6 @@ def _cmd_verify(args) -> int:
             jobs = int(text)
         except ValueError:
             raise BadParams(f"TOPOLAB_JOBS={text!r} is not an integer") from None
-    if jobs < 1:
-        raise BadParams("--jobs must be at least 1")
     witness_limit = None if args.all_witnesses else args.witness_limit
     claims = tuple(dict.fromkeys(args.claim)) if args.claim else verifier.CLAIM_IDS
     scopes = {}

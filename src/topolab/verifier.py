@@ -21,14 +21,13 @@ from concurrent.futures import ProcessPoolExecutor
 from contextlib import nullcontext
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import islice
 from typing import NamedTuple
 
 from . import _kernels, axioms, classes, maps
 from .enumeration import spaces_up_to
 from .errors import ArityMismatch, BadParams, InternalCheckError, ScopeTooLarge
 from .maps import SpaceMap, assignment_from_index, compose, map_from_record
-from .space import FiniteSpace, space_from_record
+from .space import FiniteSpace, points_of, space_from_record
 
 MAX_SCOPE_POINTS = 5
 
@@ -101,37 +100,38 @@ _ENCODINGS = {
                            concl_map="inverse_alpha_m_continuous"),
 }
 
-# claim id -> (encoding key, statement); several ids restate one encoding
-# and are swept once per scope but always reported separately
+_STATEMENTS = {
+    "T3_2_ab": "if every alpha_m-closed set is closed then every singleton is "
+               "alpha-closed or clopen",
+    "T3_2_ba": "if every singleton is alpha-closed or clopen then every "
+               "alpha_m-closed set is closed",
+    "P3_3": "an alpha_m-continuous map out of a T_alpha_m space is continuous",
+    "T3_4b": "an alpha_m-irresolute map out of a T_alpha_m space is continuous",
+    "T3_5_fwd": "an alpha_m-continuous map pulls every open set back to an "
+                "alpha_m-open set",
+    "T3_5_bwd": "a map pulling every open set back to an alpha_m-open set is "
+                "alpha_m-continuous",
+    "P3_6": "alpha_m-continuous maps compose to an alpha_m-continuous map when "
+            "the middle space is T_alpha_m",
+    "T3_8b": "alpha_m-closed maps compose to an alpha_m-closed map when the "
+             "middle space is T_alpha_m",
+    "T3_9b": "an alpha_m-closed map out of a T_alpha_m space is a closed map",
+    "T3_10": "a surjective closed alpha_m-irresolute image of a T_alpha_m space "
+             "is T_alpha_m",
+    "P3_12_ab": "a bijection with an alpha_m-continuous inverse is an "
+                "alpha_m-open map",
+    "P3_12_bc": "a bijective alpha_m-open map is an alpha_m-closed map",
+    "P3_12_ca": "a bijective alpha_m-closed map has an alpha_m-continuous inverse",
+}
+
+# claim id -> encoding key; several ids restate one encoding and are swept
+# once per scope but always reported separately
 _CLAIMS = {
-    "T3_2_ab": ("T3_2_ab", "if every alpha_m-closed set is closed then every "
-                           "singleton is alpha-closed or clopen"),
-    "T3_2_ba": ("T3_2_ba", "if every singleton is alpha-closed or clopen then "
-                           "every alpha_m-closed set is closed"),
-    "P3_3": ("P3_3", "an alpha_m-continuous map out of a T_alpha_m space is continuous"),
-    "T3_4a": ("P3_3", "an alpha_m-continuous map out of a T_alpha_m space is continuous"),
-    "T3_4b": ("T3_4b", "an alpha_m-irresolute map out of a T_alpha_m space is continuous"),
-    "T3_5_fwd": ("T3_5_fwd", "an alpha_m-continuous map pulls every open set "
-                             "back to an alpha_m-open set"),
-    "T3_5_bwd": ("T3_5_bwd", "a map pulling every open set back to an "
-                             "alpha_m-open set is alpha_m-continuous"),
-    "P3_6": ("P3_6", "alpha_m-continuous maps compose to an alpha_m-continuous "
-                     "map when the middle space is T_alpha_m"),
-    "T3_8a": ("P3_6", "alpha_m-continuous maps compose to an alpha_m-continuous "
-                      "map when the middle space is T_alpha_m"),
-    "T3_8b": ("T3_8b", "alpha_m-closed maps compose to an alpha_m-closed map "
-                       "when the middle space is T_alpha_m"),
-    "T3_9a": ("P3_3", "an alpha_m-continuous map out of a T_alpha_m space is continuous"),
-    "T3_9b": ("T3_9b", "an alpha_m-closed map out of a T_alpha_m space is a closed map"),
-    "T3_10": ("T3_10", "a surjective closed alpha_m-irresolute image of a "
-                       "T_alpha_m space is T_alpha_m"),
-    "P3_11": ("T3_8b", "alpha_m-closed maps compose to an alpha_m-closed map "
-                       "when the middle space is T_alpha_m"),
-    "P3_12_ab": ("P3_12_ab", "a bijection with an alpha_m-continuous inverse "
-                             "is an alpha_m-open map"),
-    "P3_12_bc": ("P3_12_bc", "a bijective alpha_m-open map is an alpha_m-closed map"),
-    "P3_12_ca": ("P3_12_ca", "a bijective alpha_m-closed map has an "
-                             "alpha_m-continuous inverse"),
+    "T3_2_ab": "T3_2_ab", "T3_2_ba": "T3_2_ba", "P3_3": "P3_3", "T3_4a": "P3_3",
+    "T3_4b": "T3_4b", "T3_5_fwd": "T3_5_fwd", "T3_5_bwd": "T3_5_bwd",
+    "P3_6": "P3_6", "T3_8a": "P3_6", "T3_8b": "T3_8b", "T3_9a": "P3_3",
+    "T3_9b": "T3_9b", "T3_10": "T3_10", "P3_11": "T3_8b",
+    "P3_12_ab": "P3_12_ab", "P3_12_bc": "P3_12_bc", "P3_12_ca": "P3_12_ca",
 }
 
 CLAIM_IDS = tuple(_CLAIMS)
@@ -252,7 +252,7 @@ def _axiom_flag(name: str, space: FiniteSpace) -> bool:
 
 
 def _bind(claim_id: str, spaces, bound_maps) -> None:
-    enc = _ENCODINGS[_CLAIMS[claim_id][0]]
+    enc = _ENCODINGS[_CLAIMS[claim_id]]
     if isinstance(enc, _SpaceClaim):
         want_spaces, want_maps = 1, 0
     elif isinstance(enc, _PairClaim):
@@ -287,7 +287,7 @@ def evaluate_instance(claim_id: str, spaces, bound_maps=()) -> InstanceEvaluatio
     if claim_id not in _CLAIMS:
         raise BadParams(f"unknown claim id {claim_id!r}")
     _bind(claim_id, spaces, bound_maps)
-    enc = _ENCODINGS[_CLAIMS[claim_id][0]]
+    enc = _ENCODINGS[_CLAIMS[claim_id]]
     hyps = []
 
     def run(label, fn):
@@ -392,13 +392,6 @@ def _count_instances(enc, spaces, scope: Scope) -> int:
                for c, cc in sizes.items())
 
 
-def _iter_bits(bits):
-    while bits:
-        b = bits & -bits
-        bits ^= b
-        yield b.bit_length() - 1
-
-
 def _witness(claim_id: str, spaces, positions, ranks) -> Witness:
     """Rebuild one failing binding and re-check it with the direct predicates."""
     bound = tuple(spaces[i] for i in positions)
@@ -414,87 +407,86 @@ def _witness(claim_id: str, spaces, positions, ranks) -> Witness:
 
 def _sweep_chunk(encs, scope: Scope, flags: dict, start: int, stop: int):
     """Failure count and first failing bindings of each encoding in ``encs``
-    (all of one kind), over outer-space positions [start, stop).
+    over outer-space positions [start, stop).
 
-    A binding is (space positions, map ranks).  Every encoding is folded
-    from the same masks while the walk is at that binding.
+    A binding is (space positions, map ranks).  Each outer space X fetches
+    its row of pair masks (X to every space) once, and every encoding is
+    folded from that row while it is at hand.  Composition claims also read
+    the rows of their T_alpha_m middle spaces, which are kept once fetched.
     """
     spaces = spaces_up_to(scope.max_points)
     limit, cap = scope.witness_limit, scope.map_cap
     t_alpha_m = flags["T_alpha_m"]
     failures = [0] * len(encs)
     found = [[] for _ in encs]
+    singles = [(k, enc) for k, enc in enumerate(encs) if isinstance(enc, _SpaceClaim)]
+    doubles = [(k, enc) for k, enc in enumerate(encs) if isinstance(enc, _PairClaim)]
+    triples = [(k, _PROP_IDX[enc.map_prop]) for k, enc in enumerate(encs)
+               if isinstance(enc, _TripleClaim)]
+    middles = [iy for iy, t in enumerate(t_alpha_m) if t] if triples else []
+    kept = {}   # rows of the middle spaces
+
+    def row(i):
+        if i in kept:
+            return kept[i]
+        masks = [_pair_masks(spaces[i], z) for z in spaces]
+        if triples and t_alpha_m[i]:
+            kept[i] = masks
+        return masks
 
     def room(k):
         return None if limit is None else max(0, limit - len(found[k]))
 
-    if isinstance(encs[0], _SpaceClaim):
-        for ix in range(start, stop):
-            for k, enc in enumerate(encs):
-                if flags[enc.hyp][ix] and not flags[enc.concl][ix]:
-                    failures[k] += 1
-                    found[k].extend(islice([((ix,), ())], room(k)))
-        return failures, found
+    def allowed(a, b):
+        return (1 << _map_count(a.n, b.n, cap)) - 1
 
-    if isinstance(encs[0], _PairClaim):
-        for ix in range(start, stop):
-            x = spaces[ix]
-            active = [(k, enc) for k, enc in enumerate(encs)
-                      if t_alpha_m[ix] or not enc.space_hyp_x]
-            if not active:
-                continue
-            for iy, y in enumerate(spaces):
-                masks = _pair_masks(x, y)
-                allowed = (1 << _map_count(x.n, y.n, cap)) - 1
-                for k, enc in active:
-                    hyp_bits = allowed
-                    for name in enc.map_hyp:
-                        hyp_bits &= masks[_PROP_IDX[name]]
-                    if enc.concl_map:
-                        fail_bits = hyp_bits & ~masks[_PROP_IDX[enc.concl_map]]
-                    else:
-                        fail_bits = 0 if t_alpha_m[iy] else hyp_bits
-                    failures[k] += fail_bits.bit_count()
-                    found[k].extend(islice(
-                        (((ix, iy), (rank,)) for rank in _iter_bits(fail_bits)),
-                        room(k)))
-        return failures, found
-
-    # triples: f: X -> Y and g: Y -> Z with Y T_alpha_m; each row holds the
-    # encodings' property bits from one space to every space
-    props = [_PROP_IDX[enc.map_prop] for enc in encs]
-    middles = [iy for iy in range(len(spaces)) if t_alpha_m[iy]]
-    rows = {}
-    for i in sorted(set(range(start, stop)).union(middles)):
-        rows[i] = []
-        for z in spaces:
-            masks = _pair_masks(spaces[i], z)
-            rows[i].append([masks[p] for p in props])
     for ix in range(start, stop):
         x = spaces[ix]
+        for k, enc in singles:
+            if flags[enc.hyp][ix] and not flags[enc.concl][ix]:
+                failures[k] += 1
+                found[k].extend([((ix,), ())][:room(k)])
+        pairs = [(k, enc) for k, enc in doubles if t_alpha_m[ix] or not enc.space_hyp_x]
+        if not pairs and not triples:
+            continue
+        x_row = row(ix)
+
+        for iy, masks in enumerate(x_row):
+            f_allowed = allowed(x, spaces[iy])
+            for k, enc in pairs:
+                hyp_bits = f_allowed
+                for name in enc.map_hyp:
+                    hyp_bits &= masks[_PROP_IDX[name]]
+                if enc.concl_map:
+                    fail_bits = hyp_bits & ~masks[_PROP_IDX[enc.concl_map]]
+                else:
+                    fail_bits = 0 if t_alpha_m[iy] else hyp_bits
+                failures[k] += fail_bits.bit_count()
+                want = room(k)
+                if want != 0:
+                    found[k].extend(((ix, iy), (rank,))
+                                    for rank in points_of(fail_bits)[:want])
+
+        # f: X -> Y and g: Y -> Z with Y T_alpha_m
         for iy in middles:
             y = spaces[iy]
-            f_allowed = (1 << _map_count(x.n, y.n, cap)) - 1
-            f_ranks = [list(_iter_bits(bits & f_allowed)) for bits in rows[ix][iy]]
+            f_ranks = [points_of(x_row[iy][p] & allowed(x, y)) for _, p in triples]
             if not any(f_ranks):
                 continue
+            y_row = row(iy)
             for iz, z in enumerate(spaces):
-                g_allowed = (1 << _map_count(y.n, z.n, cap)) - 1
-                for k, g_bits in enumerate(rows[iy][iz]):
-                    g_bits &= g_allowed
-                    if not f_ranks[k] or not g_bits:
+                g_allowed = allowed(y, z)
+                for (k, p), ranks in zip(triples, f_ranks):
+                    g_bits = y_row[iz][p] & g_allowed
+                    if not ranks or not g_bits:
                         continue
                     want = room(k)
-                    count, pairs = _kernels.composition_failures(
-                        x.n, y.n, z.n, f_ranks[k], list(_iter_bits(g_bits)),
-                        rows[ix][iz][k], -1 if want is None else want)
+                    count, bad = _kernels.composition_failures(
+                        x.n, y.n, z.n, ranks, points_of(g_bits), x_row[iz][p],
+                        -1 if want is None else want)
                     failures[k] += count
-                    found[k].extend(((ix, iy, iz), ranks) for ranks in pairs)
+                    found[k].extend(((ix, iy, iz), r) for r in bad)
     return failures, found
-
-
-def _sweep_chunk_star(args):
-    return _sweep_chunk(*args)
 
 
 def _chunks(total: int, jobs: int):
@@ -504,14 +496,14 @@ def _chunks(total: int, jobs: int):
 
 
 def _run_sweep(encs, scope: Scope, jobs: int, pool):
-    """(failures, witness bindings) of each encoding in ``encs``, all of one
-    kind, from one walk of the scope split over the pool's workers."""
+    """(failures, witness bindings) of each encoding in ``encs`` from one
+    walk of the scope, split over the pool's workers."""
     spaces = spaces_up_to(scope.max_points)
     flags = _space_flags(spaces)
     parts = _chunks(len(spaces), jobs) if pool is not None else [(0, len(spaces))]
     args = [(encs, scope, flags, lo, hi) for lo, hi in parts]
-    results = (pool.map(_sweep_chunk_star, args) if len(parts) > 1
-               else map(_sweep_chunk_star, args))
+    results = (pool.map(_sweep_chunk, *zip(*args)) if len(parts) > 1
+               else [_sweep_chunk(*args[0])])
     failures = [0] * len(encs)
     found = [[] for _ in encs]
     for part_failures, part_found in results:
@@ -525,33 +517,35 @@ def default_scope(claim_id: str) -> Scope:
     """n <= 4 for the space-quantified claims, n <= 3 for map-quantified ones."""
     if claim_id not in _CLAIMS:
         raise BadParams(f"unknown claim id {claim_id!r}")
-    enc = _ENCODINGS[_CLAIMS[claim_id][0]]
+    enc = _ENCODINGS[_CLAIMS[claim_id]]
     return Scope(4) if isinstance(enc, _SpaceClaim) else Scope(3)
 
 
 def claim_statement(claim_id: str) -> str:
     if claim_id not in _CLAIMS:
         raise BadParams(f"unknown claim id {claim_id!r}")
-    return _CLAIMS[claim_id][1]
+    return _STATEMENTS[_CLAIMS[claim_id]]
 
 
 def _verify_claims(claim_scopes: dict, jobs: int) -> dict:
     """Reports keyed by claim id for ``{claim id: scope}``.
 
-    Claims of one kind and scope are answered by one sweep, and report its
-    wall time.  Ids restating one encoding are folded once and reported
+    Claims of one scope are answered by one sweep, and report its wall
+    time.  Ids restating one encoding are folded once and reported
     separately.  With jobs > 1 every sweep shares one process pool.
     """
-    groups = {}     # (kind, scope) -> {encoding key: [claim ids]}
+    if not isinstance(jobs, int) or isinstance(jobs, bool) or jobs < 1:
+        raise BadParams(f"jobs {jobs!r} must be a positive integer")
+    groups = {}     # scope -> {encoding key: [claim ids]}
     for claim_id, scope in claim_scopes.items():
         if claim_id not in _CLAIMS:
             raise BadParams(f"unknown claim id {claim_id!r}")
-        key = _CLAIMS[claim_id][0]
-        kind = type(_ENCODINGS[key])
-        groups.setdefault((kind, scope), {}).setdefault(key, []).append(claim_id)
+        if not isinstance(scope, Scope):
+            raise BadParams(f"scope {scope!r} must be a Scope")
+        groups.setdefault(scope, {}).setdefault(_CLAIMS[claim_id], []).append(claim_id)
     reports = {}
     with ProcessPoolExecutor(max_workers=jobs) if jobs > 1 else nullcontext() as pool:
-        for (_, scope), by_encoding in groups.items():
+        for scope, by_encoding in groups.items():
             started = time.perf_counter()
             results = _run_sweep([_ENCODINGS[key] for key in by_encoding],
                                  scope, jobs, pool)
@@ -567,7 +561,7 @@ def _verify_claims(claim_scopes: dict, jobs: int) -> dict:
                             f"claim {claim_id}: {failures} failures but "
                             f"{len(witnesses)} witnesses")
                     reports[claim_id] = TheoremReport(
-                        claim=claim_id, statement=_CLAIMS[claim_id][1], scope=scope,
+                        claim=claim_id, statement=_STATEMENTS[key], scope=scope,
                         instances=instances, failures=failures,
                         outcome="refuted" if failures else "holds-on-scope",
                         witnesses=witnesses, wall_time=wall)
@@ -583,8 +577,8 @@ def verify_all(scope: Scope = None, claims=None, jobs: int = 1):
     """Reports for every claim id (or a subset), in the order given.
 
     With ``scope=None`` each claim runs at its per-kind default scope.
-    Claims of one kind and scope share one sweep; claims that restate the
-    same encoding are folded once and reported separately.
+    Claims of one scope share one sweep; claims that restate the same
+    encoding are folded once and reported separately.
     """
     claims = CLAIM_IDS if claims is None else tuple(claims)
     by_claim = _verify_claims(

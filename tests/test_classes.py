@@ -2,6 +2,7 @@ import pytest
 
 import topolab as T
 from topolab import classes
+from topolab.errors import BadParams, ScopeTooLarge
 
 SIERP = T.sierpinski()
 IND2 = T.indiscrete(2)
@@ -124,10 +125,14 @@ def test_family_set_and_mask_agree_with_family():
 
 
 def test_family_unknown_class_rejected():
-    with pytest.raises(ValueError):
+    with pytest.raises(BadParams):
         T.family(SIERP, "nonsuch")
-    with pytest.raises(ValueError):
+    with pytest.raises(BadParams):
+        T.family_set(SIERP, ["open"])
+    with pytest.raises(BadParams):
         classes.family_mask(SIERP, "Open")
+    with pytest.raises(BadParams):
+        classes.family_mask(T.khalimsky_interval(7), "Open")
 
 
 def test_reports_agree_with_families():
@@ -148,7 +153,7 @@ def test_wide_space_predicate_path():
     assert T.is_preopen(k, 0b0000010)
     r = T.classify_subset(k, 0b1111111)
     assert r.clopen
-    with pytest.raises(ValueError):
+    with pytest.raises(ScopeTooLarge):
         classes.family_mask(k, "open")
 
 

@@ -213,6 +213,11 @@ def test_verify_jobs_from_environment(monkeypatch, capsys):
     assert code == 1 and "TOPOLAB_JOBS" in err
     code, _, _ = run_cli(*argv, "--jobs", "1", capsys=capsys)
     assert code == 0
+    code, _, err = run_cli(*argv, "--jobs", "0", capsys=capsys)
+    assert code == 1 and "jobs" in err
+    monkeypatch.setenv("TOPOLAB_JOBS", "-2")
+    code, _, err = run_cli(*argv, capsys=capsys)
+    assert code == 1 and "jobs" in err
 
 
 def test_verify_scope_too_large(capsys):

@@ -278,10 +278,13 @@ def test_verify_is_verify_all_for_one_claim():
 
 
 def test_pair_sweep_requests_each_pair_once():
-    verifier._pair_masks.cache_clear()
-    T.verify_all(scope=verifier.Scope(max_points=3), claims=PAIR_IDS)
-    info = verifier._pair_masks.cache_info()
-    assert (info.misses, info.hits) == (35 * 35, 0)
+    # one walk per scope: the composition claims reuse the rows the pair
+    # claims fetched instead of asking for them again
+    for claims in (PAIR_IDS, T.CLAIM_IDS):
+        verifier._pair_masks.cache_clear()
+        T.verify_all(scope=verifier.Scope(max_points=3), claims=claims)
+        info = verifier._pair_masks.cache_info()
+        assert (info.misses, info.hits) == (35 * 35, 0), claims
 
 
 def test_verify_rejects_bad_scope_or_claim():
@@ -289,6 +292,15 @@ def test_verify_rejects_bad_scope_or_claim():
         T.verify("nope")
     with pytest.raises(ScopeTooLarge):
         T.verify("T3_2_ab", verifier.Scope(max_points=9))
+    with pytest.raises(BadParams):
+        T.verify("T3_2_ab", 3)
+    with pytest.raises(BadParams):
+        T.verify_all(scope={"max_points": 2}, claims=("P3_3",))
+    for jobs in (0, -1, "2", 2.0, True):
+        with pytest.raises(BadParams):
+            T.verify("T3_2_ab", verifier.Scope(max_points=1), jobs=jobs)
+        with pytest.raises(BadParams):
+            T.verify_all(verifier.Scope(max_points=1), jobs=jobs)
 
 
 # ------------------------------------------------------------- witnesses, io
