@@ -1,11 +1,12 @@
-"""Separation axioms decided by family comparison.
+"""Separation axioms, each decided by searching for a witness.
 
 T0/T1 use the minimal-neighbourhood characterizations (m(x) = m(y) iff no
 open separates x from y; m(x) = {x} iff opens separate x from everything),
 which agree with the pointwise definitions on finite spaces.  T_half asks
 that every g-closed set be closed, T_alpha_m that every alpha_m-closed set
 be closed, and the singleton dichotomy that every singleton be alpha-closed
-or clopen.
+or clopen.  For T_half and T_alpha_m the subsets are walked in canonical
+order and the walk stops at the first class member that is not closed.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from . import classes
-from .space import FiniteSpace, PointSet, points_of
+from .space import FiniteSpace, PointSet, canonical_subsets, points_of
 
 AXIOM_IDS = ("T0", "T1", "T_half", "T_alpha_m", "singleton_dichotomy")
 
@@ -30,12 +31,12 @@ def is_T1(space: FiniteSpace) -> bool:
 
 def is_T_half(space: FiniteSpace) -> bool:
     """Every g-closed set is closed."""
-    return _family_gap_witness(space, "g_closed") is None
+    return _family_gap_witness(space, classes.is_g_closed) is None
 
 
 def is_T_alpha_m(space: FiniteSpace) -> bool:
     """Every alpha_m-closed set is closed."""
-    return _family_gap_witness(space, "alpha_m_closed") is None
+    return _family_gap_witness(space, classes.is_alpha_m_closed) is None
 
 
 def singleton_dichotomy(space: FiniteSpace) -> bool:
@@ -61,12 +62,11 @@ def _t1_witness(space: FiniteSpace):
     return None
 
 
-def _family_gap_witness(space: FiniteSpace, class_id: str):
+def _family_gap_witness(space: FiniteSpace, member):
     # first member of the class that is not closed, canonical order; every
     # closed set is g-closed and alpha_m-closed, so None means equal families
-    closed = classes.family_set(space, "closed")
-    for a in classes.family(space, class_id):
-        if a not in closed:
+    for a in canonical_subsets(space.n):
+        if not space.is_closed(a) and member(space, a):
             return a
     return None
 
@@ -103,8 +103,8 @@ def axiom_report(space: FiniteSpace) -> AxiomReport:
     finders = {
         "T0": _t0_witness,
         "T1": _t1_witness,
-        "T_half": lambda s: _family_gap_witness(s, "g_closed"),
-        "T_alpha_m": lambda s: _family_gap_witness(s, "alpha_m_closed"),
+        "T_half": lambda s: _family_gap_witness(s, classes.is_g_closed),
+        "T_alpha_m": lambda s: _family_gap_witness(s, classes.is_alpha_m_closed),
         "singleton_dichotomy": _dichotomy_witness,
     }
     found = {axiom: finders[axiom](space) for axiom in AXIOM_IDS}

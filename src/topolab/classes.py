@@ -12,7 +12,8 @@ Definitions, writing int/cl for interior and closure inside a fixed space:
 
 The "for every open/alpha-open superset" conditions reduce to containment
 in the union of the members' minimal (alpha-)neighbourhoods, which is the
-smallest such superset.
+smallest such superset.  Queries read the space's per-point tables; only
+the sweeps and :func:`family_mask` build masks over all 2^n subsets.
 """
 
 from __future__ import annotations
@@ -22,11 +23,11 @@ from functools import lru_cache
 
 from . import _kernels
 from .errors import BadParams, ScopeTooLarge
-from .space import FiniteSpace, PointSet, family_sort_key
+from .space import FiniteSpace, PointSet, _interior, canonical_subsets
 
 CLASS_IDS = _kernels.CLASS_ORDER
 
-# family masks describe subsets-of-2^n as single words only up to here
+# widest space for class masks (one bit per subset), as the sweeps use them
 MASK_LIMIT = 6
 
 
@@ -35,26 +36,14 @@ def _masks(space: FiniteSpace):
     return _kernels.class_masks(space.n, space.opens)
 
 
-def _kernel(space: FiniteSpace, a: PointSet) -> PointSet:
-    # union of minimal open neighbourhoods over the members of a
-    minn = space.min_nbhd
+def _union(table, a: PointSet) -> PointSet:
+    # union of the table's neighbourhoods over the members of a
     out = 0
     t = a
     while t:
         b = t & -t
         t ^= b
-        out |= minn[b.bit_length() - 1]
-    return out
-
-
-def _alpha_kernel(space: FiniteSpace, a: PointSet) -> PointSet:
-    minn = space.min_alpha_nbhd
-    out = 0
-    t = a
-    while t:
-        b = t & -t
-        t ^= b
-        out |= minn[b.bit_length() - 1]
+        out |= table[b.bit_length() - 1]
     return out
 
 
@@ -99,9 +88,8 @@ def is_beta_closed(space: FiniteSpace, a: PointSet) -> bool:
 
 
 def is_g_closed(space: FiniteSpace, a: PointSet) -> bool:
-    space.check_subset(a)
     c = space.closure(a)
-    k = _kernel(space, a)
+    k = _union(space.min_nbhd, a)          # smallest open superset
     return c & k == c
 
 
@@ -110,9 +98,8 @@ def is_g_open(space: FiniteSpace, a: PointSet) -> bool:
 
 
 def is_alpha_m_closed(space: FiniteSpace, a: PointSet) -> bool:
-    space.check_subset(a)
     i = space.interior(space.closure(a))
-    k = _alpha_kernel(space, a)
+    k = _union(space.min_alpha_nbhd, a)    # smallest alpha-open superset
     return i & k == i
 
 
@@ -153,12 +140,25 @@ class ClassificationReport:
 
 
 def classify_subset(space: FiniteSpace, a: PointSet) -> ClassificationReport:
-    """All 15 class flags for one subset."""
+    """All 15 class flags for one subset, from one pass over its interiors,
+    closures and kernels.  The complement needs only its kernels: as
+    cl(X - A) = X - int(A), it is g-closed iff ker(X - A) | int(A) == X, and
+    as int(cl(X - A)) = X - cl(int(A)), alpha_m-closed iff
+    aker(X - A) | cl(int(A)) == X."""
     space.check_subset(a)
-    if space.n <= MASK_LIMIT:
-        masks = _masks(space)
-        return ClassificationReport(*(bool(m >> a & 1) for m in masks))
-    return ClassificationReport(*(p(space, a) for p in _PREDICATES))
+    minn, aminn, full = space.min_nbhd, space.min_alpha_nbhd, space.full
+    ia = _interior(minn, a)
+    ca = full ^ _interior(minn, full ^ a)
+    ica = _interior(minn, ca)                   # int(cl(A))
+    cia = full ^ _interior(minn, full ^ ia)     # cl(int(A))
+    icia = _interior(minn, cia)                 # int(cl(int(A)))
+    cica = full ^ _interior(minn, full ^ ica)   # cl(int(cl(A)))
+    return ClassificationReport(                # fields in CLASS_IDS order
+        ia == a, ca == a, ia == a == ca,
+        a & ica == a, cia & a == cia, a & cia == a, ica & a == ica,
+        a & icia == a, cica & a == cica, a & cica == a, icia & a == icia,
+        ca & _union(minn, a) == ca, _union(minn, full ^ a) | ia == full,
+        ica & _union(aminn, a) == ica, _union(aminn, full ^ a) | cia == full)
 
 
 def _class_index(class_id: str) -> int:
@@ -177,13 +177,8 @@ def family_mask(space: FiniteSpace, class_id: str) -> int:
 
 @lru_cache(maxsize=65536)
 def _family_tuple(space: FiniteSpace, i: int) -> tuple:
-    if space.n <= MASK_LIMIT:
-        fm = _masks(space)[i]
-        members = [a for a in space.subsets() if fm >> a & 1]
-    else:
-        members = [a for a in space.subsets() if _PREDICATES[i](space, a)]
-    members.sort(key=family_sort_key)
-    return tuple(members)
+    member = _PREDICATES[i]
+    return tuple(a for a in canonical_subsets(space.n) if member(space, a))
 
 
 def family(space: FiniteSpace, class_id: str) -> list:

@@ -96,11 +96,14 @@ def _read(path: str) -> str:
 
 
 def _emit(text: str, path=None) -> None:
-    if path:
+    if not path:
+        print(text)
+        return
+    try:
         with open(path, "w", encoding="utf-8") as fh:
             fh.write(text + "\n")
-    else:
-        print(text)
+    except OSError as exc:
+        raise BadParams(f"cannot write {path}: {exc}") from None
 
 
 def _cmd_generate(args) -> int:
@@ -172,8 +175,7 @@ def _cmd_verify(args) -> int:
             for w in shown:
                 print("  " + json.dumps(w.to_record(), separators=(",", ":")))
     if args.json_path:
-        with open(args.json_path, "w", encoding="utf-8") as fh:
-            fh.write(verifier.reports_to_json(reports) + "\n")
+        _emit(verifier.reports_to_json(reports), args.json_path)
     for r in reports:
         if r.witnesses and not verifier.validate_witness(r):
             raise InternalCheckError(

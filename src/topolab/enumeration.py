@@ -34,8 +34,9 @@ def _check_scope(n: int) -> None:
 def _check_shard(shard):
     if shard is None:
         return
-    i, k = shard
-    if not (isinstance(i, int) and isinstance(k, int) and 0 <= i < k):
+    if not (isinstance(shard, (tuple, list)) and len(shard) == 2
+            and all(isinstance(v, int) and not isinstance(v, bool) for v in shard)
+            and 0 <= shard[0] < shard[1]):
         raise BadParams(f"shard {shard!r} must be (index, count) with 0 <= index < count")
 
 

@@ -9,11 +9,11 @@ subsets is integer equality.
 from __future__ import annotations
 
 import json
+from collections.abc import Iterable
 from dataclasses import dataclass
-from functools import cached_property
-from typing import Iterable
+from functools import cached_property, reduce
+from operator import and_
 
-from . import _kernels
 from .errors import BadParams, NotATopology
 
 MAX_POINTS = 16
@@ -47,6 +47,19 @@ def family_sort_key(mask: PointSet) -> tuple[int, int]:
     return (mask.bit_count(), mask)
 
 
+def canonical_subsets(n: int):
+    """Every subset of n points in canonical order, without sorting: per
+    cardinality, Gosper's hack steps to the next bitmask with as many bits."""
+    yield 0
+    for k in range(1, n + 1):
+        a = (1 << k) - 1
+        while not a >> n:
+            yield a
+            low = a & -a
+            ripple = a + low
+            a = (((ripple ^ a) >> 2) // low) | ripple
+
+
 def format_subset(mask: PointSet) -> str:
     return "{" + ",".join(str(p) for p in points_of(mask)) + "}"
 
@@ -57,10 +70,11 @@ class FiniteSpace:
 
     ``opens`` is deduplicated and stored in canonical order (cardinality,
     then numeric bitmask value).  Instances are pure values: hashable,
-    comparable field by field, picklable, and safe to share across threads
-    (derived tables are cached on first use and recomputation is
-    idempotent).  Construct through :func:`new_space` or the generators;
-    the raw constructor does not validate.
+    comparable field by field, picklable, and safe to share across threads.
+    The only derived data are the per-point neighbourhood tables, cached on
+    first use (recomputation is idempotent); interior and closure are
+    computed per call from them.  Construct through :func:`new_space` or
+    the generators; the raw constructor does not validate.
     """
 
     n: int
@@ -71,23 +85,28 @@ class FiniteSpace:
         return (1 << self.n) - 1
 
     @cached_property
-    def _open_set(self) -> frozenset:
-        return frozenset(self.opens)
+    def min_nbhd(self) -> tuple[PointSet, ...]:
+        """Smallest open neighbourhood U_x of each point x: the intersection
+        of the opens that contain it."""
+        return _min_nbhds(self.n, self.opens)
 
     @cached_property
-    def _pack(self):
-        # (min_nbhd, min_alpha_nbhd, interior table, closure table)
-        return _kernels.space_pack(self.n, self.opens)
-
-    @property
-    def min_nbhd(self) -> tuple[PointSet, ...]:
-        """Smallest open neighbourhood of each point."""
-        return self._pack[0]
-
-    @property
     def min_alpha_nbhd(self) -> tuple[PointSet, ...]:
-        """Smallest alpha-open neighbourhood of each point."""
-        return self._pack[1]
+        """Smallest alpha-open neighbourhood of each point x: {x} | (U_x & M).
+
+        M is the set of maximal points, the y with U_z == U_y for every z
+        in U_y.  U_y lies in M for y in M, so U_x & M is open.
+        A = {x} | (U_x & M) is alpha-open: each z in U_x has a maximal
+        point in U_z <= U_x, so U_x <= cl(U_x & M) <= cl(int(A)), and as
+        U_x is open, A <= U_x <= int(cl(int(A))).  It is the least: if B
+        is alpha-open and holds x, then U_x <= int(cl(int(B))), so each
+        maximal y in U_x has U_y meeting int(B) at some z; U_z == U_y
+        holds y, so y is in int(B).
+        """
+        minn = self.min_nbhd
+        maximal = sum(1 << y for y, u in enumerate(minn)
+                      if all(minn[z] == u for z in points_of(u)))
+        return tuple((1 << x) | (u & maximal) for x, u in enumerate(minn))
 
     def check_subset(self, a: PointSet) -> None:
         if not isinstance(a, int) or isinstance(a, bool) or not 0 <= a <= self.full:
@@ -104,16 +123,16 @@ class FiniteSpace:
     def interior(self, a: PointSet) -> PointSet:
         """Largest open subset of ``a``."""
         self.check_subset(a)
-        return self._pack[2][a]
+        return _interior(self.min_nbhd, a)
 
     def closure(self, a: PointSet) -> PointSet:
         """Smallest closed superset of ``a``."""
         self.check_subset(a)
-        return self._pack[3][a]
+        return self.full ^ _interior(self.min_nbhd, self.full ^ a)
 
     def is_open(self, a: PointSet) -> bool:
         self.check_subset(a)
-        return a in self._open_set
+        return _interior(self.min_nbhd, a) == a
 
     def is_closed(self, a: PointSet) -> bool:
         return self.is_open(self.full ^ a)
@@ -132,14 +151,34 @@ class FiniteSpace:
         return f"FiniteSpace(n={self.n}, opens=[{opens}])"
 
 
+def _min_nbhds(n: int, opens) -> tuple[PointSet, ...]:
+    # per point, the intersection of the opens that contain it
+    return tuple(reduce(and_, (u for u in opens if u >> x & 1), (1 << n) - 1)
+                 for x in range(n))
+
+
+def _interior(minn, a: PointSet) -> PointSet:
+    # the points of a whose minimal neighbourhood lies in a; a is open
+    # (an up-set of the table) iff this returns a itself
+    s = 0
+    t = a
+    while t:
+        b = t & -t
+        t ^= b
+        mx = minn[b.bit_length() - 1]
+        if mx & a == mx:
+            s |= b
+    return s
+
+
 def _diagnose_family(n: int, members: set) -> None:
     """Raise NotATopology naming one offending pair of an invalid family."""
-    size = 1 << n
+    ordered = sorted(members)
     # some pairwise intersection missing?
     for x in range(n):
         bx = 1 << x
         cur = None
-        for u in sorted(members):
+        for u in ordered:
             if not u & bx:
                 continue
             if cur is None:
@@ -151,79 +190,31 @@ def _diagnose_family(n: int, members: set) -> None:
                     f" = {format_subset(cur & u)} is not in the family")
             cur &= u
     # all minimal neighbourhoods are members; some union must be missing
-    minn = [((1 << n) - 1)] * n
-    for x in range(n):
-        for u in members:
-            if u >> x & 1:
-                minn[x] &= u
-    for a in range(size):
-        if a in members:
-            continue
-        t = a
-        up_closed = True
-        while t:
-            b = t & -t
-            t ^= b
-            mx = minn[b.bit_length() - 1]
-            if mx & a != mx:
-                up_closed = False
-                break
-        if not up_closed:
-            continue
-        parts = [minn[p] for p in points_of(a)]
-        cur = parts[0]
-        for p in parts[1:]:
-            if cur | p not in members:
+    minn = _min_nbhds(n, members)
+    for u in ordered:
+        for m in minn:
+            if u | m not in members:
                 raise NotATopology(
-                    f"union of {format_subset(cur)} and {format_subset(p)}"
-                    f" = {format_subset(cur | p)} is not in the family")
-            cur |= p
+                    f"union of {format_subset(u)} and {format_subset(m)}"
+                    f" = {format_subset(u | m)} is not in the family")
     raise NotATopology("family is not closed under union/intersection")
 
 
 def _validate_family(n: int, members: set) -> None:
-    size = 1 << n
-    full = size - 1
+    full = (1 << n) - 1
     if 0 not in members:
         raise NotATopology("the empty set is missing from the family")
     if full not in members:
         raise NotATopology(f"the full set {format_subset(full)} is missing from the family")
-    k = len(members)
-    if k == size:
+    if len(members) == full + 1:
         return  # power set: always a topology
-    if k * k <= n * size:
-        ordered = sorted(members)
-        for i, u in enumerate(ordered):
-            for v in ordered[i + 1:]:
-                if u | v not in members:
-                    raise NotATopology(
-                        f"union of {format_subset(u)} and {format_subset(v)}"
-                        f" = {format_subset(u | v)} is not in the family")
-                if u & v not in members:
-                    raise NotATopology(
-                        f"intersection of {format_subset(u)} and {format_subset(v)}"
-                        f" = {format_subset(u & v)} is not in the family")
-        return
-    # large families: valid iff equal to the up-sets of their own minimal
-    # neighbourhoods (unions/intersections of up-sets are up-sets)
-    minn = [full] * n
-    for x in range(n):
-        for u in members:
-            if u >> x & 1:
-                minn[x] &= u
-    for a in range(size):
-        t = a
-        up_closed = True
-        while t:
-            b = t & -t
-            t ^= b
-            mx = minn[b.bit_length() - 1]
-            if mx & a != mx:
-                up_closed = False
-                break
-        if up_closed != (a in members):
-            _diagnose_family(n, members)
-    return
+    # U_x, the intersection of the members holding x, lies in each of them.
+    # So if adding any U_x to a member gives a member, the family is exactly
+    # the unions of U_x's (reached from {}), the opens of the topology the
+    # U_x generate (y in U_x gives U_y <= U_x, as U_x is then a member).
+    minn = _min_nbhds(n, members)
+    if any(u | m not in members for u in members for m in minn):
+        _diagnose_family(n, members)
 
 
 def new_space(n: int, opens: Iterable[PointSet]) -> FiniteSpace:
@@ -236,6 +227,8 @@ def new_space(n: int, opens: Iterable[PointSet]) -> FiniteSpace:
     if not isinstance(n, int) or isinstance(n, bool) or not 0 <= n <= MAX_POINTS:
         raise BadParams(f"point count {n!r} outside 0..{MAX_POINTS}")
     full = (1 << n) - 1
+    if not isinstance(opens, Iterable):
+        raise BadParams(f"opens {opens!r} is not an iterable of subsets")
     members = set()
     for u in opens:
         if not isinstance(u, int) or isinstance(u, bool) or not 0 <= u <= full:
@@ -248,21 +241,8 @@ def new_space(n: int, opens: Iterable[PointSet]) -> FiniteSpace:
 def _from_min_nbhds(n: int, minn: list) -> FiniteSpace:
     # opens = subsets closed upward under the given neighbourhood table;
     # such a family is a topology by construction, so skip re-validation
-    size = 1 << n
-    opens = []
-    for a in range(size):
-        t = a
-        ok = True
-        while t:
-            b = t & -t
-            t ^= b
-            mx = minn[b.bit_length() - 1]
-            if mx & a != mx:
-                ok = False
-                break
-        if ok:
-            opens.append(a)
-    return FiniteSpace(n, tuple(sorted(opens, key=family_sort_key)))
+    opens = [a for a in canonical_subsets(n) if _interior(minn, a) == a]
+    return FiniteSpace(n, tuple(opens))
 
 
 def _check_n(n, low: int = 0):

@@ -84,3 +84,28 @@ def naive_closure(n, opens, a):
         if c & a == a:
             best &= c
     return best
+
+
+def naive_min_nbhd(n, opens, x):
+    """Intersection of every open set containing x."""
+    best = (1 << n) - 1
+    for u in opens:
+        if u >> x & 1:
+            best &= u
+    return best
+
+
+def naive_min_alpha_nbhd(n, opens, x):
+    """Intersection of every alpha-open set containing x.
+
+    A is alpha-open iff A <= int(cl(int(A))), with int and cl taken from
+    the naive oracles above; every subset of the ground set is tried.
+    """
+    best = (1 << n) - 1
+    for a in range(1 << n):
+        if not a >> x & 1:
+            continue
+        icia = naive_interior(n, opens, naive_closure(n, opens, naive_interior(n, opens, a)))
+        if a & icia == a:
+            best &= a
+    return best

@@ -59,6 +59,38 @@ def test_T_half_is_family_equality():
             T.family_set(s, "g_closed") == T.family_set(s, "closed"))
 
 
+def test_gap_witness_is_first_family_member_not_closed():
+    # the canonical-order walk finds what comparing whole families finds
+    spaces = spaces_up_to(5) + tuple(T.khalimsky_interval(n) for n in range(7, 11))
+    for s in spaces:
+        found = dict(T.axiom_report(s).witnesses)
+        closed = T.family_set(s, "closed")
+        for axiom, cid in (("T_half", "g_closed"), ("T_alpha_m", "alpha_m_closed")):
+            first = next((a for a in T.family(s, cid) if a not in closed), None)
+            assert found.get(axiom) == first, (s, axiom)
+
+
+def test_T_half_iff_singletons_open_or_closed():
+    # Dunham (1977): T_1/2 iff every singleton is open or closed
+    for s in spaces_up_to(5):
+        pointwise = all(s.is_open(1 << x) or s.is_closed(1 << x) for x in range(s.n))
+        assert T.is_T_half(s) == pointwise, s
+
+
+def test_T_alpha_m_iff_singletons_closed_or_open_with_clopen_closure():
+    """Conjecture, not a proved theorem: T_alpha_m iff every singleton is
+    closed, or is open with a clopen closure.  Checked here on every
+    labeled space with at most 5 points (252 of the 7,332 are T_alpha_m)."""
+    holds = 0
+    for s in spaces_up_to(5):
+        pointwise = all(s.is_closed(1 << x)
+                        or (s.is_open(1 << x) and s.is_clopen(s.closure(1 << x)))
+                        for x in range(s.n))
+        assert T.is_T_alpha_m(s) == pointwise, s
+        holds += pointwise
+    assert holds == 252
+
+
 def test_singleton_dichotomy_examples():
     assert T.singleton_dichotomy(T.discrete(2))
     assert not T.singleton_dichotomy(SIERP)

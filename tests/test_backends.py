@@ -1,20 +1,59 @@
+import importlib.util
 import itertools
 import os
 import random
+import shutil
 import subprocess
 import sys
+import sysconfig
+from pathlib import Path
 
 import pytest
 
 from topolab import _kernels
 from topolab._kernels import pure
 
+SPEEDUPS_C = Path(_kernels.__file__).with_name("_speedups.c")
+
+
+@pytest.fixture(scope="session")
+def compiled(tmp_path_factory):
+    """The tracked ``_speedups.c``, compiled into a temp dir and loaded.
+
+    The shared object never goes under ``src/``: the package would then
+    pick the compiled backend on import."""
+    cc = (shutil.which((sysconfig.get_config_var("CC") or "cc").split()[0])
+          or shutil.which("cc"))
+    include = sysconfig.get_paths()["include"]
+    if cc is None or not Path(include, "Python.h").exists():
+        pytest.skip("no C compiler or Python headers to build the compiled backend")
+    out = tmp_path_factory.mktemp("speedups") / (
+        "_speedups" + sysconfig.get_config_var("EXT_SUFFIX"))
+    build = subprocess.run(
+        [cc, "-O2", "-shared", "-fPIC", "-I", include,
+         str(SPEEDUPS_C), "-o", str(out)],
+        capture_output=True, text=True, timeout=600)
+    assert build.returncode == 0, build.stderr
+    spec = importlib.util.spec_from_file_location("_speedups", out)
+    module = importlib.util.module_from_spec(spec)
+    name = "topolab._kernels._speedups"
+    package_copy = sys.modules.get(name)
+    spec.loader.exec_module(module)
+    # Cython also registers the module under its dotted name; undo that so
+    # the package still imports its own backend, if it has one
+    if package_copy is None:
+        sys.modules.pop(name, None)
+    else:
+        sys.modules[name] = package_copy
+    return module
+
 
 @pytest.fixture
-def compiled():
+def installed():
+    """The compiled backend as the package itself would import it."""
     return pytest.importorskip(
         "topolab._kernels._speedups",
-        reason="compiled backend not built on this interpreter")
+        reason="compiled backend not built into the package")
 
 
 def opens_of(fm, n):
@@ -85,7 +124,7 @@ def _backend_of(env_value):
     return out.returncode, out.stdout.strip(), out.stderr
 
 
-@pytest.mark.usefixtures("compiled")
+@pytest.mark.usefixtures("installed")
 def test_backend_selection_env():
     code, backend, _ = _backend_of(None)
     assert code == 0 and backend == "compiled"
@@ -110,7 +149,7 @@ def test_pure_backend_runs_the_full_pipeline():
     assert out.stdout.strip() == "refuted 2 (0, 1, 3)"
 
 
-@pytest.mark.usefixtures("compiled")
+@pytest.mark.usefixtures("installed")
 def test_parallel_sweep_identical_across_backends(tmp_path):
     outs = []
     for backend in ("pure", "compiled"):

@@ -1,7 +1,7 @@
 import pytest
 
 import topolab as T
-from topolab import classes
+from topolab import _kernels, classes, maps
 from topolab.errors import BadParams, ScopeTooLarge
 
 SIERP = T.sierpinski()
@@ -115,7 +115,8 @@ def test_family_canonical_order():
 
 
 def test_family_set_and_mask_agree_with_family():
-    for s in all_spaces(3):
+    # family walks the predicates, family_mask reads the class_masks kernel
+    for s in all_spaces(4):
         for cid in T.CLASS_IDS:
             fam = T.family(s, cid)
             assert T.family_set(s, cid) == frozenset(fam)
@@ -137,8 +138,9 @@ def test_family_unknown_class_rejected():
 
 def test_reports_agree_with_families():
     # classify_subset flags match family membership everywhere (this pins
-    # the mask fast path to the per-predicate slow path)
-    for s in all_spaces(3):
+    # the single pass to the per-predicate families, and through
+    # test_family_set_and_mask_agree_with_family to the class_masks kernel)
+    for s in all_spaces(4):
         fams = {cid: T.family_set(s, cid) for cid in T.CLASS_IDS}
         for a in s.subsets():
             r = T.classify_subset(s, a).to_record()
@@ -147,7 +149,7 @@ def test_reports_agree_with_families():
 
 
 def test_wide_space_predicate_path():
-    # n = 7 is past the family-mask width limit; predicates still answer
+    # n = 7 is past the family-mask width limit; queries still answer
     k = T.khalimsky_interval(7)
     assert T.is_alpha_m_closed(k, 0)
     assert T.is_preopen(k, 0b0000010)
@@ -155,6 +157,28 @@ def test_wide_space_predicate_path():
     assert r.clopen
     with pytest.raises(ScopeTooLarge):
         classes.family_mask(k, "open")
+
+
+def test_library_path_builds_no_subset_tables(monkeypatch):
+    # parsing, axioms, subset classes, families and maps all answer from
+    # the per-point tables; the 2^n kernels serve only the sweeps
+    def refuse(*args):
+        raise AssertionError("a library query called a 2^n kernel")
+
+    monkeypatch.setattr(_kernels, "space_pack", refuse)
+    monkeypatch.setattr(_kernels, "class_masks", refuse)
+    wide = [T.space_from_json(g.to_json()) for g in (
+        T.indiscrete(16), T.khalimsky_interval(16), T.excluded_point(16, 3),
+        T.khalimsky_interval(5))]
+    for s in wide:
+        T.axiom_report(s)
+        for a in (0, 1, 0b10110, s.full >> 1, s.full):
+            T.classify_subset(s, a)
+    assert T.family(wide[1], "open") == list(wide[1].opens)
+    eight = [T.khalimsky_interval(8), T.particular_point(8, 2), T.excluded_point(8, 0)]
+    for x in eight:
+        for y in eight:
+            maps.classify_map(maps.SpaceMap(x, y, (0, 1, 2, 3, 3, 5, 7, 6)))
 
 
 # ----------------------------------------------------------- lattice laws
@@ -194,13 +218,13 @@ def test_duality_exhaustive():
 
 def test_kernels():
     # kernel = intersection of open supersets = union of minimal nbhds
-    assert classes._kernel(SIERP, 0b10) == 0b11
-    assert classes._kernel(SIERP, 0b01) == 0b01
-    assert classes._alpha_kernel(IND2, 0b01) == 0b11
+    assert classes._union(SIERP.min_nbhd, 0b10) == 0b11
+    assert classes._union(SIERP.min_nbhd, 0b01) == 0b01
+    assert classes._union(IND2.min_alpha_nbhd, 0b01) == 0b11
     for s in all_spaces(3):
         for a in s.subsets():
             ker = s.full
             for u in s.opens:
                 if a & u == a:
                     ker &= u
-            assert classes._kernel(s, a) == ker
+            assert classes._union(s.min_nbhd, a) == ker

@@ -34,6 +34,14 @@ def test_generate_with_params_and_output_file(tmp_path, capsys):
                            [0, 1, 3], [1, 2, 3], [0, 1, 2, 3]]}
 
 
+def test_generate_unwritable_output(tmp_path, capsys):
+    target = tmp_path / "no-such-dir" / "x.json"
+    code, out, err = run_cli("generate", "sierpinski", "-o", str(target),
+                             capsys=capsys)
+    assert code == 1 and out == ""
+    assert err.startswith("error: cannot write") and "Traceback" not in err
+
+
 def test_generate_unknown_name(capsys):
     code, out, err = run_cli("generate", "moebius", capsys=capsys)
     assert code == 1 and "moebius" in err
@@ -158,6 +166,14 @@ def test_verify_single_claim(tmp_path, capsys):
     assert payload["reports"][0]["outcome"] == "refuted"
     assert payload["reports"][0]["witnesses"][0]["spaces"][0] == \
         {"n": 2, "opens": [[], [0], [0, 1]]}
+
+
+def test_verify_unwritable_json(tmp_path, capsys):
+    target = tmp_path / "no-such-dir" / "r.json"
+    code, _, err = run_cli("verify", "--claim", "T3_2_ab", "--max-points", "2",
+                           "--json", str(target), capsys=capsys)
+    assert code == 1
+    assert err.startswith("error: cannot write") and "Traceback" not in err
 
 
 def test_verify_scoreboard_deterministic(tmp_path, capsys):

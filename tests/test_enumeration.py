@@ -93,6 +93,11 @@ def test_sharding_partitions_the_stream():
         list(en.enumerate_topologies(2, shard=(2, 2)))
     with pytest.raises(BadParams):
         list(en.enumerate_topologies(2, shard=(-1, 2)))
+    for bad in (5, (0, 1, 2), (0, True), (True, 2), (0.0, 1), "01", (0,)):
+        with pytest.raises(BadParams):
+            list(en.enumerate_topologies(2, shard=bad))
+        with pytest.raises(BadParams):
+            list(en.enumerate_topologies_up_to_homeo(2, shard=bad))
 
 
 def test_scope_caps():

@@ -5,9 +5,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import topolab as T
+from topolab.enumeration import spaces_up_to
 from topolab.errors import BadParams, NotATopology
 
-from _oracles import naive_closure, naive_interior, naive_labeled_families
+from _oracles import (naive_closure, naive_interior, naive_labeled_families,
+                      naive_min_alpha_nbhd, naive_min_nbhd)
 
 SIERP = T.sierpinski()
 
@@ -101,6 +103,9 @@ def test_bad_params():
         T.new_space(2, [0, True, 3])    # bools are not subsets
     with pytest.raises(BadParams):
         T.new_space(2, [0, "1", 3])
+    for opens in (5, None, 3.0):        # not iterable at all
+        with pytest.raises(BadParams):
+            T.new_space(2, opens)
 
 
 def test_duplicates_collapse():
@@ -128,13 +133,16 @@ def test_closure_examples():
 
 
 def test_interior_closure_match_naive_oracle():
-    for n in range(4):
-        for fm in naive_labeled_families(n):
-            opens = opens_of(fm, n)
-            s = T.new_space(n, opens)
-            for a in range(1 << n):
-                assert s.interior(a) == naive_interior(n, opens, a)
-                assert s.closure(a) == naive_closure(n, opens, a)
+    # with the minimal (alpha-)neighbourhoods they are computed from
+    for s in spaces_up_to(4):
+        n, opens = s.n, s.opens
+        assert s.min_nbhd == tuple(naive_min_nbhd(n, opens, x) for x in range(n))
+        assert s.min_alpha_nbhd == tuple(naive_min_alpha_nbhd(n, opens, x)
+                                         for x in range(n))
+        for a in s.subsets():
+            assert s.interior(a) == naive_interior(n, opens, a)
+            assert s.closure(a) == naive_closure(n, opens, a)
+            assert s.is_open(a) == (a in opens)
 
 
 def test_membership_flags():
