@@ -337,34 +337,6 @@ def _decode(idx, k, base):
     return a
 
 
-# composition lookup tables, keyed by (nX, nY, nZ); bounded by the n<=4
-# shapes where they pay off
-_COMP_TABLES = {}
-_COMP_TABLE_LIMIT = 1 << 17
-
-
-def _comp_table(nx, ny, nz):
-    key = (nx, ny, nz)
-    table = _COMP_TABLES.get(key)
-    if table is None:
-        n_f = ny ** nx
-        n_g = nz ** ny
-        weights = [nz ** (nx - 1 - x) for x in range(nx)]
-        table = []
-        for fi in range(n_f):
-            fa = _decode(fi, nx, ny)
-            row = []
-            for gi in range(n_g):
-                ga = _decode(gi, ny, nz)
-                c = 0
-                for x in range(nx):
-                    c += ga[fa[x]] * weights[x]
-                row.append(c)
-            table.append(row)
-        _COMP_TABLES[key] = table
-    return table
-
-
 def composition_failures(nx, ny, nz, f_indices, g_indices, target_bits, limit):
     """Count (f, g) pairs whose composite map misses ``target_bits``.
 
@@ -372,31 +344,25 @@ def composition_failures(nx, ny, nz, f_indices, g_indices, target_bits, limit):
     bit means the composite fails the conclusion.  Pairs run f-outer,
     g-inner in the given list orders; the first ``limit`` failing pairs are
     returned (limit < 0 collects all).  Returns ``(count, pairs)``.
+
+    The verifier no longer calls it: it folds the composition claims from
+    subset families of the middle space instead.  It stays in step with
+    the compiled extension, whose source is not regenerated with this file.
     """
     if not f_indices or not g_indices:
         return 0, []
     count = 0
     fails = []
-    if ny ** nx * (nz ** ny) <= _COMP_TABLE_LIMIT:
-        table = _comp_table(nx, ny, nz)
-        for fi in f_indices:
-            row = table[fi]
-            for gi in g_indices:
-                if not target_bits >> row[gi] & 1:
-                    count += 1
-                    if limit < 0 or len(fails) < limit:
-                        fails.append((fi, gi))
-    else:
-        f_assign = [_decode(fi, nx, ny) for fi in f_indices]
-        g_assign = [_decode(gi, ny, nz) for gi in g_indices]
-        weights = [nz ** (nx - 1 - x) for x in range(nx)]
-        for fa, fi in zip(f_assign, f_indices):
-            for ga, gi in zip(g_assign, g_indices):
-                c = 0
-                for x in range(nx):
-                    c += ga[fa[x]] * weights[x]
-                if not target_bits >> c & 1:
-                    count += 1
-                    if limit < 0 or len(fails) < limit:
-                        fails.append((fi, gi))
+    f_assign = [_decode(fi, nx, ny) for fi in f_indices]
+    g_assign = [_decode(gi, ny, nz) for gi in g_indices]
+    weights = [nz ** (nx - 1 - x) for x in range(nx)]
+    for fa, fi in zip(f_assign, f_indices):
+        for ga, gi in zip(g_assign, g_indices):
+            c = 0
+            for x in range(nx):
+                c += ga[fa[x]] * weights[x]
+            if not target_bits >> c & 1:
+                count += 1
+                if limit < 0 or len(fails) < limit:
+                    fails.append((fi, gi))
     return count, fails

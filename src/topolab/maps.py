@@ -115,41 +115,38 @@ def is_open_map(f: SpaceMap) -> bool:
 
 def is_closed_map(f: SpaceMap) -> bool:
     """Image of every closed set is closed."""
-    closed = classes.family(f.domain, "closed")
-    return all(f.codomain.is_closed(f.image(c)) for c in closed)
+    full = f.domain.full
+    return all(f.codomain.is_closed(f.image(full ^ u)) for u in f.domain.opens)
 
 
 def is_alpha_m_continuous(f: SpaceMap) -> bool:
     """Preimage of every closed set is alpha_m-closed."""
-    target = classes.family_set(f.domain, "alpha_m_closed")
-    return all(f.preimage(c) in target
-               for c in classes.family(f.codomain, "closed"))
+    full = f.codomain.full
+    return all(classes.is_alpha_m_closed(f.domain, f.preimage(full ^ u))
+               for u in f.codomain.opens)
 
 
 def is_alpha_m_irresolute(f: SpaceMap) -> bool:
     """Preimage of every alpha_m-closed set is alpha_m-closed."""
-    target = classes.family_set(f.domain, "alpha_m_closed")
-    return all(f.preimage(c) in target
+    return all(classes.is_alpha_m_closed(f.domain, f.preimage(c))
                for c in classes.family(f.codomain, "alpha_m_closed"))
 
 
 def is_alpha_m_closed_map(f: SpaceMap) -> bool:
     """Image of every closed set is alpha_m-closed."""
-    target = classes.family_set(f.codomain, "alpha_m_closed")
-    return all(f.image(c) in target
-               for c in classes.family(f.domain, "closed"))
+    full = f.domain.full
+    return all(classes.is_alpha_m_closed(f.codomain, f.image(full ^ u))
+               for u in f.domain.opens)
 
 
 def is_alpha_m_open_map(f: SpaceMap) -> bool:
     """Image of every open set is alpha_m-open."""
-    target = classes.family_set(f.codomain, "alpha_m_open")
-    return all(f.image(u) in target for u in f.domain.opens)
+    return all(classes.is_alpha_m_open(f.codomain, f.image(u)) for u in f.domain.opens)
 
 
 def open_preimages_alpha_m_open(f: SpaceMap) -> bool:
     """Preimage of every open set is alpha_m-open."""
-    target = classes.family_set(f.domain, "alpha_m_open")
-    return all(f.preimage(u) in target for u in f.codomain.opens)
+    return all(classes.is_alpha_m_open(f.domain, f.preimage(u)) for u in f.codomain.opens)
 
 
 @dataclass(frozen=True)

@@ -21,6 +21,7 @@ from concurrent.futures import ProcessPoolExecutor
 from contextlib import nullcontext
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import islice
 from typing import NamedTuple
 
 from . import _kernels, axioms, classes, maps
@@ -405,14 +406,122 @@ def _witness(claim_id: str, spaces, positions, ranks) -> Witness:
                    hypotheses=hyps, conclusion=concl)
 
 
+_CLOSED, _ALPHA_M_CLOSED = (classes.CLASS_IDS.index(name)
+                             for name in ("closed", "alpha_m_closed"))
+
+
+def _subset_tables(n_dom: int, n_cod: int):
+    """(preimages, images) of every map from n_dom to n_cod points, by rank:
+    ``preimages[r][D]`` is the preimage of codomain subset D under the map of
+    rank r, and ``images[r][S]`` the image of domain subset S."""
+    preimages, images = [], []
+    for rank in range(n_cod ** n_dom):
+        assign = assignment_from_index(rank, n_dom, n_cod)
+        single = [0] * n_cod
+        for x, y in enumerate(assign):
+            single[y] |= 1 << x
+        pre = [0] * (1 << n_cod)
+        for d in range(1, 1 << n_cod):
+            low = d & -d
+            pre[d] = pre[d ^ low] | single[low.bit_length() - 1]
+        img = [0] * (1 << n_dom)
+        for s in range(1, 1 << n_dom):
+            low = s & -s
+            img[s] = img[s ^ low] | 1 << assign[low.bit_length() - 1]
+        preimages.append(pre)
+        images.append(img)
+    return preimages, images
+
+
+def _map_sides(prop: str, as_f: bool, dom: FiniteSpace, cod: FiniteSpace,
+               ranks, tables: dict) -> list:
+    """Side of each map dom -> cod of the given ranks in the composition
+    claims, as f or as g.  ``tables`` holds the _subset_tables by shape.
+
+    An alpha_m-continuous map pulls every closed set of its codomain back to
+    an alpha_m-closed set; an alpha_m-closed map pushes every closed set of
+    its domain forward to an alpha_m-closed set.  Either way a map carries
+    subsets from a source space to a target space, and g after f (X -> Y ->
+    Z) fails iff some closed set of the first source, carried through both
+    maps, is not alpha_m-closed in the last target.  That is iff A_f & B_g,
+    two bitsets over the subsets of Y:
+
+    - alpha_m-continuity: A_f = {D <= Y : f^-1(D) not alpha_m-closed in X}
+      and B_g = {g^-1(C) : C closed in Z};
+    - alpha_m-closed maps: A_f = {f(S) : S closed in X} and
+      B_g = {B <= Y : g(B) not alpha_m-closed in Z}.
+
+    Both identities are exact, and neither depends on T_alpha_m(Y).
+    """
+    shape = (dom.n, cod.n)
+    if shape not in tables:
+        tables[shape] = _subset_tables(*shape)
+    pull = prop == "alpha_m_continuous"
+    preimages, images = tables[shape]
+    table, src, dst = (preimages, cod, dom) if pull else (images, dom, cod)
+    if as_f == pull:
+        # the subsets of src whose carried set is not alpha_m-closed in dst
+        family = classes._masks(dst)[_ALPHA_M_CLOSED]
+        return [sum(1 << s for s, t in enumerate(table[r]) if not family >> t & 1)
+                for r in ranks]
+    # the carried closed sets of src
+    closed = points_of(classes._masks(src)[_CLOSED])
+    sides = []
+    for r in ranks:
+        row, side = table[r], 0
+        for c in closed:
+            side |= 1 << row[c]
+        sides.append(side)
+    return sides
+
+
+class _FailingG(dict):
+    """A_f -> how many maps g out of one middle space Y, to every Z, make g
+    after f fail.  Each A_f is summed from the B_g counts on first use."""
+
+    def __init__(self, g_sides: Counter):
+        super().__init__()
+        self.g_sides = g_sides
+
+    def __missing__(self, a):
+        self[a] = n = sum(c for b, c in self.g_sides.items() if a & b)
+        return n
+
+
+@lru_cache(maxsize=1)
+def _middle_memo(max_points: int, map_cap) -> dict:
+    """(property, middle position) -> _FailingG, for the scope of the last
+    composition sweep.  Each worker process builds it once and every chunk
+    it runs reads it."""
+    return {}
+
+
+def _failing_pairs(f_ranks, f_sides, g_ranks, g_sides):
+    """(f rank, g rank) of each failing composite, f-outer and g-inner."""
+    by_side = {}
+    for rf, a in zip(f_ranks, f_sides):
+        bad = by_side.get(a)
+        if bad is None:
+            bad = by_side[a] = [rg for rg, b in zip(g_ranks, g_sides) if a & b]
+        for rg in bad:
+            yield rf, rg
+
+
 def _sweep_chunk(encs, scope: Scope, flags: dict, start: int, stop: int):
     """Failure count and first failing bindings of each encoding in ``encs``
     over outer-space positions [start, stop).
 
     A binding is (space positions, map ranks).  Each outer space X fetches
     its row of pair masks (X to every space) once, and every encoding is
-    folded from that row while it is at hand.  Composition claims also read
-    the rows of their T_alpha_m middle spaces, which are kept once fetched.
+    folded from that row while it is at hand.
+
+    A composition claim never tests an (f, g) pair for its count.  Each f
+    from X to a T_alpha_m middle Y is reduced to its side A_f, and each g
+    out of Y to its side B_g (see :func:`_map_sides`).  The failures of
+    (X, Y) are the sum over f of the number of g, over every Z, with
+    A_f & B_g.  The B_g counts of each Y are built from Y's row once per
+    process.  Only an (X, Y) with failures, and room for witnesses, is
+    scanned pair by pair: Z, then f rank, then g rank.
     """
     spaces = spaces_up_to(scope.max_points)
     limit, cap = scope.witness_limit, scope.map_cap
@@ -421,9 +530,11 @@ def _sweep_chunk(encs, scope: Scope, flags: dict, start: int, stop: int):
     found = [[] for _ in encs]
     singles = [(k, enc) for k, enc in enumerate(encs) if isinstance(enc, _SpaceClaim)]
     doubles = [(k, enc) for k, enc in enumerate(encs) if isinstance(enc, _PairClaim)]
-    triples = [(k, _PROP_IDX[enc.map_prop]) for k, enc in enumerate(encs)
+    triples = [(k, enc.map_prop) for k, enc in enumerate(encs)
                if isinstance(enc, _TripleClaim)]
     middles = [iy for iy, t in enumerate(t_alpha_m) if t] if triples else []
+    tables = {}     # _subset_tables by shape
+    memo = _middle_memo(scope.max_points, cap) if triples else None
     kept = {}   # rows of the middle spaces
 
     def row(i):
@@ -439,6 +550,26 @@ def _sweep_chunk(encs, scope: Scope, flags: dict, start: int, stop: int):
 
     def allowed(a, b):
         return (1 << _map_count(a.n, b.n, cap)) - 1
+
+    def g_sides(prop, iy, iz):
+        # ranks and sides of the maps g: Y -> Z that satisfy prop
+        y, z = spaces[iy], spaces[iz]
+        ranks = points_of(row(iy)[iz][_PROP_IDX[prop]] & allowed(y, z))
+        return ranks, _map_sides(prop, False, y, z, ranks, tables)
+
+    def failing_g(prop, iy):
+        hits = memo.get((prop, iy))
+        if hits is None:
+            counts = Counter()
+            for iz in range(len(spaces)):
+                counts.update(g_sides(prop, iy, iz)[1])
+            hits = memo[prop, iy] = _FailingG(counts)
+        return hits
+
+    def failing_triples(prop, ix, iy, f_ranks, f_sides):
+        for iz in range(len(spaces)):
+            for pair in _failing_pairs(f_ranks, f_sides, *g_sides(prop, iy, iz)):
+                yield (ix, iy, iz), pair
 
     for ix in range(start, stop):
         x = spaces[ix]
@@ -470,22 +601,16 @@ def _sweep_chunk(encs, scope: Scope, flags: dict, start: int, stop: int):
         # f: X -> Y and g: Y -> Z with Y T_alpha_m
         for iy in middles:
             y = spaces[iy]
-            f_ranks = [points_of(x_row[iy][p] & allowed(x, y)) for _, p in triples]
-            if not any(f_ranks):
-                continue
-            y_row = row(iy)
-            for iz, z in enumerate(spaces):
-                g_allowed = allowed(y, z)
-                for (k, p), ranks in zip(triples, f_ranks):
-                    g_bits = y_row[iz][p] & g_allowed
-                    if not ranks or not g_bits:
-                        continue
-                    want = room(k)
-                    count, bad = _kernels.composition_failures(
-                        x.n, y.n, z.n, ranks, points_of(g_bits), x_row[iz][p],
-                        -1 if want is None else want)
-                    failures[k] += count
-                    found[k].extend(((ix, iy, iz), r) for r in bad)
+            for k, prop in triples:
+                f_ranks = points_of(x_row[iy][_PROP_IDX[prop]] & allowed(x, y))
+                if not f_ranks:
+                    continue
+                f_sides = _map_sides(prop, True, x, y, f_ranks, tables)
+                count = sum(map(failing_g(prop, iy).__getitem__, f_sides))
+                failures[k] += count
+                if count and room(k) != 0:
+                    found[k].extend(islice(
+                        failing_triples(prop, ix, iy, f_ranks, f_sides), room(k)))
     return failures, found
 
 

@@ -2,6 +2,7 @@ import importlib.util
 import itertools
 import os
 import random
+import re
 import shutil
 import subprocess
 import sys
@@ -104,6 +105,41 @@ def test_composition_failures_agree(compiled):
         assert (pure.composition_failures(nx, ny, nz, f_idx, g_idx, target, limit)
                 == compiled.composition_failures(nx, ny, nz, f_idx, g_idx,
                                                  target, limit))
+
+
+def _function_lines(pyx_lines):
+    """Every function header and body line of the ``.pyx``, less blank
+    lines, ``cdef`` declarations and docstrings."""
+    out, in_function, in_doc = [], False, False
+    for line in pyx_lines:
+        stripped = line.strip()
+        if line and not line[0].isspace():
+            in_function = line.startswith(("def ", "cdef ")) and "(" in line
+            if in_function:
+                out.append(line)
+            continue
+        if not in_function or not stripped:
+            continue
+        if stripped.startswith('"""') or in_doc:
+            closes = stripped.endswith('"""') and (in_doc or len(stripped) > 3)
+            in_doc = not closes
+            continue
+        if not stripped.startswith("cdef "):
+            out.append(line)
+    return out
+
+
+def test_generated_c_matches_pyx():
+    # Cython echoes the source lines it compiled as " * line" comments: a
+    # .pyx edited without regenerating the .c fails here
+    echoed = set()
+    for line in SPEEDUPS_C.read_text().splitlines():
+        if line.startswith(" * "):
+            echoed.add(re.sub(r"\s*# <{14}$", "", line[3:]).rstrip())
+    pyx = SPEEDUPS_C.with_name("_speedups.pyx").read_text().splitlines()
+    checked = _function_lines(pyx)
+    missing = [line for line in checked if line.rstrip() not in echoed]
+    assert len(checked) > 300 and not missing, missing
 
 
 def test_tuple_orders_exported_once():

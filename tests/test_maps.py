@@ -5,7 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import topolab as T
-from topolab import classes, maps
+from topolab import classes, maps, space
 from topolab._kernels import MAP_PROP_ORDER, pure
 from topolab.enumeration import enumerate_maps, spaces_up_to
 from topolab.errors import BadParams, SpaceMismatch
@@ -284,3 +284,36 @@ def test_map_algebra_random(data):
     assert (f.image(a) & b == f.image(a)) == (a & f.preimage(b) == a)
     assert f.preimage(y.complement(b)) == x.complement(f.preimage(b))
     assert maps.assignment_from_index(maps.map_index(f), x.n, y.n) == assign
+
+
+@st.composite
+def preorder_spaces(draw, max_n=6):
+    """A random space: the reflexive-transitive closure of a random relation,
+    each point's minimal neighbourhood being the points it reaches."""
+    n = draw(st.integers(0, max_n))
+    reach = [1 << x | draw(st.integers(0, (1 << n) - 1)) for x in range(n)]
+    for k in range(n):              # Warshall
+        for x in range(n):
+            if reach[x] >> k & 1:
+                reach[x] |= reach[k]
+    return space._from_min_nbhds(n, reach)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_map_predicates_match_family_definitions(data):
+    # the predicates quantify over the opens; the definitions over families
+    x, y = data.draw(preorder_spaces()), data.draw(preorder_spaces())
+    if x.n and not y.n:
+        return
+    f = T.SpaceMap(x, y, tuple(data.draw(st.integers(0, y.n - 1)) for _ in range(x.n)))
+    amc_x, amc_y = (classes.family_set(s, "alpha_m_closed") for s in (x, y))
+    amo_x, amo_y = (classes.family_set(s, "alpha_m_open") for s in (x, y))
+    closed_x, closed_y = (classes.family(s, "closed") for s in (x, y))
+    assert T.is_closed_map(f) == all(y.is_closed(f.image(c)) for c in closed_x)
+    assert T.is_alpha_m_continuous(f) == all(f.preimage(c) in amc_x for c in closed_y)
+    assert T.is_alpha_m_irresolute(f) == all(f.preimage(c) in amc_x for c in amc_y)
+    assert T.is_alpha_m_closed_map(f) == all(f.image(c) in amc_y for c in closed_x)
+    assert T.is_alpha_m_open_map(f) == all(f.image(u) in amo_y for u in x.opens)
+    assert maps.open_preimages_alpha_m_open(f) == all(
+        f.preimage(u) in amo_x for u in y.opens)

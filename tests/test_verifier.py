@@ -287,6 +287,63 @@ def test_pair_sweep_requests_each_pair_once():
         assert (info.misses, info.hits) == (35 * 35, 0), claims
 
 
+def _brute_composition(encs, scope, flags):
+    """The composition fold of ``_sweep_chunk`` over every (f, g) pair, via
+    the composition kernel and the composite's own pair mask."""
+    from topolab import _kernels
+    from topolab.enumeration import spaces_up_to
+    from topolab.space import points_of
+    spaces = spaces_up_to(scope.max_points)
+    rows = [[verifier._pair_masks(x, z) for z in spaces] for x in spaces]
+    middles = [iy for iy, t in enumerate(flags["T_alpha_m"]) if t]
+
+    def ranks(i, j, p):
+        count = verifier._map_count(spaces[i].n, spaces[j].n, scope.map_cap)
+        return points_of(rows[i][j][p] & ((1 << count) - 1))
+
+    failures, found = [], []
+    for enc in encs:
+        p = verifier._PROP_IDX[enc.map_prop]
+        count, bindings = 0, []
+        for ix in range(len(spaces)):
+            for iy in middles:
+                f_ranks = ranks(ix, iy, p)
+                for iz in range(len(spaces)):
+                    g_ranks = ranks(iy, iz, p)
+                    if not f_ranks or not g_ranks:
+                        continue
+                    n, bad = _kernels.composition_failures(
+                        spaces[ix].n, spaces[iy].n, spaces[iz].n, f_ranks, g_ranks,
+                        rows[ix][iz][p], -1)
+                    count += n
+                    bindings.extend(((ix, iy, iz), pair) for pair in bad)
+        failures.append(count)
+        found.append(bindings)
+    return failures, found
+
+
+def test_composition_fold_matches_every_pair():
+    # every space as the middle: the T_alpha_m hypothesis on Y dropped, so
+    # that the composition claims fail often
+    from topolab.enumeration import spaces_up_to
+    spaces = spaces_up_to(3)
+    flags = dict(verifier._space_flags(spaces), T_alpha_m=(True,) * len(spaces))
+    encs = [verifier._ENCODINGS["P3_6"], verifier._ENCODINGS["T3_8b"]]
+    every = verifier.Scope(max_points=3, witness_limit=None)
+    brute_failures, brute_found = _brute_composition(encs, every, flags)
+    assert brute_failures == [480232, 298976]
+    for limit in (5, None):
+        scope = verifier.Scope(max_points=3, witness_limit=limit)
+        failures, found = verifier._sweep_chunk(encs, scope, flags, 0, len(spaces))
+        assert failures == brute_failures
+        assert found == [bindings[:limit] for bindings in brute_found]
+    capped = verifier.Scope(max_points=3, map_cap=4, witness_limit=3)
+    expect = _brute_composition(encs, capped, flags)
+    assert expect[0] == [8974, 5707]
+    failures, found = verifier._sweep_chunk(encs, capped, flags, 0, len(spaces))
+    assert (failures, found) == (expect[0], [b[:3] for b in expect[1]])
+
+
 def test_verify_rejects_bad_scope_or_claim():
     with pytest.raises(BadParams):
         T.verify("nope")
