@@ -1,32 +1,18 @@
 """Kernel backend selection.
 
 The compiled Cython extension and the pure-Python module implement the same
-five functions; the extension wins when importable.  Set TOPOLAB_BACKEND to
-``pure`` or ``compiled`` to force a side (the latter raises if the extension
-is missing, which is the point).
+five functions; the extension is used when it is importable, and the pure
+module otherwise.
 """
-
-import os
 
 from .pure import CLASS_ORDER, MAP_PROP_ORDER  # noqa: F401
 
-_forced = os.environ.get("TOPOLAB_BACKEND", "").strip().lower()
-
-if _forced == "pure":
-    from . import pure as _impl
-    BACKEND = "pure"
-elif _forced == "compiled":
+try:
     from . import _speedups as _impl
     BACKEND = "compiled"
-elif _forced:
-    raise ImportError(f"unknown TOPOLAB_BACKEND value: {_forced!r}")
-else:
-    try:
-        from . import _speedups as _impl
-        BACKEND = "compiled"
-    except ImportError:
-        from . import pure as _impl
-        BACKEND = "pure"
+except ImportError:
+    from . import pure as _impl
+    BACKEND = "pure"
 
 space_pack = _impl.space_pack
 class_masks = _impl.class_masks

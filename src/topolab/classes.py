@@ -12,14 +12,15 @@ Definitions, writing int/cl for interior and closure inside a fixed space:
 
 The "for every open/alpha-open superset" conditions reduce to containment
 in the union of the members' minimal (alpha-)neighbourhoods, which is the
-smallest such superset.  Queries read the space's per-point tables; only
-the sweeps and :func:`family_mask` build masks over all 2^n subsets.
+smallest such superset.  Queries read the space's per-point tables.
+:func:`family` and :func:`family_set` walk all 2^n subsets once per space
+and class, and keep the members in the space's own memo;
+:func:`family_mask` asks the ``class_masks`` kernel afresh on every call.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 
 from . import _kernels
 from .errors import BadParams, ScopeTooLarge
@@ -29,11 +30,6 @@ CLASS_IDS = _kernels.CLASS_ORDER
 
 # widest space for class masks (one bit per subset), as the sweeps use them
 MASK_LIMIT = 6
-
-
-@lru_cache(maxsize=65536)
-def _masks(space: FiniteSpace):
-    return _kernels.class_masks(space.n, space.opens)
 
 
 def _union(table, a: PointSet) -> PointSet:
@@ -172,17 +168,21 @@ def family_mask(space: FiniteSpace, class_id: str) -> int:
     i = _class_index(class_id)
     if space.n > MASK_LIMIT:
         raise ScopeTooLarge(f"family masks need n <= {MASK_LIMIT}, got {space.n}")
-    return _masks(space)[i]
+    return _kernels.class_masks(space.n, space.opens)[i]
 
 
-@lru_cache(maxsize=65536)
 def _family_tuple(space: FiniteSpace, i: int) -> tuple:
-    member = _PREDICATES[i]
-    return tuple(a for a in canonical_subsets(space.n) if member(space, a))
+    members = space._families.get(i)
+    if members is None:
+        member = _PREDICATES[i]
+        members = space._families[i] = tuple(
+            a for a in canonical_subsets(space.n) if member(space, a))
+    return members
 
 
 def family(space: FiniteSpace, class_id: str) -> list:
-    """All subsets of one class, canonically ordered.  Memoized per space."""
+    """All subsets of one class, canonically ordered.  Kept on the space
+    object, so later calls on the same object do not walk the subsets."""
     return list(_family_tuple(space, _class_index(class_id)))
 
 

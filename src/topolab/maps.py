@@ -32,7 +32,12 @@ class SpaceMap:
 
     def __post_init__(self):
         if not isinstance(self.assignment, tuple):
-            object.__setattr__(self, "assignment", tuple(self.assignment))
+            try:
+                assignment = tuple(self.assignment)
+            except TypeError:
+                raise BadParams(f"assignment {self.assignment!r} is not a sequence "
+                                "of codomain points") from None
+            object.__setattr__(self, "assignment", assignment)
         if len(self.assignment) != self.domain.n:
             raise BadParams(
                 f"assignment length {len(self.assignment)} != domain size {self.domain.n}")

@@ -71,10 +71,12 @@ class FiniteSpace:
     ``opens`` is deduplicated and stored in canonical order (cardinality,
     then numeric bitmask value).  Instances are pure values: hashable,
     comparable field by field, picklable, and safe to share across threads.
-    The only derived data are the per-point neighbourhood tables, cached on
-    first use (recomputation is idempotent); interior and closure are
-    computed per call from them.  Construct through :func:`new_space` or
-    the generators; the raw constructor does not validate.
+    Derived data are cached on the instance on first use, and recomputing
+    any of it gives the same value: the per-point neighbourhood tables, from
+    which interior and closure are computed per call, and the class
+    families that :mod:`topolab.classes` has listed for this space.
+    Construct through :func:`new_space` or the generators; the raw
+    constructor does not validate.
     """
 
     n: int
@@ -107,6 +109,12 @@ class FiniteSpace:
         maximal = sum(1 << y for y, u in enumerate(minn)
                       if all(minn[z] == u for z in points_of(u)))
         return tuple((1 << x) | (u & maximal) for x, u in enumerate(minn))
+
+    @cached_property
+    def _families(self) -> dict:
+        # class index -> members of that class in canonical order, filled
+        # by topolab.classes; it lives and dies with this instance
+        return {}
 
     def check_subset(self, a: PointSet) -> None:
         if not isinstance(a, int) or isinstance(a, bool) or not 0 <= a <= self.full:

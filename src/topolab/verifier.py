@@ -17,6 +17,7 @@ from __future__ import annotations
 import json
 import time
 from collections import Counter
+from collections.abc import Iterable
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import nullcontext
 from dataclasses import dataclass
@@ -201,8 +202,7 @@ def witness_from_record(obj) -> Witness:
         if not isinstance(obj[key], kind):
             raise BadParams(f"witness record field {key!r} must be a {kind.__name__}")
     claim = obj["claim"]
-    if claim not in _CLAIMS:
-        raise BadParams(f"unknown claim id {claim!r}")
+    _encoding_key(claim)
     if len(obj["conclusion"]) != 1:
         raise BadParams("witness record field 'conclusion' must hold one entry")
     spaces = tuple(space_from_record(s) for s in obj["spaces"])
@@ -252,18 +252,33 @@ def _axiom_flag(name: str, space: FiniteSpace) -> bool:
     raise AssertionError(name)
 
 
+def _encoding_key(claim_id) -> str:
+    """Encoding key of a claim id; BadParams for anything that is not one."""
+    if not isinstance(claim_id, str) or claim_id not in _CLAIMS:
+        raise BadParams(f"unknown claim id {claim_id!r}")
+    return _CLAIMS[claim_id]
+
+
 def _bind(claim_id: str, spaces, bound_maps) -> None:
-    enc = _ENCODINGS[_CLAIMS[claim_id]]
+    enc = _ENCODINGS[_encoding_key(claim_id)]
     if isinstance(enc, _SpaceClaim):
         want_spaces, want_maps = 1, 0
     elif isinstance(enc, _PairClaim):
         want_spaces, want_maps = 2, 1
     else:
         want_spaces, want_maps = 3, 2
+    if not isinstance(spaces, (list, tuple)) or not isinstance(bound_maps, (list, tuple)):
+        raise BadParams("bound spaces and maps must each be a list or tuple")
     if len(spaces) != want_spaces or len(bound_maps) != want_maps:
         raise ArityMismatch(
             f"claim {claim_id} binds {want_spaces} space(s) and {want_maps} map(s); "
             f"got {len(spaces)} and {len(bound_maps)}")
+    for s in spaces:
+        if not isinstance(s, FiniteSpace):
+            raise BadParams(f"bound space {s!r} is not a FiniteSpace")
+    for f in bound_maps:
+        if not isinstance(f, SpaceMap):
+            raise BadParams(f"bound map {f!r} is not a SpaceMap")
     for i, f in enumerate(bound_maps):
         if f.domain != spaces[i] or f.codomain != spaces[i + 1]:
             raise ArityMismatch(
@@ -285,8 +300,6 @@ def evaluate_instance(claim_id: str, spaces, bound_maps=()) -> InstanceEvaluatio
     the conclusion is evaluated only when every hypothesis holds (so the
     returned conclusion flag is None for vacuously true instances).
     """
-    if claim_id not in _CLAIMS:
-        raise BadParams(f"unknown claim id {claim_id!r}")
     _bind(claim_id, spaces, bound_maps)
     enc = _ENCODINGS[_CLAIMS[claim_id]]
     hyps = []
@@ -350,28 +363,35 @@ def check_instance(claim_id: str, spaces, bound_maps=()) -> bool:
 
 # ---------------------------------------------------------------- mask path
 
-# the class masks map_masks reads on each side of a pair
-_MAP_SIDE = tuple(classes.CLASS_IDS.index(name)
-                  for name in ("open", "closed", "alpha_m_closed", "alpha_m_open"))
+# the class masks map_masks reads on each side of a pair, in its argument order
+_MAP_SIDE = ("open", "closed", "alpha_m_closed", "alpha_m_open")
 
 
-@lru_cache(maxsize=65536)
-def _pair_masks(x: FiniteSpace, y: FiniteSpace):
-    mx, my = classes._masks(x), classes._masks(y)
-    return _kernels.map_masks(x.n, *(mx[i] for i in _MAP_SIDE),
-                              y.n, *(my[i] for i in _MAP_SIDE))
+# maxsize=0 keeps no entry, so every call is computed afresh and counted as
+# one miss; the decorator stays because perfbench/tracer.py reads cache_info()
+@lru_cache(maxsize=0)
+def _pair_masks(tables: dict, ix: int, iy: int):
+    """Map-property bitsets of every map between the spaces at stream
+    positions ix and iy."""
+    return _kernels.map_masks(tables["n"][ix], *(tables[name][ix] for name in _MAP_SIDE),
+                              tables["n"][iy], *(tables[name][iy] for name in _MAP_SIDE))
 
 
-def _space_flags(spaces) -> dict:
-    """Axiom flag name -> tuple of that flag, indexed by stream position."""
+def _space_tables(spaces) -> dict:
+    """The sweep's per-space tables, each a tuple indexed by stream position:
+    point count, the two axiom flags, and the class masks that map_masks and
+    the composition fold read.  One class_masks call per space."""
     idx = classes.CLASS_IDS.index
-    t_alpha_m, dichotomy = [], []
+    columns = {name: [] for name in ("n", "T_alpha_m", "singleton_dichotomy") + _MAP_SIDE}
     for s in spaces:
-        masks = classes._masks(s)
-        t_alpha_m.append(masks[idx("alpha_m_closed")] == masks[idx("closed")])
+        masks = _kernels.class_masks(s.n, s.opens)
         either = masks[idx("alpha_closed")] | masks[idx("clopen")]
-        dichotomy.append(all(either >> (1 << p) & 1 for p in range(s.n)))
-    return {"T_alpha_m": tuple(t_alpha_m), "singleton_dichotomy": tuple(dichotomy)}
+        columns["n"].append(s.n)
+        columns["T_alpha_m"].append(masks[idx("alpha_m_closed")] == masks[idx("closed")])
+        columns["singleton_dichotomy"].append(all(either >> (1 << p) & 1 for p in range(s.n)))
+        for name in _MAP_SIDE:
+            columns[name].append(masks[idx(name)])
+    return {name: tuple(column) for name, column in columns.items()}
 
 
 def _map_count(n_dom: int, n_cod: int, cap) -> int:
@@ -406,10 +426,6 @@ def _witness(claim_id: str, spaces, positions, ranks) -> Witness:
                    hypotheses=hyps, conclusion=concl)
 
 
-_CLOSED, _ALPHA_M_CLOSED = (classes.CLASS_IDS.index(name)
-                             for name in ("closed", "alpha_m_closed"))
-
-
 def _subset_tables(n_dom: int, n_cod: int):
     """(preimages, images) of every map from n_dom to n_cod points, by rank:
     ``preimages[r][D]`` is the preimage of codomain subset D under the map of
@@ -433,10 +449,11 @@ def _subset_tables(n_dom: int, n_cod: int):
     return preimages, images
 
 
-def _map_sides(prop: str, as_f: bool, dom: FiniteSpace, cod: FiniteSpace,
-               ranks, tables: dict) -> list:
+def _map_sides(prop: str, as_f: bool, dom: int, cod: int, ranks,
+               tables: dict, shapes: dict) -> list:
     """Side of each map dom -> cod of the given ranks in the composition
-    claims, as f or as g.  ``tables`` holds the _subset_tables by shape.
+    claims, as f or as g.  ``dom`` and ``cod`` are stream positions in the
+    sweep's ``tables``; ``shapes`` holds the _subset_tables by shape.
 
     An alpha_m-continuous map pulls every closed set of its codomain back to
     an alpha_m-closed set; an alpha_m-closed map pushes every closed set of
@@ -453,19 +470,19 @@ def _map_sides(prop: str, as_f: bool, dom: FiniteSpace, cod: FiniteSpace,
 
     Both identities are exact, and neither depends on T_alpha_m(Y).
     """
-    shape = (dom.n, cod.n)
-    if shape not in tables:
-        tables[shape] = _subset_tables(*shape)
+    shape = (tables["n"][dom], tables["n"][cod])
+    if shape not in shapes:
+        shapes[shape] = _subset_tables(*shape)
     pull = prop == "alpha_m_continuous"
-    preimages, images = tables[shape]
+    preimages, images = shapes[shape]
     table, src, dst = (preimages, cod, dom) if pull else (images, dom, cod)
     if as_f == pull:
         # the subsets of src whose carried set is not alpha_m-closed in dst
-        family = classes._masks(dst)[_ALPHA_M_CLOSED]
+        family = tables["alpha_m_closed"][dst]
         return [sum(1 << s for s, t in enumerate(table[r]) if not family >> t & 1)
                 for r in ranks]
     # the carried closed sets of src
-    closed = points_of(classes._masks(src)[_CLOSED])
+    closed = points_of(tables["closed"][src])
     sides = []
     for r in ranks:
         row, side = table[r], 0
@@ -507,13 +524,14 @@ def _failing_pairs(f_ranks, f_sides, g_ranks, g_sides):
             yield rf, rg
 
 
-def _sweep_chunk(encs, scope: Scope, flags: dict, start: int, stop: int):
+def _sweep_chunk(encs, scope: Scope, tables: dict, start: int, stop: int):
     """Failure count and first failing bindings of each encoding in ``encs``
     over outer-space positions [start, stop).
 
-    A binding is (space positions, map ranks).  Each outer space X fetches
-    its row of pair masks (X to every space) once, and every encoding is
-    folded from that row while it is at hand.
+    A binding is (space positions, map ranks).  Every space is read through
+    its position in ``tables``, the sweep's :func:`_space_tables`.  Each
+    outer space X fetches its row of pair masks (X to every space) once,
+    and every encoding is folded from that row while it is at hand.
 
     A composition claim never tests an (f, g) pair for its count.  Each f
     from X to a T_alpha_m middle Y is reduced to its side A_f, and each g
@@ -523,9 +541,8 @@ def _sweep_chunk(encs, scope: Scope, flags: dict, start: int, stop: int):
     process.  Only an (X, Y) with failures, and room for witnesses, is
     scanned pair by pair: Z, then f rank, then g rank.
     """
-    spaces = spaces_up_to(scope.max_points)
     limit, cap = scope.witness_limit, scope.map_cap
-    t_alpha_m = flags["T_alpha_m"]
+    sizes, t_alpha_m = tables["n"], tables["T_alpha_m"]
     failures = [0] * len(encs)
     found = [[] for _ in encs]
     singles = [(k, enc) for k, enc in enumerate(encs) if isinstance(enc, _SpaceClaim)]
@@ -533,14 +550,14 @@ def _sweep_chunk(encs, scope: Scope, flags: dict, start: int, stop: int):
     triples = [(k, enc.map_prop) for k, enc in enumerate(encs)
                if isinstance(enc, _TripleClaim)]
     middles = [iy for iy, t in enumerate(t_alpha_m) if t] if triples else []
-    tables = {}     # _subset_tables by shape
+    shapes = {}     # _subset_tables by shape
     memo = _middle_memo(scope.max_points, cap) if triples else None
     kept = {}   # rows of the middle spaces
 
     def row(i):
         if i in kept:
             return kept[i]
-        masks = [_pair_masks(spaces[i], z) for z in spaces]
+        masks = [_pair_masks(tables, i, iz) for iz in range(len(sizes))]
         if triples and t_alpha_m[i]:
             kept[i] = masks
         return masks
@@ -548,33 +565,31 @@ def _sweep_chunk(encs, scope: Scope, flags: dict, start: int, stop: int):
     def room(k):
         return None if limit is None else max(0, limit - len(found[k]))
 
-    def allowed(a, b):
-        return (1 << _map_count(a.n, b.n, cap)) - 1
+    def allowed(i, j):
+        return (1 << _map_count(sizes[i], sizes[j], cap)) - 1
 
     def g_sides(prop, iy, iz):
         # ranks and sides of the maps g: Y -> Z that satisfy prop
-        y, z = spaces[iy], spaces[iz]
-        ranks = points_of(row(iy)[iz][_PROP_IDX[prop]] & allowed(y, z))
-        return ranks, _map_sides(prop, False, y, z, ranks, tables)
+        ranks = points_of(row(iy)[iz][_PROP_IDX[prop]] & allowed(iy, iz))
+        return ranks, _map_sides(prop, False, iy, iz, ranks, tables, shapes)
 
     def failing_g(prop, iy):
         hits = memo.get((prop, iy))
         if hits is None:
             counts = Counter()
-            for iz in range(len(spaces)):
+            for iz in range(len(sizes)):
                 counts.update(g_sides(prop, iy, iz)[1])
             hits = memo[prop, iy] = _FailingG(counts)
         return hits
 
     def failing_triples(prop, ix, iy, f_ranks, f_sides):
-        for iz in range(len(spaces)):
+        for iz in range(len(sizes)):
             for pair in _failing_pairs(f_ranks, f_sides, *g_sides(prop, iy, iz)):
                 yield (ix, iy, iz), pair
 
     for ix in range(start, stop):
-        x = spaces[ix]
         for k, enc in singles:
-            if flags[enc.hyp][ix] and not flags[enc.concl][ix]:
+            if tables[enc.hyp][ix] and not tables[enc.concl][ix]:
                 failures[k] += 1
                 found[k].extend([((ix,), ())][:room(k)])
         pairs = [(k, enc) for k, enc in doubles if t_alpha_m[ix] or not enc.space_hyp_x]
@@ -583,7 +598,7 @@ def _sweep_chunk(encs, scope: Scope, flags: dict, start: int, stop: int):
         x_row = row(ix)
 
         for iy, masks in enumerate(x_row):
-            f_allowed = allowed(x, spaces[iy])
+            f_allowed = allowed(ix, iy)
             for k, enc in pairs:
                 hyp_bits = f_allowed
                 for name in enc.map_hyp:
@@ -600,12 +615,11 @@ def _sweep_chunk(encs, scope: Scope, flags: dict, start: int, stop: int):
 
         # f: X -> Y and g: Y -> Z with Y T_alpha_m
         for iy in middles:
-            y = spaces[iy]
             for k, prop in triples:
-                f_ranks = points_of(x_row[iy][_PROP_IDX[prop]] & allowed(x, y))
+                f_ranks = points_of(x_row[iy][_PROP_IDX[prop]] & allowed(ix, iy))
                 if not f_ranks:
                     continue
-                f_sides = _map_sides(prop, True, x, y, f_ranks, tables)
+                f_sides = _map_sides(prop, True, ix, iy, f_ranks, tables, shapes)
                 count = sum(map(failing_g(prop, iy).__getitem__, f_sides))
                 failures[k] += count
                 if count and room(k) != 0:
@@ -624,9 +638,9 @@ def _run_sweep(encs, scope: Scope, jobs: int, pool):
     """(failures, witness bindings) of each encoding in ``encs`` from one
     walk of the scope, split over the pool's workers."""
     spaces = spaces_up_to(scope.max_points)
-    flags = _space_flags(spaces)
+    tables = _space_tables(spaces)
     parts = _chunks(len(spaces), jobs) if pool is not None else [(0, len(spaces))]
-    args = [(encs, scope, flags, lo, hi) for lo, hi in parts]
+    args = [(encs, scope, tables, lo, hi) for lo, hi in parts]
     results = (pool.map(_sweep_chunk, *zip(*args)) if len(parts) > 1
                else [_sweep_chunk(*args[0])])
     failures = [0] * len(encs)
@@ -640,16 +654,12 @@ def _run_sweep(encs, scope: Scope, jobs: int, pool):
 
 def default_scope(claim_id: str) -> Scope:
     """n <= 4 for the space-quantified claims, n <= 3 for map-quantified ones."""
-    if claim_id not in _CLAIMS:
-        raise BadParams(f"unknown claim id {claim_id!r}")
-    enc = _ENCODINGS[_CLAIMS[claim_id]]
+    enc = _ENCODINGS[_encoding_key(claim_id)]
     return Scope(4) if isinstance(enc, _SpaceClaim) else Scope(3)
 
 
 def claim_statement(claim_id: str) -> str:
-    if claim_id not in _CLAIMS:
-        raise BadParams(f"unknown claim id {claim_id!r}")
-    return _STATEMENTS[_CLAIMS[claim_id]]
+    return _STATEMENTS[_encoding_key(claim_id)]
 
 
 def _verify_claims(claim_scopes: dict, jobs: int) -> dict:
@@ -663,11 +673,10 @@ def _verify_claims(claim_scopes: dict, jobs: int) -> dict:
         raise BadParams(f"jobs {jobs!r} must be a positive integer")
     groups = {}     # scope -> {encoding key: [claim ids]}
     for claim_id, scope in claim_scopes.items():
-        if claim_id not in _CLAIMS:
-            raise BadParams(f"unknown claim id {claim_id!r}")
+        key = _encoding_key(claim_id)
         if not isinstance(scope, Scope):
             raise BadParams(f"scope {scope!r} must be a Scope")
-        groups.setdefault(scope, {}).setdefault(_CLAIMS[claim_id], []).append(claim_id)
+        groups.setdefault(scope, {}).setdefault(key, []).append(claim_id)
     reports = {}
     with ProcessPoolExecutor(max_workers=jobs) if jobs > 1 else nullcontext() as pool:
         for scope, by_encoding in groups.items():
@@ -705,7 +714,13 @@ def verify_all(scope: Scope = None, claims=None, jobs: int = 1):
     Claims of one scope share one sweep; claims that restate the same
     encoding are folded once and reported separately.
     """
-    claims = CLAIM_IDS if claims is None else tuple(claims)
+    if claims is None:
+        claims = CLAIM_IDS
+    elif isinstance(claims, str) or not isinstance(claims, Iterable):
+        raise BadParams(f"claims {claims!r} must be an iterable of claim ids")
+    claims = tuple(claims)
+    for c in claims:
+        _encoding_key(c)
     by_claim = _verify_claims(
         {c: scope if scope is not None else default_scope(c) for c in claims}, jobs)
     return [by_claim[c] for c in claims]

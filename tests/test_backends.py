@@ -1,6 +1,5 @@
 import importlib.util
 import itertools
-import os
 import random
 import re
 import shutil
@@ -11,7 +10,8 @@ from pathlib import Path
 
 import pytest
 
-from topolab import _kernels
+import topolab as T
+from topolab import _kernels, verifier
 from topolab._kernels import pure
 
 SPEEDUPS_C = Path(_kernels.__file__).with_name("_speedups.c")
@@ -149,52 +149,40 @@ def test_tuple_orders_exported_once():
     assert len(pure.MAP_PROP_ORDER) == 11
 
 
-def _backend_of(env_value):
-    env = dict(os.environ)
-    env.pop("TOPOLAB_BACKEND", None)
-    if env_value is not None:
-        env["TOPOLAB_BACKEND"] = env_value
-    out = subprocess.run(
-        [sys.executable, "-c", "import topolab; print(topolab.BACKEND)"],
-        capture_output=True, text=True, env=env)
-    return out.returncode, out.stdout.strip(), out.stderr
+KERNELS = ("space_pack", "class_masks", "map_masks", "enumerate_masks",
+           "composition_failures")
+
+
+def _use_backend(monkeypatch, module):
+    """Route the package's kernel calls to ``module`` for one test.  The
+    composition memo is cleared first, so that the sweep rebuilds it with
+    the chosen kernels."""
+    for name in KERNELS:
+        monkeypatch.setattr(_kernels, name, getattr(module, name))
+    verifier._middle_memo.cache_clear()
 
 
 @pytest.mark.usefixtures("installed")
 def test_backend_selection_env():
-    code, backend, _ = _backend_of(None)
-    assert code == 0 and backend == "compiled"
-    code, backend, _ = _backend_of("pure")
-    assert code == 0 and backend == "pure"
-    code, backend, _ = _backend_of("compiled")
-    assert code == 0 and backend == "compiled"
-    code, _, err = _backend_of("quantum")
-    assert code != 0 and "TOPOLAB_BACKEND" in err
-
-
-def test_pure_backend_runs_the_full_pipeline():
-    # spot-check one refutation end to end under the pure backend
-    env = dict(os.environ, TOPOLAB_BACKEND="pure")
     out = subprocess.run(
-        [sys.executable, "-c",
-         "import topolab as t, topolab.verifier as v;"
-         "r = t.verify('T3_2_ab', v.Scope(max_points=2));"
-         "print(r.outcome, r.failures, r.witnesses[0].spaces[0].opens)"],
-        capture_output=True, text=True, env=env)
-    assert out.returncode == 0, out.stderr
-    assert out.stdout.strip() == "refuted 2 (0, 1, 3)"
+        [sys.executable, "-c", "import topolab; print(topolab.BACKEND)"],
+        capture_output=True, text=True)
+    assert out.returncode == 0 and out.stdout.strip() == "compiled", out.stderr
 
 
-@pytest.mark.usefixtures("installed")
-def test_parallel_sweep_identical_across_backends(tmp_path):
-    outs = []
-    for backend in ("pure", "compiled"):
-        env = dict(os.environ, TOPOLAB_BACKEND=backend)
-        path = tmp_path / f"{backend}.json"
-        r = subprocess.run(
-            [sys.executable, "-m", "topolab", "verify", "--max-points", "2",
-             "--json", str(path)],
-            capture_output=True, text=True, env=env)
-        assert r.returncode == 0, r.stderr
-        outs.append(path.read_bytes())
-    assert outs[0] == outs[1]
+def test_pure_backend_runs_the_full_pipeline(monkeypatch):
+    # spot-check one refutation end to end on the pure kernels
+    _use_backend(monkeypatch, pure)
+    r = T.verify("T3_2_ab", verifier.Scope(max_points=2))
+    assert (r.outcome, r.failures, r.witnesses[0].spaces[0].opens) == \
+        ("refuted", 2, (0, 1, 3))
+
+
+def test_parallel_sweep_identical_across_backends(compiled, monkeypatch):
+    # forked workers inherit the patched kernels, so --jobs 2 runs them too
+    scope = verifier.Scope(max_points=2)
+    _use_backend(monkeypatch, pure)
+    expect = [r.to_record() for r in T.verify_all(scope)]
+    _use_backend(monkeypatch, compiled)
+    for jobs in (1, 2):
+        assert [r.to_record() for r in T.verify_all(scope, jobs=jobs)] == expect, jobs

@@ -114,6 +114,30 @@ def test_family_canonical_order():
     assert fam == sorted(range(8), key=lambda a: (bin(a).count("1"), a))
 
 
+def test_families_are_kept_on_the_space_object(monkeypatch):
+    # the memo lives on the space, not in a module-level cache keyed by value:
+    # a second call on one object does not walk the subsets, an equal but
+    # distinct object does
+    assert not [name for name, v in vars(classes).items() if hasattr(v, "cache_info")]
+    calls = []
+    i = T.CLASS_IDS.index("alpha_m_closed")
+
+    def counting(space, a):
+        calls.append(a)
+        return classes.is_alpha_m_closed(space, a)
+
+    monkeypatch.setattr(classes, "_PREDICATES",
+                        classes._PREDICATES[:i] + (counting,) + classes._PREDICATES[i + 1:])
+    s = T.khalimsky_interval(5)
+    first = T.family(s, "alpha_m_closed")
+    assert len(calls) == 32
+    assert T.family_set(s, "alpha_m_closed") == frozenset(first)
+    assert T.family(s, "alpha_m_closed") == first and len(calls) == 32
+    twin = T.space_from_json(s.to_json())
+    assert twin == s and twin is not s
+    assert T.family(twin, "alpha_m_closed") == first and len(calls) == 64
+
+
 def test_family_set_and_mask_agree_with_family():
     # family walks the predicates, family_mask reads the class_masks kernel
     for s in all_spaces(4):

@@ -30,6 +30,9 @@ def test_assignment_validation():
         T.SpaceMap(SIERP, SIERP, (0, -1))
     with pytest.raises(BadParams):
         T.SpaceMap(SIERP, SIERP, (0, True))
+    for bad in (5, None):                         # not a sequence
+        with pytest.raises(BadParams):
+            T.SpaceMap(SIERP, SIERP, bad)
     assert T.SpaceMap(SIERP, SIERP, [1, 1]).assignment == (1, 1)
 
 

@@ -1,10 +1,14 @@
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import topolab as T
 from topolab import verifier
+from topolab.enumeration import spaces_up_to
 from topolab.errors import ArityMismatch, BadParams, InternalCheckError, ScopeTooLarge
+from topolab.maps import assignment_from_index
 
 SIERP = T.sierpinski()
 DISC1 = T.discrete(1)
@@ -23,8 +27,9 @@ def test_claim_vocabulary():
         "P3_11", "P3_12_ab", "P3_12_bc", "P3_12_ca")
     for cid in T.CLAIM_IDS:
         assert verifier.claim_statement(cid)
-    with pytest.raises(BadParams):
-        verifier.claim_statement("T9_9")
+    for bad in ("T9_9", ["P3_3"]):
+        with pytest.raises(BadParams):
+            verifier.claim_statement(bad)
 
 
 # ------------------------------------------------------------ check_instance
@@ -82,6 +87,17 @@ def test_check_instance_arity_errors():
         T.check_instance("P3_6", [DISC1, IND2, SIERP], [f, f])
     with pytest.raises(BadParams):
         T.check_instance("nope", [SIERP], [])
+    for bad_id in (["P3_3"], {"P3_3": 1}):                   # unhashable ids
+        with pytest.raises(BadParams):
+            T.check_instance(bad_id, [SIERP], [])
+        with pytest.raises(BadParams):
+            T.evaluate_instance(bad_id, [SIERP], [])
+    with pytest.raises(BadParams):
+        T.evaluate_instance("P3_3", (SIERP, SIERP), (5,))    # not a SpaceMap
+    with pytest.raises(BadParams):
+        T.evaluate_instance("T3_2_ab", ("sierpinski",))      # not a FiniteSpace
+    with pytest.raises(BadParams):
+        T.evaluate_instance("T3_2_ab", SIERP)                # not a sequence
 
 
 def test_p3_12_inverse_direction_is_type_correct():
@@ -123,6 +139,8 @@ def test_default_scopes():
     for cid in T.CLAIM_IDS:
         if not cid.startswith("T3_2"):
             assert verifier.default_scope(cid).max_points == 3
+    with pytest.raises(BadParams):
+        verifier.default_scope(["P3_3"])
 
 
 # ------------------------------------------------------------------ verify
@@ -279,23 +297,56 @@ def test_verify_is_verify_all_for_one_claim():
 
 def test_pair_sweep_requests_each_pair_once():
     # one walk per scope: the composition claims reuse the rows the pair
-    # claims fetched instead of asking for them again
+    # claims fetched instead of asking for them again; and no pair masks
+    # outlive the sweep
     for claims in (PAIR_IDS, T.CLAIM_IDS):
         verifier._pair_masks.cache_clear()
         T.verify_all(scope=verifier.Scope(max_points=3), claims=claims)
         info = verifier._pair_masks.cache_info()
-        assert (info.misses, info.hits) == (35 * 35, 0), claims
+        assert (info.misses, info.hits, info.currsize) == (35 * 35, 0, 0), claims
 
 
-def _brute_composition(encs, scope, flags):
+@pytest.fixture(scope="module")
+def stream_tables():
+    return verifier._space_tables(spaces_up_to(4))
+
+
+PAIR_KEYS = [key for key, enc in verifier._ENCODINGS.items()
+             if isinstance(enc, verifier._PairClaim)]
+
+
+@settings(max_examples=30, deadline=None)
+@given(data=st.data())
+def test_sweep_tables_match_direct_predicates(stream_tables, data):
+    # two spaces of the n<=4 stream, cut out of the sweep's tables as a
+    # two-space stream: every pair claim's failing maps X -> X and X -> Y
+    # equal those evaluate_instance finds among all maps
+    spaces = spaces_up_to(4)
+    ix, iy = (data.draw(st.integers(0, len(spaces) - 1)) for _ in range(2))
+    tables = {name: (column[ix], column[iy]) for name, column in stream_tables.items()}
+    encs = [verifier._ENCODINGS[key] for key in PAIR_KEYS]
+    scope = verifier.Scope(max_points=4, witness_limit=None)
+    failures, found = verifier._sweep_chunk(encs, scope, tables, 0, 1)
+    x = spaces[ix]
+    for key, count, bindings in zip(PAIR_KEYS, failures, found):
+        assert count == len(bindings), key
+        for j, y in enumerate((x, spaces[iy])):
+            swept = [rank for (_, pos), (rank,) in bindings if pos == j]
+            direct = [rank for rank in range(y.n ** x.n)
+                      if not T.evaluate_instance(key, (x, y), (T.SpaceMap(
+                          x, y, assignment_from_index(rank, x.n, y.n)),)).holds]
+            assert swept == direct, (key, ix, iy, j)
+
+
+def _brute_composition(encs, scope, tables):
     """The composition fold of ``_sweep_chunk`` over every (f, g) pair, via
     the composition kernel and the composite's own pair mask."""
     from topolab import _kernels
-    from topolab.enumeration import spaces_up_to
     from topolab.space import points_of
     spaces = spaces_up_to(scope.max_points)
-    rows = [[verifier._pair_masks(x, z) for z in spaces] for x in spaces]
-    middles = [iy for iy, t in enumerate(flags["T_alpha_m"]) if t]
+    rows = [[verifier._pair_masks(tables, ix, iz) for iz in range(len(spaces))]
+            for ix in range(len(spaces))]
+    middles = [iy for iy, t in enumerate(tables["T_alpha_m"]) if t]
 
     def ranks(i, j, p):
         count = verifier._map_count(spaces[i].n, spaces[j].n, scope.map_cap)
@@ -325,22 +376,21 @@ def _brute_composition(encs, scope, flags):
 def test_composition_fold_matches_every_pair():
     # every space as the middle: the T_alpha_m hypothesis on Y dropped, so
     # that the composition claims fail often
-    from topolab.enumeration import spaces_up_to
     spaces = spaces_up_to(3)
-    flags = dict(verifier._space_flags(spaces), T_alpha_m=(True,) * len(spaces))
+    tables = dict(verifier._space_tables(spaces), T_alpha_m=(True,) * len(spaces))
     encs = [verifier._ENCODINGS["P3_6"], verifier._ENCODINGS["T3_8b"]]
     every = verifier.Scope(max_points=3, witness_limit=None)
-    brute_failures, brute_found = _brute_composition(encs, every, flags)
+    brute_failures, brute_found = _brute_composition(encs, every, tables)
     assert brute_failures == [480232, 298976]
     for limit in (5, None):
         scope = verifier.Scope(max_points=3, witness_limit=limit)
-        failures, found = verifier._sweep_chunk(encs, scope, flags, 0, len(spaces))
+        failures, found = verifier._sweep_chunk(encs, scope, tables, 0, len(spaces))
         assert failures == brute_failures
         assert found == [bindings[:limit] for bindings in brute_found]
     capped = verifier.Scope(max_points=3, map_cap=4, witness_limit=3)
-    expect = _brute_composition(encs, capped, flags)
+    expect = _brute_composition(encs, capped, tables)
     assert expect[0] == [8974, 5707]
-    failures, found = verifier._sweep_chunk(encs, capped, flags, 0, len(spaces))
+    failures, found = verifier._sweep_chunk(encs, capped, tables, 0, len(spaces))
     assert (failures, found) == (expect[0], [b[:3] for b in expect[1]])
 
 
@@ -353,6 +403,9 @@ def test_verify_rejects_bad_scope_or_claim():
         T.verify("T3_2_ab", 3)
     with pytest.raises(BadParams):
         T.verify_all(scope={"max_points": 2}, claims=("P3_3",))
+    for claims in (5, "P3_3", [["P3_3"]]):
+        with pytest.raises(BadParams):
+            T.verify_all(verifier.Scope(max_points=1), claims=claims)
     for jobs in (0, -1, "2", 2.0, True):
         with pytest.raises(BadParams):
             T.verify("T3_2_ab", verifier.Scope(max_points=1), jobs=jobs)
