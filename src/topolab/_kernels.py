@@ -1,18 +1,23 @@
-"""Pure-Python backend for the hot kernels.
+"""The hot kernels, in pure Python.
 
-The compiled extension (``topolab._kernels._speedups``) mirrors this module
-function for function; this file is the reference semantics.
-
-Conventions shared by both backends:
+Conventions:
 
 - a subset of the ground set {0..n-1} is an int bitmask (bit p = point p);
 - a family of subsets is an int "family mask" with bit A set iff the subset
   whose bitmask value is A belongs to the family (used for n <= 6);
 - maps X -> Y are ranked like ``itertools.product(range(nY), repeat=nX)``:
-  index = sum(a[x] * nY**(nX-1-x)), the last coordinate varying fastest.
+  index = sum(a[x] * nY**(nX-1-x)), the last coordinate varying fastest;
+- a set of maps X -> Y is an int "rank bitset" with bit r set iff the map of
+  rank r belongs to it.
 """
 
 from __future__ import annotations
+
+from functools import lru_cache
+from typing import NamedTuple
+
+# the one kernel implementation; the benchmark prints topolab.BACKEND
+BACKEND = "pure"
 
 # order of the tuple returned by class_masks
 CLASS_ORDER = (
@@ -36,7 +41,9 @@ def space_pack(n, opens):
 
     Returns ``(min_nbhd, min_alpha_nbhd, interior_table, closure_table)``:
     per-point smallest open (resp. alpha-open) neighbourhoods, and full
-    interior/closure lookup tables indexed by subset bitmask.
+    interior/closure lookup tables indexed by subset bitmask.  Only
+    :func:`class_masks` calls it; it is a function of its own because the
+    benchmark's tracer times it by name.
     """
     size = 1 << n
     full = size - 1
@@ -135,147 +142,121 @@ def class_masks(n, opens):
             g_closed, g_open, am_closed, am_open)
 
 
+class SubsetTables(NamedTuple):
+    """How every map of one shape (nX, nY) carries subsets, by rank.
+
+    ``preimages[r][D]`` is the preimage of the subset D of Y under the map of
+    rank r, and ``images[r][S]`` the image of the subset S of X.
+
+    ``pre_ranks`` and ``img_ranks`` regroup the same tables into rank
+    bitsets, one column per subset D (resp. S).  A column is a pair
+    ``(reach, nibbles)``: ``reach`` is the family mask of the sets that D is
+    carried to by some map, and ``nibbles[k][m]`` is the rank bitset of the
+    maps that carry D to one of the sets 4k + i, i a bit of the 4-bit m.
+    The maps carrying D into any family G are then one table entry per
+    nonzero nibble of G & reach.
+    """
+    preimages: list
+    images: list
+    pre_ranks: list
+    img_ranks: list
+
+
+def _rank_columns(rows, width):
+    """The columns of :class:`SubsetTables` for ``rows[r][s]``, s < width."""
+    columns = []
+    for s in range(width):
+        by_target = {}
+        for r, row in enumerate(rows):
+            t = row[s]
+            by_target[t] = by_target.get(t, 0) | 1 << r
+        reach = sum(1 << t for t in by_target)
+        nibbles = []
+        for base in range(0, reach.bit_length(), 4):
+            table = [0] * 16
+            for m in range(1, 16):
+                low = m & -m
+                table[m] = table[m ^ low] | by_target.get(base + low.bit_length() - 1, 0)
+            nibbles.append(table)
+        columns.append((reach, nibbles))
+    return columns
+
+
+# one entry per shape, so at most 36 up to 5 points
+@lru_cache(maxsize=None)
+def subset_tables(nx, ny):
+    """The :class:`SubsetTables` of the maps from nX to nY points."""
+    preimages, images = [], []
+    for rank in range(ny ** nx):
+        assign = _decode(rank, nx, ny)
+        single = [0] * ny
+        for x, y in enumerate(assign):
+            single[y] |= 1 << x
+        # each subset's entry extends that of the subset less its low bit
+        pre = [0] * (1 << ny)
+        for d in range(1, 1 << ny):
+            low = d & -d
+            pre[d] = pre[d ^ low] | single[low.bit_length() - 1]
+        img = [0] * (1 << nx)
+        for a in range(1, 1 << nx):
+            low = a & -a
+            img[a] = img[a ^ low] | 1 << assign[low.bit_length() - 1]
+        preimages.append(pre)
+        images.append(img)
+    return SubsetTables(preimages, images,
+                        _rank_columns(preimages, 1 << ny), _rank_columns(images, 1 << nx))
+
+
+def _carried(columns, members, family, ranks):
+    """The maps among ``ranks`` that carry every subset in the family mask
+    ``members`` into the family mask ``family``: the AND over the members s
+    of the OR over the targets t in ``family`` of the maps taking s to t."""
+    while members and ranks:
+        low = members & -members
+        members ^= low
+        reach, nibbles = columns[low.bit_length() - 1]
+        inside = family & reach
+        if inside == reach:
+            continue
+        hit = 0
+        for table in nibbles:
+            if not inside:
+                break
+            hit |= table[inside & 15]
+            inside >>= 4
+        ranks &= hit
+    return ranks
+
+
 def map_masks(nx, x_open, x_closed, x_amc, x_amo,
               ny, y_open, y_closed, y_amc, y_amo):
-    """Property bitsets over all nY**nX maps X -> Y, in MAP_PROP_ORDER.
+    """Property rank bitsets over all nY**nX maps X -> Y, in MAP_PROP_ORDER.
 
     Each argument after the two sizes is a family mask of the named class
-    on that side.  Bit i of a result refers to the map with rank i.
+    on that side.  Every property but ``bijective`` and
+    ``inverse_alpha_m_continuous`` says that each member of one family is
+    carried (by preimage or image) into another, and is folded from the
+    columns of :func:`subset_tables`, all maps at once.
     Requires nX, nY <= 5.
     """
-    if nx and not ny:
-        return (0,) * 11
-    size_y = 1 << ny
-    full_y = size_y - 1
-    opens_x = [a for a in range(1 << nx) if x_open >> a & 1]
-    closed_x = [a for a in range(1 << nx) if x_closed >> a & 1]
-    opens_y = [b for b in range(size_y) if y_open >> b & 1]
-    closed_y = [b for b in range(size_y) if y_closed >> b & 1]
-    amc_y = [b for b in range(size_y) if y_amc >> b & 1]
-    count = ny ** nx
-    cont = openm = closedm = surj = bij = 0
-    amc = irr = amcm = amom = opap = invamc = 0
-    assign = [0] * nx
-    for idx in range(count):
-        presing = [0] * ny
-        image_full = 0
-        injective = True
-        for x in range(nx):
-            y = assign[x]
-            if presing[y]:
-                injective = False
-            presing[y] |= 1 << x
-            image_full |= 1 << y
-        bit = 1 << idx
-        # preimage-quantified properties
-        ok_cont = ok_opap = True
-        for u in opens_y:
-            p = 0
-            t = u
-            while t:
-                b = t & -t
-                t ^= b
-                p |= presing[b.bit_length() - 1]
-            if ok_cont and not x_open >> p & 1:
-                ok_cont = False
-            if ok_opap and not x_amo >> p & 1:
-                ok_opap = False
-            if not (ok_cont or ok_opap):
-                break
-        ok_amc = True
-        for c in closed_y:
-            p = 0
-            t = c
-            while t:
-                b = t & -t
-                t ^= b
-                p |= presing[b.bit_length() - 1]
-            if not x_amc >> p & 1:
-                ok_amc = False
-                break
-        ok_irr = True
-        for c in amc_y:
-            p = 0
-            t = c
-            while t:
-                b = t & -t
-                t ^= b
-                p |= presing[b.bit_length() - 1]
-            if not x_amc >> p & 1:
-                ok_irr = False
-                break
-        # image-quantified properties
-        ok_open = ok_amom = True
-        for u in opens_x:
-            img = 0
-            t = u
-            while t:
-                b = t & -t
-                t ^= b
-                img |= 1 << assign[b.bit_length() - 1]
-            if ok_open and not y_open >> img & 1:
-                ok_open = False
-            if ok_amom and not y_amo >> img & 1:
-                ok_amom = False
-            if not (ok_open or ok_amom):
-                break
-        ok_closed = ok_amcm = True
-        for c in closed_x:
-            img = 0
-            t = c
-            while t:
-                b = t & -t
-                t ^= b
-                img |= 1 << assign[b.bit_length() - 1]
-            if ok_closed and not y_closed >> img & 1:
-                ok_closed = False
-            if ok_amcm and not y_amc >> img & 1:
-                ok_amcm = False
-            if not (ok_closed or ok_amcm):
-                break
-        if ok_cont:
-            cont |= bit
-        if ok_opap:
-            opap |= bit
-        if ok_amc:
-            amc |= bit
-        if ok_irr:
-            irr |= bit
-        if ok_open:
-            openm |= bit
-        if ok_amom:
-            amom |= bit
-        if ok_closed:
-            closedm |= bit
-        if ok_amcm:
-            amcm |= bit
-        if image_full == full_y:
-            surj |= bit
-            if injective:
-                bij |= bit
-                # alpha_m-continuity of the inverse map Y -> X
-                inv = [0] * ny
-                for x in range(nx):
-                    inv[assign[x]] = x
-                ok_inv = True
-                for c in closed_x:
-                    p = 0
-                    for y in range(ny):
-                        if c >> inv[y] & 1:
-                            p |= 1 << y
-                    if not y_amc >> p & 1:
-                        ok_inv = False
-                        break
-                if ok_inv:
-                    invamc |= bit
-        # odometer: advance the assignment in rank order
-        for x in range(nx - 1, -1, -1):
-            assign[x] += 1
-            if assign[x] < ny:
-                break
-            assign[x] = 0
-    return (cont, openm, closedm, surj, bij,
-            amc, irr, amcm, amom, opap, invamc)
+    tables = subset_tables(nx, ny)
+    pre, img = tables.pre_ranks, tables.img_ranks
+    every = (1 << len(tables.images)) - 1
+    amcm = _carried(img, x_closed, y_amc, every)
+    surj = _carried(img, 1 << (1 << nx) - 1, 1 << (1 << ny) - 1, every)
+    bij = surj if nx == ny else 0
+    return (_carried(pre, y_open, x_open, every),
+            _carried(img, x_open, y_open, every),
+            _carried(img, x_closed, y_closed, every),
+            surj,
+            bij,
+            _carried(pre, y_closed, x_amc, every),
+            _carried(pre, y_amc, x_amc, every),
+            amcm,
+            _carried(img, x_open, y_amo, every),
+            _carried(pre, y_open, x_amo, every),
+            # a bijection's inverse pulls each closed C of X back to f(C)
+            bij & amcm)
 
 
 def enumerate_masks(n):
@@ -345,9 +326,10 @@ def composition_failures(nx, ny, nz, f_indices, g_indices, target_bits, limit):
     g-inner in the given list orders; the first ``limit`` failing pairs are
     returned (limit < 0 collects all).  Returns ``(count, pairs)``.
 
-    The verifier no longer calls it: it folds the composition claims from
-    subset families of the middle space instead.  It stays in step with
-    the compiled extension, whose source is not regenerated with this file.
+    The verifier does not call it: it folds the composition claims from
+    subset families of the middle space instead.  It stays as the
+    brute-force reference that tests check that fold against, and because
+    the benchmark's tracer wraps it by name.
     """
     if not f_indices or not g_indices:
         return 0, []

@@ -16,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from . import classes
-from .space import FiniteSpace, PointSet, canonical_subsets, points_of
+from .space import FiniteSpace, PointSet, canonical_subsets, check_space, points_of
 
 AXIOM_IDS = ("T0", "T1", "T_half", "T_alpha_m", "singleton_dichotomy")
 
@@ -115,6 +115,7 @@ def axiom_report(space: FiniteSpace) -> AxiomReport:
     """Evaluate all five axioms with diagnostics for the failures.
 
     Each axiom is defined by its witness finder: it holds iff no witness."""
+    check_space(space)
     finders = {
         "T0": _t0_witness,
         "T1": _t1_witness,

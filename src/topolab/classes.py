@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 from . import _kernels
 from .errors import BadParams, ScopeTooLarge
-from .space import FiniteSpace, PointSet, _interior, canonical_subsets
+from .space import FiniteSpace, PointSet, _interior, canonical_subsets, check_space
 
 CLASS_IDS = _kernels.CLASS_ORDER
 
@@ -141,7 +141,7 @@ def classify_subset(space: FiniteSpace, a: PointSet) -> ClassificationReport:
     cl(X - A) = X - int(A), it is g-closed iff ker(X - A) | int(A) == X, and
     as int(cl(X - A)) = X - cl(int(A)), alpha_m-closed iff
     aker(X - A) | cl(int(A)) == X."""
-    space.check_subset(a)
+    check_space(space).check_subset(a)
     minn, aminn, full = space.min_nbhd, space.min_alpha_nbhd, space.full
     ia = _interior(minn, a)
     ca = full ^ _interior(minn, full ^ a)
@@ -166,13 +166,13 @@ def _class_index(class_id: str) -> int:
 def family_mask(space: FiniteSpace, class_id: str) -> int:
     """Family mask of one class (bit A set iff subset A belongs); n <= 6."""
     i = _class_index(class_id)
-    if space.n > MASK_LIMIT:
+    if check_space(space).n > MASK_LIMIT:
         raise ScopeTooLarge(f"family masks need n <= {MASK_LIMIT}, got {space.n}")
     return _kernels.class_masks(space.n, space.opens)[i]
 
 
 def _family_tuple(space: FiniteSpace, i: int) -> tuple:
-    members = space._families.get(i)
+    members = check_space(space)._families.get(i)
     if members is None:
         member = _PREDICATES[i]
         members = space._families[i] = tuple(

@@ -2,7 +2,7 @@
 
 Spaces stream in a fixed canonical order: ascending point count, then
 lexicographic on the canonically-sorted opens tuple.  The order is stable
-across runs and backends, so shards of the stream can be recombined
+across runs, so shards of the stream can be recombined
 deterministically.
 """
 
@@ -14,7 +14,7 @@ from typing import Iterator
 from . import _kernels
 from .errors import BadParams, ScopeTooLarge
 from .maps import SpaceMap
-from .space import FiniteSpace, family_sort_key
+from .space import FiniteSpace, check_space, family_sort_key
 
 ENUMERATION_CAP = 5
 # canonical_form tries n! relabelings: on a 2-vCPU host discrete(7) takes
@@ -72,6 +72,7 @@ def enumerate_topologies(n: int, shard=None) -> Iterator[FiniteSpace]:
 
 def relabel(space: FiniteSpace, perm) -> FiniteSpace:
     """Push the topology through the point relabeling x -> perm[x]."""
+    check_space(space)
     try:
         perm = tuple(perm)
     except TypeError:
@@ -110,7 +111,7 @@ def canonical_form(space: FiniteSpace) -> FiniteSpace:
     It tries all n! relabelings, so spaces above ``CANONICAL_FORM_CAP``
     points raise ``ScopeTooLarge``.
     """
-    if space.n > CANONICAL_FORM_CAP:
+    if check_space(space).n > CANONICAL_FORM_CAP:
         raise ScopeTooLarge(
             f"canonical form is capped at {CANONICAL_FORM_CAP} points, got {space.n}")
     return _orbit(space)[0]
@@ -157,6 +158,8 @@ def enumerate_maps(domain: FiniteSpace, codomain: FiniteSpace,
                    surjective_only: bool = False,
                    bijective_only: bool = False) -> Iterator[SpaceMap]:
     """All maps domain -> codomain in rank order, optionally filtered."""
+    check_space(domain, "domain")
+    check_space(codomain, "codomain")
     if domain.n > ENUMERATION_CAP or codomain.n > ENUMERATION_CAP:
         raise ScopeTooLarge(
             f"map enumeration is capped at {ENUMERATION_CAP}-point spaces")

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 from . import classes
 from .errors import BadParams, SpaceMismatch
-from .space import FiniteSpace, PointSet, space_from_record
+from .space import FiniteSpace, PointSet, check_space, load_json, space_from_record
 
 MAP_PROPERTY_IDS = (
     "continuous", "open_map", "closed_map", "surjective", "bijective",
@@ -31,6 +31,8 @@ class SpaceMap:
     assignment: tuple
 
     def __post_init__(self):
+        check_space(self.domain, "domain")
+        check_space(self.codomain, "codomain")
         if not isinstance(self.assignment, tuple):
             try:
                 assignment = tuple(self.assignment)
@@ -75,12 +77,21 @@ class SpaceMap:
         return json.dumps(self.to_record(), separators=(",", ":"))
 
 
+def check_map(obj, what: str = "map") -> SpaceMap:
+    """``obj`` if it is a SpaceMap; BadParams otherwise."""
+    if not isinstance(obj, SpaceMap):
+        raise BadParams(f"{what} {obj!r} is not a SpaceMap")
+    return obj
+
+
 def identity_map(space: FiniteSpace) -> SpaceMap:
     return SpaceMap(space, space, tuple(range(space.n)))
 
 
 def compose(g: SpaceMap, f: SpaceMap) -> SpaceMap:
     """g after f; the middle spaces must be identical (bitwise)."""
+    check_map(g)
+    check_map(f)
     if f.codomain != g.domain:
         raise SpaceMismatch(
             f"cannot compose through different middle spaces: "
@@ -100,7 +111,7 @@ def is_bijective(f: SpaceMap) -> bool:
 
 def inverse(f: SpaceMap) -> SpaceMap:
     """Inverse of a bijection, typed codomain -> domain."""
-    if not is_bijective(f):
+    if not is_bijective(check_map(f)):
         raise BadParams("only bijective maps have an inverse")
     inv = [0] * f.codomain.n
     for x, y in enumerate(f.assignment):
@@ -173,6 +184,7 @@ class MapClassification:
 
 
 def classify_map(f: SpaceMap) -> MapClassification:
+    check_map(f)
     return MapClassification(
         continuous=is_continuous(f),
         open_map=is_open_map(f),
@@ -219,8 +231,4 @@ def map_from_record(obj) -> SpaceMap:
 
 
 def map_from_json(text: str) -> SpaceMap:
-    try:
-        obj = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise BadParams(f"invalid JSON: {exc}") from None
-    return map_from_record(obj)
+    return map_from_record(load_json(text))

@@ -334,6 +334,21 @@ def generate(name: str, *params: int) -> FiniteSpace:
     return fn(*params)
 
 
+def check_space(obj, what: str = "space") -> FiniteSpace:
+    """``obj`` if it is a FiniteSpace; BadParams otherwise."""
+    if not isinstance(obj, FiniteSpace):
+        raise BadParams(f"{what} {obj!r} is not a FiniteSpace")
+    return obj
+
+
+def load_json(text):
+    """The value of one JSON text; BadParams if it is not JSON text."""
+    try:
+        return json.loads(text)
+    except (json.JSONDecodeError, TypeError) as exc:
+        raise BadParams(f"invalid JSON: {exc}") from None
+
+
 def space_from_record(obj) -> FiniteSpace:
     """Parse and fully validate the dict form ``{"n": ..., "opens": [[...]]}``."""
     if not isinstance(obj, dict) or set(obj) != {"n", "opens"}:
@@ -350,8 +365,4 @@ def space_from_record(obj) -> FiniteSpace:
 
 
 def space_from_json(text: str) -> FiniteSpace:
-    try:
-        obj = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise BadParams(f"invalid JSON: {exc}") from None
-    return space_from_record(obj)
+    return space_from_record(load_json(text))

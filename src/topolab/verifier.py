@@ -28,8 +28,8 @@ from typing import NamedTuple
 from . import _kernels, axioms, classes, maps
 from .enumeration import spaces_up_to
 from .errors import ArityMismatch, BadParams, InternalCheckError, ScopeTooLarge
-from .maps import SpaceMap, assignment_from_index, compose, map_from_record
-from .space import FiniteSpace, points_of, space_from_record
+from .maps import SpaceMap, assignment_from_index, check_map, compose, map_from_record
+from .space import FiniteSpace, check_space, points_of, space_from_record
 
 MAX_SCOPE_POINTS = 5
 
@@ -274,11 +274,9 @@ def _bind(claim_id: str, spaces, bound_maps) -> None:
             f"claim {claim_id} binds {want_spaces} space(s) and {want_maps} map(s); "
             f"got {len(spaces)} and {len(bound_maps)}")
     for s in spaces:
-        if not isinstance(s, FiniteSpace):
-            raise BadParams(f"bound space {s!r} is not a FiniteSpace")
+        check_space(s, "bound space")
     for f in bound_maps:
-        if not isinstance(f, SpaceMap):
-            raise BadParams(f"bound map {f!r} is not a SpaceMap")
+        check_map(f, "bound map")
     for i, f in enumerate(bound_maps):
         if f.domain != spaces[i] or f.codomain != spaces[i + 1]:
             raise ArityMismatch(
@@ -426,34 +424,10 @@ def _witness(claim_id: str, spaces, positions, ranks) -> Witness:
                    hypotheses=hyps, conclusion=concl)
 
 
-def _subset_tables(n_dom: int, n_cod: int):
-    """(preimages, images) of every map from n_dom to n_cod points, by rank:
-    ``preimages[r][D]`` is the preimage of codomain subset D under the map of
-    rank r, and ``images[r][S]`` the image of domain subset S."""
-    preimages, images = [], []
-    for rank in range(n_cod ** n_dom):
-        assign = assignment_from_index(rank, n_dom, n_cod)
-        single = [0] * n_cod
-        for x, y in enumerate(assign):
-            single[y] |= 1 << x
-        pre = [0] * (1 << n_cod)
-        for d in range(1, 1 << n_cod):
-            low = d & -d
-            pre[d] = pre[d ^ low] | single[low.bit_length() - 1]
-        img = [0] * (1 << n_dom)
-        for s in range(1, 1 << n_dom):
-            low = s & -s
-            img[s] = img[s ^ low] | 1 << assign[low.bit_length() - 1]
-        preimages.append(pre)
-        images.append(img)
-    return preimages, images
-
-
-def _map_sides(prop: str, as_f: bool, dom: int, cod: int, ranks,
-               tables: dict, shapes: dict) -> list:
+def _map_sides(prop: str, as_f: bool, dom: int, cod: int, ranks, tables: dict) -> list:
     """Side of each map dom -> cod of the given ranks in the composition
     claims, as f or as g.  ``dom`` and ``cod`` are stream positions in the
-    sweep's ``tables``; ``shapes`` holds the _subset_tables by shape.
+    sweep's ``tables``.
 
     An alpha_m-continuous map pulls every closed set of its codomain back to
     an alpha_m-closed set; an alpha_m-closed map pushes every closed set of
@@ -470,12 +444,9 @@ def _map_sides(prop: str, as_f: bool, dom: int, cod: int, ranks,
 
     Both identities are exact, and neither depends on T_alpha_m(Y).
     """
-    shape = (tables["n"][dom], tables["n"][cod])
-    if shape not in shapes:
-        shapes[shape] = _subset_tables(*shape)
     pull = prop == "alpha_m_continuous"
-    preimages, images = shapes[shape]
-    table, src, dst = (preimages, cod, dom) if pull else (images, dom, cod)
+    carry = _kernels.subset_tables(tables["n"][dom], tables["n"][cod])
+    table, src, dst = (carry.preimages, cod, dom) if pull else (carry.images, dom, cod)
     if as_f == pull:
         # the subsets of src whose carried set is not alpha_m-closed in dst
         family = tables["alpha_m_closed"][dst]
@@ -550,7 +521,6 @@ def _sweep_chunk(encs, scope: Scope, tables: dict, start: int, stop: int):
     triples = [(k, enc.map_prop) for k, enc in enumerate(encs)
                if isinstance(enc, _TripleClaim)]
     middles = [iy for iy, t in enumerate(t_alpha_m) if t] if triples else []
-    shapes = {}     # _subset_tables by shape
     memo = _middle_memo(scope.max_points, cap) if triples else None
     kept = {}   # rows of the middle spaces
 
@@ -571,7 +541,7 @@ def _sweep_chunk(encs, scope: Scope, tables: dict, start: int, stop: int):
     def g_sides(prop, iy, iz):
         # ranks and sides of the maps g: Y -> Z that satisfy prop
         ranks = points_of(row(iy)[iz][_PROP_IDX[prop]] & allowed(iy, iz))
-        return ranks, _map_sides(prop, False, iy, iz, ranks, tables, shapes)
+        return ranks, _map_sides(prop, False, iy, iz, ranks, tables)
 
     def failing_g(prop, iy):
         hits = memo.get((prop, iy))
@@ -619,7 +589,7 @@ def _sweep_chunk(encs, scope: Scope, tables: dict, start: int, stop: int):
                 f_ranks = points_of(x_row[iy][_PROP_IDX[prop]] & allowed(ix, iy))
                 if not f_ranks:
                     continue
-                f_sides = _map_sides(prop, True, ix, iy, f_ranks, tables, shapes)
+                f_sides = _map_sides(prop, True, ix, iy, f_ranks, tables)
                 count = sum(map(failing_g(prop, iy).__getitem__, f_sides))
                 failures[k] += count
                 if count and room(k) != 0:

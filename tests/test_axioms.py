@@ -2,6 +2,7 @@ import pytest
 
 import topolab as T
 from topolab.enumeration import spaces_up_to
+from topolab.errors import BadParams
 
 SIERP = T.sierpinski()
 IND2 = T.indiscrete(2)
@@ -118,6 +119,11 @@ def test_separation_chain():
 def test_axiom_ids():
     assert T.AXIOM_IDS == ("T0", "T1", "T_half", "T_alpha_m",
                            "singleton_dichotomy")
+
+
+def test_axiom_report_rejects_a_non_space():
+    with pytest.raises(BadParams):
+        T.axiom_report(5)
 
 
 def test_axiom_report_sierpinski():

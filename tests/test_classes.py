@@ -158,6 +158,11 @@ def test_family_unknown_class_rejected():
         classes.family_mask(SIERP, "Open")
     with pytest.raises(BadParams):
         classes.family_mask(T.khalimsky_interval(7), "Open")
+    for call in (T.family, T.family_set, classes.family_mask):
+        with pytest.raises(BadParams):
+            call(5, "open")                     # not a space
+    with pytest.raises(BadParams):
+        T.classify_subset(5, 1)
 
 
 def test_reports_agree_with_families():

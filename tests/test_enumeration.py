@@ -132,6 +132,8 @@ def test_relabel():
         en.relabel(sierp, (0.0, 1))
     with pytest.raises(BadParams):
         en.relabel(sierp, 2)
+    with pytest.raises(BadParams):
+        en.relabel(5, (0,))
 
 
 def test_canonical_form():
@@ -142,6 +144,8 @@ def test_canonical_form():
     for s in en.enumerate_topologies(3):
         c = en.canonical_form(s)
         assert en.canonical_form(c) == c
+    with pytest.raises(BadParams):
+        en.canonical_form(5)
 
 
 def test_canonical_form_classifies_homeomorphism():
@@ -205,3 +209,5 @@ def test_enumerate_maps_order_and_filters():
 def test_enumerate_maps_scope():
     with pytest.raises(ScopeTooLarge):
         list(en.enumerate_maps(T.discrete(6), T.discrete(1)))
+    with pytest.raises(BadParams):
+        list(en.enumerate_maps(5, T.sierpinski()))

@@ -5,8 +5,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import topolab as T
-from topolab import classes, maps, space
-from topolab._kernels import MAP_PROP_ORDER, pure
+from topolab import _kernels, classes, maps, space
+from topolab._kernels import MAP_PROP_ORDER
 from topolab.enumeration import enumerate_maps, spaces_up_to
 from topolab.errors import BadParams, SpaceMismatch
 
@@ -33,6 +33,12 @@ def test_assignment_validation():
     for bad in (5, None):                         # not a sequence
         with pytest.raises(BadParams):
             T.SpaceMap(SIERP, SIERP, bad)
+    with pytest.raises(BadParams):
+        T.SpaceMap(5, SIERP, (0,))               # endpoints not spaces
+    with pytest.raises(BadParams):
+        T.SpaceMap(SIERP, 5, (0, 0))
+    with pytest.raises(BadParams):
+        T.classify_map(5)
     assert T.SpaceMap(SIERP, SIERP, [1, 1]).assignment == (1, 1)
 
 
@@ -76,6 +82,10 @@ def test_compose_requires_identical_middle_space():
     g = T.SpaceMap(DISC2, SIERP, (0, 1))    # same n, different topology
     with pytest.raises(SpaceMismatch):
         T.compose(g, f)
+    with pytest.raises(BadParams):
+        T.compose(5, 5)
+    with pytest.raises(BadParams):
+        T.compose(f, 5)
 
 
 def test_inverse():
@@ -83,6 +93,8 @@ def test_inverse():
     assert T.inverse(IDS) == IDS
     with pytest.raises(BadParams):
         T.inverse(T.SpaceMap(SIERP, SIERP, (0, 0)))
+    with pytest.raises(BadParams):
+        T.inverse(5)
     tri = T.SpaceMap(T.discrete(3), T.discrete(3), (1, 2, 0))
     assert T.inverse(tri).assignment == (2, 0, 1)
     assert T.compose(T.inverse(tri), tri) == T.identity_map(T.discrete(3))
@@ -192,36 +204,50 @@ def test_classification_against_predicates():
                     assert rec[name] == p(f), (f, name)
 
 
+KERNEL_PREDS = {
+    "continuous": T.is_continuous,
+    "open_map": T.is_open_map,
+    "closed_map": T.is_closed_map,
+    "surjective": T.is_surjective,
+    "bijective": T.is_bijective,
+    "alpha_m_continuous": T.is_alpha_m_continuous,
+    "alpha_m_irresolute": T.is_alpha_m_irresolute,
+    "alpha_m_closed_map": T.is_alpha_m_closed_map,
+    "alpha_m_open_map": T.is_alpha_m_open_map,
+    "open_preimages_alpha_m_open": maps.open_preimages_alpha_m_open,
+    "inverse_alpha_m_continuous":
+        lambda f: T.is_bijective(f) and T.is_alpha_m_continuous(T.inverse(f)),
+}
+
+
+def _check_kernel_map_masks(x, y):
+    """Every bit of map_masks for X -> Y against the one-map predicates."""
+    sides = [[classes.family_mask(s, c)
+              for c in ("open", "closed", "alpha_m_closed", "alpha_m_open")]
+             for s in (x, y)]
+    bitsets = _kernels.map_masks(x.n, *sides[0], y.n, *sides[1])
+    assert all(bits >> y.n ** x.n == 0 for bits in bitsets), (x, y)
+    for rank, f in enumerate(enumerate_maps(x, y)):
+        for prop, bits in zip(MAP_PROP_ORDER, bitsets):
+            assert (bits >> rank & 1) == KERNEL_PREDS[prop](f), (x, y, rank, prop)
+
+
 def test_kernel_map_masks_match_direct_predicates():
-    # the sweep kernel and the one-map-at-a-time route must agree bit for bit
-    kernel_preds = {
-        "continuous": T.is_continuous,
-        "open_map": T.is_open_map,
-        "closed_map": T.is_closed_map,
-        "surjective": T.is_surjective,
-        "bijective": T.is_bijective,
-        "alpha_m_continuous": T.is_alpha_m_continuous,
-        "alpha_m_irresolute": T.is_alpha_m_irresolute,
-        "alpha_m_closed_map": T.is_alpha_m_closed_map,
-        "alpha_m_open_map": T.is_alpha_m_open_map,
-        "open_preimages_alpha_m_open": maps.open_preimages_alpha_m_open,
-        "inverse_alpha_m_continuous":
-            lambda f: T.is_alpha_m_continuous(T.inverse(f)),
-    }
-    for x in spaces_up_to(2):
-        for y in spaces_up_to(2):
-            fams_x = [classes.family_mask(x, c)
-                      for c in ("open", "closed", "alpha_m_closed", "alpha_m_open")]
-            fams_y = [classes.family_mask(y, c)
-                      for c in ("open", "closed", "alpha_m_closed", "alpha_m_open")]
-            bitsets = pure.map_masks(x.n, *fams_x, y.n, *fams_y)
-            for rank, f in enumerate(enumerate_maps(x, y)):
-                for prop, bits in zip(MAP_PROP_ORDER, bitsets):
-                    if prop == "inverse_alpha_m_continuous" and not T.is_bijective(f):
-                        assert not bits >> rank & 1
-                        continue
-                    assert (bits >> rank & 1) == kernel_preds[prop](f), \
-                        (x, y, rank, prop)
+    # the sweep kernel and the one-map-at-a-time route must agree bit for
+    # bit on every map between spaces of at most 3 points (24,907 maps)
+    assert set(KERNEL_PREDS) == set(MAP_PROP_ORDER)
+    pool = spaces_up_to(3)
+    for x in pool:
+        for y in pool:
+            _check_kernel_map_masks(x, y)
+
+
+@settings(max_examples=12, deadline=None)
+@given(st.data())
+def test_kernel_map_masks_match_direct_predicates_4_5_points(data):
+    x = data.draw(preorder_spaces(min_n=4, max_n=5))
+    y = data.draw(preorder_spaces(min_n=4, max_n=5))
+    _check_kernel_map_masks(x, y)
 
 
 # ------------------------------------------------------------- ranks, formats
@@ -268,6 +294,8 @@ def test_map_record_strict():
         T.map_from_json('{"domain":1}')
     with pytest.raises(BadParams):
         T.map_from_json("not json")
+    with pytest.raises(BadParams):
+        T.map_from_json(5)
 
 
 @settings(max_examples=150, deadline=None)
@@ -290,10 +318,10 @@ def test_map_algebra_random(data):
 
 
 @st.composite
-def preorder_spaces(draw, max_n=6):
+def preorder_spaces(draw, min_n=0, max_n=6):
     """A random space: the reflexive-transitive closure of a random relation,
     each point's minimal neighbourhood being the points it reaches."""
-    n = draw(st.integers(0, max_n))
+    n = draw(st.integers(min_n, max_n))
     reach = [1 << x | draw(st.integers(0, (1 << n) - 1)) for x in range(n)]
     for k in range(n):              # Warshall
         for x in range(n):

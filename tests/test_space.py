@@ -250,6 +250,8 @@ def test_bad_json_is_input_error():
     with pytest.raises(BadParams):
         T.space_from_json("{not json")
     with pytest.raises(BadParams):
+        T.space_from_json(5)                    # not JSON text at all
+    with pytest.raises(BadParams):
         T.space_from_json('{"n":2,"opens":[[],[0],[0,2]]}')  # point out of range
     with pytest.raises(NotATopology):
         T.space_from_json('{"n":2,"opens":[[],[0]]}')
