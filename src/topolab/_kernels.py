@@ -16,6 +16,8 @@ from __future__ import annotations
 from functools import lru_cache
 from typing import NamedTuple
 
+from .space import _interior, _maximal, _min_nbhds
+
 # the one kernel implementation; the benchmark prints topolab.BACKEND
 BACKEND = "pure"
 
@@ -39,47 +41,22 @@ MAP_PROP_ORDER = (
 def space_pack(n, opens):
     """Derived tables for a validated topology.
 
-    Returns ``(min_nbhd, min_alpha_nbhd, interior_table, closure_table)``:
-    per-point smallest open (resp. alpha-open) neighbourhoods, and full
-    interior/closure lookup tables indexed by subset bitmask.  Only
-    :func:`class_masks` calls it; it is a function of its own because the
-    benchmark's tracer times it by name.
+    Returns ``(min_nbhd, maximal, interior_table, closure_table)``: per-point
+    smallest open neighbourhoods, the mask of maximal points (see
+    ``FiniteSpace.maximal``), and full interior/closure lookup tables
+    indexed by subset bitmask.  Only :func:`class_masks` calls it; it is a
+    function of its own because the benchmark's tracer times it by name.
     """
-    size = 1 << n
-    full = size - 1
-    minn = []
-    for x in range(n):
-        bx = 1 << x
-        m = full
-        for u in opens:
-            if u & bx:
-                m &= u
-        minn.append(m)
-    int_t = [0] * size
-    for a in range(size):
-        s = 0
-        t = a
-        while t:
-            b = t & -t
-            t ^= b
-            mx = minn[b.bit_length() - 1]
-            if mx & a == mx:
-                s |= b
-        int_t[a] = s
-    cl_t = [full ^ int_t[full ^ a] for a in range(size)]
-    # alpha-opens are the A with A <= int(cl(int(A)))
-    aminn = [full] * n
-    for u in range(size):
-        if int_t[cl_t[int_t[u]]] & u == u:
-            for x in range(n):
-                if u >> x & 1:
-                    aminn[x] &= u
-    return tuple(minn), tuple(aminn), tuple(int_t), tuple(cl_t)
+    full = (1 << n) - 1
+    minn = _min_nbhds(n, opens)
+    int_t = tuple(_interior(minn, a) for a in range(full + 1))
+    cl_t = tuple(full ^ int_t[full ^ a] for a in range(full + 1))
+    return minn, _maximal(minn), int_t, cl_t
 
 
 def class_masks(n, opens):
     """The 15 class family masks, in CLASS_ORDER.  Requires n <= 6."""
-    minn, aminn, int_t, cl_t = space_pack(n, opens)
+    minn, maximal, int_t, cl_t = space_pack(n, opens)
     size = 1 << n
     full = size - 1
     open_fm = 0
@@ -91,7 +68,7 @@ def class_masks(n, opens):
             closed_fm |= 1 << a
     preopen = preclosed = semiopen = semiclosed = 0
     alpha_open = alpha_closed = beta_open = beta_closed = 0
-    g_closed = am_closed = 0
+    g_closed = am_closed = am_open = 0
     for a in range(size):
         bit = 1 << a
         ia = int_t[a]
@@ -117,25 +94,22 @@ def class_masks(n, opens):
         if icia & a == icia:
             beta_closed |= bit
         ker = 0
-        aker = 0
         t = a
         while t:
             b = t & -t
             t ^= b
-            x = b.bit_length() - 1
-            ker |= minn[x]
-            aker |= aminn[x]
+            ker |= minn[b.bit_length() - 1]
         if ca & ker == ca:
             g_closed |= bit
-        if ica & aker == ica:
+        # semiclosed and semiopen up to the maximal points (topolab.classes)
+        if ica & (a | maximal) == ica:
             am_closed |= bit
+        if a & (cia | maximal) == a:
+            am_open |= bit
     g_open = 0
-    am_open = 0
     for a in range(size):
         if g_closed >> (full ^ a) & 1:
             g_open |= 1 << a
-        if am_closed >> (full ^ a) & 1:
-            am_open |= 1 << a
     return (open_fm, closed_fm, open_fm & closed_fm,
             preopen, preclosed, semiopen, semiclosed,
             alpha_open, alpha_closed, beta_open, beta_closed,

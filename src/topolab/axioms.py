@@ -1,14 +1,33 @@
-"""Separation axioms, each decided by searching for a witness.
+"""Separation axioms, with one offending witness for each that fails.
 
 T0/T1 use the minimal-neighbourhood characterizations (m(x) = m(y) iff no
 open separates x from y; m(x) = {x} iff opens separate x from everything),
 which agree with the pointwise definitions on finite spaces.  T_half asks
 that every g-closed set be closed, T_alpha_m that every alpha_m-closed set
 be closed, and the singleton dichotomy that every singleton be alpha-closed
-or clopen.  For T_half and T_alpha_m the subsets are walked in canonical
-order and the walk stops at the first class member that is not closed;
-T_half skips the walk when every singleton is open or closed, which is
-Dunham's characterization of T_half.
+or clopen.
+
+T_half and T_alpha_m are each decided by a test on the singletons, and a
+failing space's witness is the first class member that is not closed, in
+canonical order; only that search walks the subsets.  T_half holds iff
+every singleton is open or closed (Dunham 1977, *T_{1/2}-spaces*, Kyungpook
+Math. J. 17).  T_alpha_m holds iff every singleton is closed, or is open
+with an open closure.
+
+Proof, with M the maximal points and A alpha_m-closed iff
+int(cl(A)) - A <= M (see :mod:`topolab.classes`).  Suppose T_alpha_m.  For
+x outside M, int(cl({x})) is empty: a w in it has U_w <= cl({x}), so x is
+in U_z, and U_x <= U_z, for every z in U_w.  As x is in U_w, U_x <= U_w,
+so U_z == U_x for every z in U_x, putting x in M.  So {x} is
+alpha_m-closed, hence closed.  For x in M, X - {x} is alpha_m-closed,
+hence closed, so {x} is open and x is in int(cl({x})).  Then
+{x} | (int(cl({x})) - M) is alpha_m-closed with closure cl({x}), hence
+equals cl({x}), and so cl({x}) <= int(cl({x})) is open.  Conversely, let
+every singleton pass the test, and A be alpha_m-closed.  Take y in
+cl(A) - A, and a in U_y & A.  {a} is not closed, as y is in cl({a}), so
+{a} is open and cl({a}) is open.  So U_y <= cl({a}) <= cl(A), which puts
+y in int(cl(A)); and U_a == {a} differs from U_y, so y is not in M.  That
+contradicts A being alpha_m-closed, so A is closed.
 """
 
 from __future__ import annotations
@@ -33,12 +52,12 @@ def is_T1(space: FiniteSpace) -> bool:
 
 def is_T_half(space: FiniteSpace) -> bool:
     """Every g-closed set is closed."""
-    return _t_half_witness(space) is None
+    return _all_singletons(space, _open_or_closed)
 
 
 def is_T_alpha_m(space: FiniteSpace) -> bool:
     """Every alpha_m-closed set is closed."""
-    return _family_gap_witness(space, classes.is_alpha_m_closed) is None
+    return _all_singletons(space, _closed_or_open_with_open_closure)
 
 
 def singleton_dichotomy(space: FiniteSpace) -> bool:
@@ -64,9 +83,24 @@ def _t1_witness(space: FiniteSpace):
     return None
 
 
-def _family_gap_witness(space: FiniteSpace, member):
-    # first member of the class that is not closed, canonical order; every
-    # closed set is g-closed and alpha_m-closed, so None means equal families
+def _open_or_closed(space: FiniteSpace, s: PointSet) -> bool:
+    return space.is_open(s) or space.is_closed(s)
+
+
+def _closed_or_open_with_open_closure(space: FiniteSpace, s: PointSet) -> bool:
+    return space.is_closed(s) or (space.is_open(s) and space.is_open(space.closure(s)))
+
+
+def _all_singletons(space: FiniteSpace, test) -> bool:
+    return all(test(space, 1 << x) for x in range(space.n))
+
+
+def _gap_witness(space: FiniteSpace, singleton_test, member):
+    """First member of the class that is not closed, in canonical order, or
+    None.  ``singleton_test`` holds on every singleton iff there is none
+    (see the module docstring), so the subsets are walked only when it fails."""
+    if _all_singletons(space, singleton_test):
+        return None
     for a in canonical_subsets(space.n):
         if not space.is_closed(a) and member(space, a):
             return a
@@ -74,16 +108,12 @@ def _family_gap_witness(space: FiniteSpace, member):
 
 
 def _t_half_witness(space: FiniteSpace):
-    """First g-closed set that is not closed, in canonical order, or None.
+    return _gap_witness(space, _open_or_closed, classes.is_g_closed)
 
-    Dunham 1977 (*T_{1/2}-spaces*, Kyungpook Math. J. 17): a space is T_half
-    iff every singleton is open or closed.  So the 2^n walk runs only when
-    some singleton is neither, and then it finds a witness.  T_alpha_m
-    keeps its walk, as its pointwise test is still a conjecture.
-    """
-    if all(space.is_open(1 << x) or space.is_closed(1 << x) for x in range(space.n)):
-        return None
-    return _family_gap_witness(space, classes.is_g_closed)
+
+def _t_alpha_m_witness(space: FiniteSpace):
+    return _gap_witness(space, _closed_or_open_with_open_closure,
+                        classes.is_alpha_m_closed)
 
 
 def _dichotomy_witness(space: FiniteSpace):
@@ -120,7 +150,7 @@ def axiom_report(space: FiniteSpace) -> AxiomReport:
         "T0": _t0_witness,
         "T1": _t1_witness,
         "T_half": _t_half_witness,
-        "T_alpha_m": lambda s: _family_gap_witness(s, classes.is_alpha_m_closed),
+        "T_alpha_m": _t_alpha_m_witness,
         "singleton_dichotomy": _dichotomy_witness,
     }
     found = {axiom: finders[axiom](space) for axiom in AXIOM_IDS}

@@ -10,9 +10,31 @@ Definitions, writing int/cl for interior and closure inside a fixed space:
 - alpha_m-closed: int(cl(A)) <= U for every alpha-open U >= A;
   alpha_m-open:  complement alpha_m-closed
 
-The "for every open/alpha-open superset" conditions reduce to containment
-in the union of the members' minimal (alpha-)neighbourhoods, which is the
-smallest such superset.  Queries read the space's per-point tables.
+The g-closed condition reduces to containment in ker(A), the union of the
+members' minimal neighbourhoods, which is the smallest open superset.  The
+alpha_m-closed condition reduces to the maximal points M of the space (see
+``FiniteSpace.maximal``):
+
+    A is alpha_m-closed  iff  int(cl(A)) - A <= M.
+
+Applied to X - A, as int(cl(X - A)) = X - cl(int(A)), this makes A
+alpha_m-open iff A - cl(int(A)) <= M.
+
+Proof.  Suppose int(cl(A)) - A <= M, and let U be alpha-open with A <= U.
+Take y in int(cl(A)) - A.  U_y <= cl(A), so U_y meets A at some a, and
+U_a == U_y as y is in M.  As U <= int(cl(int(U))), U_a meets int(U) at
+some z; U_z == U_y again, and U_z <= U, so y is in U.  Conversely take y
+in int(cl(A)) - A outside M, and let U = A | (ker(A) & M).  For m in
+ker(A) & M, U_m <= ker(A) & M, so ker(A) & M is open and lies in int(U).
+Each U_w meets M, so ker(A) <= cl(ker(A) & M) <= cl(int(U)), and as
+ker(A) is open, U <= ker(A) <= int(cl(int(U))).  So U is an alpha-open
+superset of A that misses y, and A is not alpha_m-closed.
+
+Corollary: alpha_m-closed sets are closed under intersection.  As int and
+cl are monotone, int(cl(A & B)) - (A & B) lies in
+(int(cl(A)) - A) | (int(cl(B)) - B), and so in M.
+
+Queries read the space's per-point table and its mask of maximal points.
 :func:`family` and :func:`family_set` walk all 2^n subsets once per space
 and class, and keep the members in the space's own memo;
 :func:`family_mask` asks the ``class_masks`` kernel afresh on every call.
@@ -95,8 +117,7 @@ def is_g_open(space: FiniteSpace, a: PointSet) -> bool:
 
 def is_alpha_m_closed(space: FiniteSpace, a: PointSet) -> bool:
     i = space.interior(space.closure(a))
-    k = _union(space.min_alpha_nbhd, a)    # smallest alpha-open superset
-    return i & k == i
+    return i & (a | space.maximal) == i
 
 
 def is_alpha_m_open(space: FiniteSpace, a: PointSet) -> bool:
@@ -137,12 +158,10 @@ class ClassificationReport:
 
 def classify_subset(space: FiniteSpace, a: PointSet) -> ClassificationReport:
     """All 15 class flags for one subset, from one pass over its interiors,
-    closures and kernels.  The complement needs only its kernels: as
-    cl(X - A) = X - int(A), it is g-closed iff ker(X - A) | int(A) == X, and
-    as int(cl(X - A)) = X - cl(int(A)), alpha_m-closed iff
-    aker(X - A) | cl(int(A)) == X."""
+    closures and kernel.  As cl(X - A) = X - int(A), the complement is
+    g-closed iff ker(X - A) | int(A) == X."""
     check_space(space).check_subset(a)
-    minn, aminn, full = space.min_nbhd, space.min_alpha_nbhd, space.full
+    minn, maximal, full = space.min_nbhd, space.maximal, space.full
     ia = _interior(minn, a)
     ca = full ^ _interior(minn, full ^ a)
     ica = _interior(minn, ca)                   # int(cl(A))
@@ -154,7 +173,7 @@ def classify_subset(space: FiniteSpace, a: PointSet) -> ClassificationReport:
         a & ica == a, cia & a == cia, a & cia == a, ica & a == ica,
         a & icia == a, cica & a == cica, a & cica == a, icia & a == icia,
         ca & _union(minn, a) == ca, _union(minn, full ^ a) | ia == full,
-        ica & _union(aminn, a) == ica, _union(aminn, full ^ a) | cia == full)
+        ica & (a | maximal) == ica, a & (cia | maximal) == a)
 
 
 def _class_index(class_id: str) -> int:

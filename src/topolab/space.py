@@ -72,9 +72,10 @@ class FiniteSpace:
     then numeric bitmask value).  Instances are pure values: hashable,
     comparable field by field, picklable, and safe to share across threads.
     Derived data are cached on the instance on first use, and recomputing
-    any of it gives the same value: the per-point neighbourhood tables, from
-    which interior and closure are computed per call, and the class
-    families that :mod:`topolab.classes` has listed for this space.
+    any of it gives the same value: the per-point neighbourhood table, from
+    which interior and closure are computed per call, the mask of maximal
+    points, and the class families that :mod:`topolab.classes` has listed
+    for this space.
     Construct through :func:`new_space` or the generators; the raw
     constructor does not validate.
     """
@@ -93,22 +94,11 @@ class FiniteSpace:
         return _min_nbhds(self.n, self.opens)
 
     @cached_property
-    def min_alpha_nbhd(self) -> tuple[PointSet, ...]:
-        """Smallest alpha-open neighbourhood of each point x: {x} | (U_x & M).
-
-        M is the set of maximal points, the y with U_z == U_y for every z
-        in U_y.  U_y lies in M for y in M, so U_x & M is open.
-        A = {x} | (U_x & M) is alpha-open: each z in U_x has a maximal
-        point in U_z <= U_x, so U_x <= cl(U_x & M) <= cl(int(A)), and as
-        U_x is open, A <= U_x <= int(cl(int(A))).  It is the least: if B
-        is alpha-open and holds x, then U_x <= int(cl(int(B))), so each
-        maximal y in U_x has U_y meeting int(B) at some z; U_z == U_y
-        holds y, so y is in int(B).
-        """
-        minn = self.min_nbhd
-        maximal = sum(1 << y for y, u in enumerate(minn)
-                      if all(minn[z] == u for z in points_of(u)))
-        return tuple((1 << x) | (u & maximal) for x, u in enumerate(minn))
+    def maximal(self) -> PointSet:
+        """The maximal points M: the x whose U_x is a minimal nonempty open
+        set, that is, with U_z == U_x for every z in U_x.  U_x lies in M
+        for x in M, and every nonempty open set holds a point of M."""
+        return _maximal(self.min_nbhd)
 
     @cached_property
     def _families(self) -> dict:
@@ -163,6 +153,12 @@ def _min_nbhds(n: int, opens) -> tuple[PointSet, ...]:
     # per point, the intersection of the opens that contain it
     return tuple(reduce(and_, (u for u in opens if u >> x & 1), (1 << n) - 1)
                  for x in range(n))
+
+
+def _maximal(minn) -> PointSet:
+    # the points whose neighbourhood is the neighbourhood of each of its points
+    return sum(1 << x for x, u in enumerate(minn)
+               if all(minn[z] == u for z in points_of(u)))
 
 
 def _interior(minn, a: PointSet) -> PointSet:

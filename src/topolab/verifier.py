@@ -477,10 +477,11 @@ class _FailingG(dict):
 
 
 @lru_cache(maxsize=1)
-def _middle_memo(max_points: int, map_cap) -> dict:
-    """(property, middle position) -> _FailingG, for the scope of the last
-    composition sweep.  Each worker process builds it once and every chunk
-    it runs reads it."""
+def _middle_memo(map_cap, *columns) -> dict:
+    """(property, middle position) -> _FailingG, for the map cap and the
+    table columns (point count and ``_MAP_SIDE``) of the last composition
+    sweep, which are all that its counts read.  Each worker process builds
+    it once and every chunk it runs reads it."""
     return {}
 
 
@@ -521,7 +522,8 @@ def _sweep_chunk(encs, scope: Scope, tables: dict, start: int, stop: int):
     triples = [(k, enc.map_prop) for k, enc in enumerate(encs)
                if isinstance(enc, _TripleClaim)]
     middles = [iy for iy, t in enumerate(t_alpha_m) if t] if triples else []
-    memo = _middle_memo(scope.max_points, cap) if triples else None
+    memo = _middle_memo(cap, *(tables[name] for name in ("n",) + _MAP_SIDE)) \
+        if triples else None
     kept = {}   # rows of the middle spaces
 
     def row(i):

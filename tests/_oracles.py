@@ -95,17 +95,26 @@ def naive_min_nbhd(n, opens, x):
     return best
 
 
-def naive_min_alpha_nbhd(n, opens, x):
-    """Intersection of every alpha-open set containing x.
+def naive_maximal(n, opens):
+    """Mask of the points x whose minimal neighbourhood is a minimal
+    nonempty open set: no nonempty open set lies strictly inside it."""
+    out = 0
+    for x in range(n):
+        m = naive_min_nbhd(n, opens, x)
+        if not any(u and u & m == u and u != m for u in opens):
+            out |= 1 << x
+    return out
 
-    A is alpha-open iff A <= int(cl(int(A))), with int and cl taken from
-    the naive oracles above; every subset of the ground set is tried.
-    """
-    best = (1 << n) - 1
-    for a in range(1 << n):
-        if not a >> x & 1:
-            continue
-        icia = naive_interior(n, opens, naive_closure(n, opens, naive_interior(n, opens, a)))
-        if a & icia == a:
-            best &= a
-    return best
+
+def naive_alpha_open(n, opens, a):
+    """A <= int(cl(int(A))), from the naive interior and closure above."""
+    icia = naive_interior(n, opens, naive_closure(n, opens, naive_interior(n, opens, a)))
+    return a & icia == a
+
+
+def naive_alpha_m_closed(n, opens, a):
+    """The paper's definition: int(cl(A)) lies inside every alpha-open
+    superset of A; every subset of the ground set is tried."""
+    ica = naive_interior(n, opens, naive_closure(n, opens, a))
+    return all(ica & u == ica for u in range(1 << n)
+               if u & a == a and naive_alpha_open(n, opens, u))

@@ -1,6 +1,7 @@
 import pytest
 
 import topolab as T
+from topolab import axioms
 from topolab.enumeration import spaces_up_to
 from topolab.errors import BadParams
 
@@ -79,17 +80,35 @@ def test_T_half_iff_singletons_open_or_closed():
 
 
 def test_T_alpha_m_iff_singletons_closed_or_open_with_clopen_closure():
-    """Conjecture, not a proved theorem: T_alpha_m iff every singleton is
-    closed, or is open with a clopen closure.  Checked here on every
-    labeled space with at most 5 points (252 of the 7,332 are T_alpha_m)."""
+    """Proved in topolab.axioms, and decided that way: T_alpha_m iff every
+    singleton is closed, or is open with a clopen closure.  Pinned here to
+    the families on every labeled space with at most 5 points (252 of the
+    7,332 are T_alpha_m)."""
     holds = 0
     for s in spaces_up_to(5):
         pointwise = all(s.is_closed(1 << x)
                         or (s.is_open(1 << x) and s.is_clopen(s.closure(1 << x)))
                         for x in range(s.n))
+        assert pointwise == (
+            T.family_set(s, "alpha_m_closed") == T.family_set(s, "closed")), s
         assert T.is_T_alpha_m(s) == pointwise, s
         holds += pointwise
     assert holds == 252
+
+
+def test_holding_gap_axioms_walk_no_subsets(monkeypatch):
+    # T_half and T_alpha_m are decided from the singletons; the canonical
+    # walk runs only to find the witness of a failing space
+    spaces = [s for s in spaces_up_to(5) if T.is_T_alpha_m(s)] + [T.discrete(16)]
+
+    def refuse(n):
+        raise AssertionError("a holding axiom walked the subsets")
+
+    monkeypatch.setattr(axioms, "canonical_subsets", refuse)
+    for s in spaces:
+        r = T.axiom_report(s)
+        assert r.T_alpha_m and r.T_half, s
+    assert len(spaces) == 253
 
 
 def test_singleton_dichotomy_examples():

@@ -12,15 +12,15 @@ import topolab as T
 from topolab import _kernels, classes, verifier
 from topolab.maps import SpaceMap, assignment_from_index, compose, map_index
 
-from _oracles import naive_closure, naive_interior, naive_min_alpha_nbhd, naive_min_nbhd
+from _oracles import naive_closure, naive_interior, naive_maximal, naive_min_nbhd
 
 
 def test_space_pack_and_class_masks_agree():
     # space_pack against the naive oracles, class_masks against the predicates
     for s in T.spaces_up_to(3):
-        minn, aminn, int_t, cl_t = _kernels.space_pack(s.n, s.opens)
+        minn, maximal, int_t, cl_t = _kernels.space_pack(s.n, s.opens)
         assert minn == tuple(naive_min_nbhd(s.n, s.opens, x) for x in range(s.n))
-        assert aminn == tuple(naive_min_alpha_nbhd(s.n, s.opens, x) for x in range(s.n))
+        assert maximal == naive_maximal(s.n, s.opens)
         assert int_t == tuple(naive_interior(s.n, s.opens, a) for a in s.subsets())
         assert cl_t == tuple(naive_closure(s.n, s.opens, a) for a in s.subsets())
         masks = _kernels.class_masks(s.n, s.opens)

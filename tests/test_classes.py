@@ -4,6 +4,8 @@ import topolab as T
 from topolab import _kernels, classes, maps
 from topolab.errors import BadParams, ScopeTooLarge
 
+from _oracles import naive_alpha_m_closed
+
 SIERP = T.sierpinski()
 IND2 = T.indiscrete(2)
 DISC2 = T.discrete(2)
@@ -64,6 +66,24 @@ def test_indiscrete_every_subset_alpha_m_closed():
         s = T.indiscrete(n)
         for a in s.subsets():
             assert T.is_alpha_m_closed(s, a)
+
+
+def test_alpha_m_classes_match_the_definition():
+    # the maximal-point tests of the predicate, the single pass and the
+    # class_masks kernel against the paper's definition, on every n <= 4
+    for s in all_spaces(4):
+        masks = _kernels.class_masks(s.n, s.opens)
+        closed_fm, open_fm = masks[-2:]
+        for a in s.subsets():
+            want = naive_alpha_m_closed(s.n, s.opens, a)
+            want_open = naive_alpha_m_closed(s.n, s.opens, s.full ^ a)
+            r = T.classify_subset(s, a)
+            assert T.is_alpha_m_closed(s, a) == r.alpha_m_closed == want, (s, a)
+            assert T.is_alpha_m_open(s, a) == r.alpha_m_open == want_open, (s, a)
+            assert (closed_fm >> a & 1, open_fm >> a & 1) == (want, want_open), (s, a)
+        # proved in topolab.classes: the family is closed under intersection
+        fam = T.family_set(s, "alpha_m_closed")
+        assert all(a & b in fam for a in fam for b in fam), s
 
 
 # ----------------------------------------------------------- full reports
@@ -249,7 +269,9 @@ def test_kernels():
     # kernel = intersection of open supersets = union of minimal nbhds
     assert classes._union(SIERP.min_nbhd, 0b10) == 0b11
     assert classes._union(SIERP.min_nbhd, 0b01) == 0b01
-    assert classes._union(IND2.min_alpha_nbhd, 0b01) == 0b11
+    # the alpha_m classes read the maximal points instead
+    assert (SIERP.maximal, IND2.maximal, T.khalimsky_interval(3).maximal) == \
+        (0b01, 0b11, 0b010)
     for s in all_spaces(3):
         for a in s.subsets():
             ker = s.full

@@ -9,7 +9,7 @@ from topolab.enumeration import spaces_up_to
 from topolab.errors import BadParams, NotATopology
 
 from _oracles import (naive_closure, naive_interior, naive_labeled_families,
-                      naive_min_alpha_nbhd, naive_min_nbhd)
+                      naive_maximal, naive_min_nbhd)
 
 SIERP = T.sierpinski()
 
@@ -133,12 +133,12 @@ def test_closure_examples():
 
 
 def test_interior_closure_match_naive_oracle():
-    # with the minimal (alpha-)neighbourhoods they are computed from
+    # with the minimal neighbourhoods they are computed from, and the
+    # maximal points that the alpha_m classes read
     for s in spaces_up_to(4):
         n, opens = s.n, s.opens
         assert s.min_nbhd == tuple(naive_min_nbhd(n, opens, x) for x in range(n))
-        assert s.min_alpha_nbhd == tuple(naive_min_alpha_nbhd(n, opens, x)
-                                         for x in range(n))
+        assert s.maximal == naive_maximal(n, opens)
         for a in s.subsets():
             assert s.interior(a) == naive_interior(n, opens, a)
             assert s.closure(a) == naive_closure(n, opens, a)

@@ -394,6 +394,25 @@ def test_composition_fold_matches_every_pair():
     assert (failures, found) == (expect[0], [b[:3] for b in expect[1]])
 
 
+def test_middle_memo_follows_the_tables():
+    # the composition counts a worker keeps per middle position must not
+    # outlive the tables they were read from: the same scope swept over the
+    # stream in another order gives the counts of a fresh process
+    forward = spaces_up_to(2)
+    encs = [verifier._ENCODINGS["P3_6"], verifier._ENCODINGS["T3_8b"]]
+    scope = verifier.Scope(max_points=2, witness_limit=None)
+
+    def failures(spaces):
+        tables = dict(verifier._space_tables(spaces), T_alpha_m=(True,) * len(spaces))
+        return verifier._sweep_chunk(encs, scope, tables, 0, len(spaces))[0]
+
+    verifier._middle_memo.cache_clear()
+    assert failures(forward[::-1]) == [16, 36]
+    verifier._middle_memo.cache_clear()
+    failures(forward)
+    assert failures(forward[::-1]) == [16, 36]
+
+
 def test_verify_rejects_bad_scope_or_claim():
     with pytest.raises(BadParams):
         T.verify("nope")
