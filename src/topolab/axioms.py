@@ -35,7 +35,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from . import classes
-from .space import FiniteSpace, PointSet, canonical_subsets, check_space, points_of
+from .space import FiniteSpace, PointSet, _interior, canonical_subsets, check_space, points_of
 
 AXIOM_IDS = ("T0", "T1", "T_half", "T_alpha_m", "singleton_dichotomy")
 
@@ -98,22 +98,25 @@ def _all_singletons(space: FiniteSpace, test) -> bool:
 def _gap_witness(space: FiniteSpace, singleton_test, member):
     """First member of the class that is not closed, in canonical order, or
     None.  ``singleton_test`` holds on every singleton iff there is none
-    (see the module docstring), so the subsets are walked only when it fails."""
+    (see the module docstring), so the subsets are walked only when it fails.
+    ``member`` takes the space and a subset, and checks neither."""
     if _all_singletons(space, singleton_test):
         return None
+    minn, full = space.min_nbhd, space.full
     for a in canonical_subsets(space.n):
-        if not space.is_closed(a) and member(space, a):
+        c = full ^ a
+        if _interior(minn, c) != c and member(space, a):
             return a
     return None
 
 
 def _t_half_witness(space: FiniteSpace):
-    return _gap_witness(space, _open_or_closed, classes.is_g_closed)
+    return _gap_witness(space, _open_or_closed, classes._g_closed)
 
 
 def _t_alpha_m_witness(space: FiniteSpace):
     return _gap_witness(space, _closed_or_open_with_open_closure,
-                        classes.is_alpha_m_closed)
+                        classes._alpha_m_closed)
 
 
 def _dichotomy_witness(space: FiniteSpace):

@@ -11,9 +11,10 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 
-from . import classes
+from .classes import _alpha_m_closed, _union, alpha_m_closed_meet_irreducibles
 from .errors import BadParams, SpaceMismatch
-from .space import FiniteSpace, PointSet, check_space, load_json, space_from_record
+from .space import (FiniteSpace, PointSet, _interior, check_space, load_json, points_of,
+                    space_from_record)
 
 MAP_PROPERTY_IDS = (
     "continuous", "open_map", "closed_map", "surjective", "bijective",
@@ -119,50 +120,128 @@ def inverse(f: SpaceMap) -> SpaceMap:
     return SpaceMap(f.codomain, f.domain, tuple(inv))
 
 
+# The predicates below test sets they build from the neighbourhood tables,
+# so they take images and preimages through these tables, unchecked, rather
+# than through SpaceMap.image/preimage.
+
+def _fibres(f: SpaceMap) -> list:
+    # f^-1({y}) for each codomain point y; f^-1(B) is their union over B
+    fib = [0] * f.codomain.n
+    for x, y in enumerate(f.assignment):
+        fib[y] |= 1 << x
+    return fib
+
+
+def _point_images(f: SpaceMap) -> list:
+    # {f(x)} for each domain point x; f(A) is their union over A
+    return [1 << y for y in f.assignment]
+
+
+def _is_open(space: FiniteSpace, a: PointSet) -> bool:
+    return _interior(space.min_nbhd, a) == a
+
+
 def is_continuous(f: SpaceMap) -> bool:
-    """Preimage of every open set is open."""
-    return all(f.domain.is_open(f.preimage(u)) for u in f.codomain.opens)
+    """Preimage of every open set is open.
+
+    Each open set of Y is the union of the U_y it holds, preimages commute
+    with unions, and unions of open sets are open; so it suffices that
+    f^-1(U_y) is open for every y."""
+    fib = _fibres(f)
+    return all(_is_open(f.domain, _union(fib, u)) for u in f.codomain.min_nbhd)
 
 
 def is_open_map(f: SpaceMap) -> bool:
-    """Image of every open set is open."""
-    return all(f.codomain.is_open(f.image(u)) for u in f.domain.opens)
+    """Image of every open set is open.
+
+    Each open set of X is the union of the U_x it holds, and images commute
+    with unions; so it suffices that f(U_x) is open for every x."""
+    pts = _point_images(f)
+    return all(_is_open(f.codomain, _union(pts, u)) for u in f.domain.min_nbhd)
 
 
 def is_closed_map(f: SpaceMap) -> bool:
-    """Image of every closed set is closed."""
-    full = f.domain.full
-    return all(f.codomain.is_closed(f.image(full ^ u)) for u in f.domain.opens)
+    """Image of every closed set is closed.
+
+    Each closed set of X is the union of the cl({x}) it holds, images
+    commute with unions, and finite unions of closed sets are closed; so it
+    suffices that f(cl({x})) is closed for every x."""
+    minn, full = f.domain.min_nbhd, f.domain.full
+    pts, cod_full = _point_images(f), f.codomain.full
+    for x in range(f.domain.n):
+        closure = full ^ _interior(minn, full ^ (1 << x))
+        if not _is_open(f.codomain, cod_full ^ _union(pts, closure)):
+            return False
+    return True
 
 
 def is_alpha_m_continuous(f: SpaceMap) -> bool:
-    """Preimage of every closed set is alpha_m-closed."""
-    full = f.codomain.full
-    return all(classes.is_alpha_m_closed(f.domain, f.preimage(full ^ u))
-               for u in f.codomain.opens)
+    """Preimage of every closed set is alpha_m-closed.
+
+    Each closed set F of Y is the intersection of the Y - U_y with y
+    outside F (U_y misses F, as F is closed), preimages commute with
+    intersections, and alpha_m-closed sets are closed under them (see
+    :mod:`topolab.classes`); so it suffices that X - f^-1(U_y) is
+    alpha_m-closed, that is, f^-1(U_y) is alpha_m-open, for every y."""
+    fib, full = _fibres(f), f.domain.full
+    return all(_alpha_m_closed(f.domain, full ^ _union(fib, u))
+               for u in f.codomain.min_nbhd)
 
 
 def is_alpha_m_irresolute(f: SpaceMap) -> bool:
-    """Preimage of every alpha_m-closed set is alpha_m-closed."""
-    return all(classes.is_alpha_m_closed(f.domain, f.preimage(c))
-               for c in classes.family(f.codomain, "alpha_m_closed"))
+    """Preimage of every alpha_m-closed set is alpha_m-closed.
+
+    Each alpha_m-closed set of Y is an intersection of the meet-irreducible
+    ones (:func:`topolab.classes.alpha_m_closed_meet_irreducibles`),
+    preimages commute with intersections, and alpha_m-closed sets of X are
+    closed under them; so it suffices that the preimage of each
+    meet-irreducible one is alpha_m-closed."""
+    fib = _fibres(f)
+    return all(_alpha_m_closed(f.domain, _union(fib, c))
+               for c in alpha_m_closed_meet_irreducibles(f.codomain))
 
 
 def is_alpha_m_closed_map(f: SpaceMap) -> bool:
-    """Image of every closed set is alpha_m-closed."""
-    full = f.domain.full
-    return all(classes.is_alpha_m_closed(f.codomain, f.image(full ^ u))
-               for u in f.domain.opens)
+    """Image of every closed set is alpha_m-closed.
+
+    Writing ker(S) for the union of the U_x over x in S, it suffices that
+    f(X - ker(f^-1({y}))), the image of a closed set, is alpha_m-closed for
+    every y outside the maximal points M of Y.  For suppose some closed F
+    has f(F) not alpha_m-closed: some y outside M | f(F) lies in
+    int(cl(f(F))).  F misses f^-1({y}), so, being closed, it misses
+    ker(f^-1({y})); so F lies in G = X - ker(f^-1({y})).  Then f(F) <= f(G),
+    y is not in f(G), and y is in int(cl(f(G))), so f(G) is not
+    alpha_m-closed either."""
+    minn, full = f.domain.min_nbhd, f.domain.full
+    fib, pts = _fibres(f), _point_images(f)
+    for y in points_of(f.codomain.full ^ f.codomain.maximal):
+        g = full ^ _union(minn, fib[y])
+        if not _alpha_m_closed(f.codomain, _union(pts, g)):
+            return False
+    return True
 
 
 def is_alpha_m_open_map(f: SpaceMap) -> bool:
-    """Image of every open set is alpha_m-open."""
-    return all(classes.is_alpha_m_open(f.codomain, f.image(u)) for u in f.domain.opens)
+    """Image of every open set is alpha_m-open.
+
+    Each open set of X is the union of the U_x it holds, images commute
+    with unions, and alpha_m-open sets, the complements of alpha_m-closed
+    ones, are closed under unions; so it suffices that f(U_x) is
+    alpha_m-open for every x."""
+    pts, full = _point_images(f), f.codomain.full
+    return all(_alpha_m_closed(f.codomain, full ^ _union(pts, u))
+               for u in f.domain.min_nbhd)
 
 
 def open_preimages_alpha_m_open(f: SpaceMap) -> bool:
-    """Preimage of every open set is alpha_m-open."""
-    return all(classes.is_alpha_m_open(f.domain, f.preimage(u)) for u in f.codomain.opens)
+    """Preimage of every open set is alpha_m-open.
+
+    Each open set of Y is the union of the U_y it holds, preimages commute
+    with unions, and alpha_m-open sets are closed under unions; so it
+    suffices that f^-1(U_y) is alpha_m-open for every y.  That is the test
+    that decides :func:`is_alpha_m_continuous`, so the two properties
+    coincide."""
+    return is_alpha_m_continuous(f)
 
 
 @dataclass(frozen=True)

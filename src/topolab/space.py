@@ -75,7 +75,8 @@ class FiniteSpace:
     any of it gives the same value: the per-point neighbourhood table, from
     which interior and closure are computed per call, the mask of maximal
     points, and the class families that :mod:`topolab.classes` has listed
-    for this space.
+    for this space.  :func:`new_space` and the generators store the table
+    they built the space from, so it is not derived a second time.
     Construct through :func:`new_space` or the generators; the raw
     constructor does not validate.
     """
@@ -204,14 +205,16 @@ def _diagnose_family(n: int, members: set) -> None:
     raise NotATopology("family is not closed under union/intersection")
 
 
-def _validate_family(n: int, members: set) -> None:
+def _validate_family(n: int, members: set) -> tuple[PointSet, ...]:
+    """The neighbourhood table of the topology ``members``; NotATopology if
+    it is not one."""
     full = (1 << n) - 1
     if 0 not in members:
         raise NotATopology("the empty set is missing from the family")
     if full not in members:
         raise NotATopology(f"the full set {format_subset(full)} is missing from the family")
     if len(members) == full + 1:
-        return  # power set: always a topology
+        return tuple(1 << x for x in range(n))  # power set: always a topology
     # U_x, the intersection of the members holding x, lies in each of them.
     # So if adding any U_x to a member gives a member, the family is exactly
     # the unions of U_x's (reached from {}), the opens of the topology the
@@ -219,6 +222,7 @@ def _validate_family(n: int, members: set) -> None:
     minn = _min_nbhds(n, members)
     if any(u | m not in members for u in members for m in minn):
         _diagnose_family(n, members)
+    return minn
 
 
 def new_space(n: int, opens: Iterable[PointSet]) -> FiniteSpace:
@@ -238,15 +242,24 @@ def new_space(n: int, opens: Iterable[PointSet]) -> FiniteSpace:
         if not isinstance(u, int) or isinstance(u, bool) or not 0 <= u <= full:
             raise BadParams(f"subset {u!r} does not fit in {n} points")
         members.add(u)
-    _validate_family(n, members)
-    return FiniteSpace(n, tuple(sorted(members, key=family_sort_key)))
+    minn = _validate_family(n, members)
+    return _seeded(FiniteSpace(n, tuple(sorted(members, key=family_sort_key))), minn)
+
+
+def _seeded(space: FiniteSpace, minn) -> FiniteSpace:
+    # store the table the constructor already holds as the cached min_nbhd,
+    # so that it is not derived from the opens a second time
+    vars(space)["min_nbhd"] = tuple(minn)
+    return space
 
 
 def _from_min_nbhds(n: int, minn: list) -> FiniteSpace:
-    # opens = subsets closed upward under the given neighbourhood table;
-    # such a family is a topology by construction, so skip re-validation
+    """The space whose minimal neighbourhoods are ``minn``.  The table must
+    be exact: x in minn[x], and minn[z] <= minn[x] for z in minn[x].  The
+    opens, the subsets closed upward under it, are a topology by
+    construction, so they are not validated again."""
     opens = [a for a in canonical_subsets(n) if _interior(minn, a) == a]
-    return FiniteSpace(n, tuple(opens))
+    return _seeded(FiniteSpace(n, tuple(opens)), minn)
 
 
 def _check_n(n, low: int = 0):

@@ -86,6 +86,25 @@ def test_alpha_m_classes_match_the_definition():
         assert all(a & b in fam for a in fam for b in fam), s
 
 
+def test_meet_irreducibles_match_brute_force():
+    # the listed generators are exactly the members of the alpha_m-closed
+    # family that are not the intersection of the members strictly above
+    # them, on all 7,332 spaces with n <= 5
+    for s in all_spaces(5):
+        fam = T.family_set(s, "alpha_m_closed")
+        irreducible = set()
+        for c in fam - {s.full}:
+            meet = s.full
+            for d in fam:
+                if d != c and d & c == c:
+                    meet &= d
+            if meet != c:
+                irreducible.add(c)
+        listed = classes.alpha_m_closed_meet_irreducibles(s)
+        assert len(listed) == len(set(listed)), s
+        assert set(listed) == irreducible, s
+
+
 # ----------------------------------------------------------- full reports
 
 def test_classification_report_sierpinski_0():

@@ -1,4 +1,5 @@
 import itertools
+import random
 
 import pytest
 from hypothesis import given, settings
@@ -333,11 +334,15 @@ def preorder_spaces(draw, min_n=0, max_n=6):
 @settings(max_examples=150, deadline=None)
 @given(st.data())
 def test_map_predicates_match_family_definitions(data):
-    # the predicates quantify over the opens; the definitions over families
+    # the predicates test generating sets; the definitions quantify over
+    # every open, closed, alpha_m-closed or alpha_m-open set
     x, y = data.draw(preorder_spaces()), data.draw(preorder_spaces())
     if x.n and not y.n:
         return
     f = T.SpaceMap(x, y, tuple(data.draw(st.integers(0, y.n - 1)) for _ in range(x.n)))
+    opens_x, opens_y = set(x.opens), set(y.opens)
+    assert T.is_continuous(f) == all(f.preimage(u) in opens_x for u in y.opens)
+    assert T.is_open_map(f) == all(f.image(u) in opens_y for u in x.opens)
     amc_x, amc_y = (classes.family_set(s, "alpha_m_closed") for s in (x, y))
     amo_x, amo_y = (classes.family_set(s, "alpha_m_open") for s in (x, y))
     closed_x, closed_y = (classes.family(s, "closed") for s in (x, y))
@@ -348,3 +353,34 @@ def test_map_predicates_match_family_definitions(data):
     assert T.is_alpha_m_open_map(f) == all(f.image(u) in amo_y for u in x.opens)
     assert maps.open_preimages_alpha_m_open(f) == all(
         f.preimage(u) in amo_x for u in y.opens)
+
+
+def test_map_queries_walk_no_family(monkeypatch):
+    # every map property is decided from per-point generating sets: with
+    # the subset walk and the family listings refused, classify_map still
+    # answers on 5-16 point spaces
+    rng = random.Random(12)
+    pool = []
+    for n in range(5, 17):
+        reach = [1 << x | rng.getrandbits(n) & rng.getrandbits(n) & rng.getrandbits(n)
+                 for x in range(n)]
+        for k in range(n):          # Warshall
+            for x in range(n):
+                if reach[x] >> k & 1:
+                    reach[x] |= reach[k]
+        pool.append(space._from_min_nbhds(n, reach))
+    wide = T.discrete(16)
+
+    def refuse(*args):
+        raise AssertionError("a map query walked the subsets")
+
+    for name in ("canonical_subsets", "family", "family_set"):
+        monkeypatch.setattr(classes, name, refuse)
+    fs = [T.identity_map(wide)]
+    for x in pool:
+        for y in rng.sample(pool, 3) + [x]:
+            fs.append(T.SpaceMap(x, y, tuple(rng.randrange(y.n) for _ in range(x.n))))
+    for f in fs:
+        assert len(T.classify_map(f).to_record()) == len(T.MAP_PROPERTY_IDS)
+        assert isinstance(maps.open_preimages_alpha_m_open(f), bool)
+    assert all(T.classify_map(fs[0]).to_record().values())

@@ -5,6 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import topolab as T
+from topolab import space
 from topolab.enumeration import spaces_up_to
 from topolab.errors import BadParams, NotATopology
 
@@ -200,6 +201,26 @@ def test_generator_structures():
 def test_khalimsky_minimal_neighbourhoods():
     k = T.khalimsky_interval(5)
     assert k.min_nbhd == (0b00011, 0b00010, 0b01110, 0b01000, 0b11000)
+
+
+def test_constructors_seed_the_exact_neighbourhood_table():
+    # new_space and the generators store the table they already hold as
+    # min_nbhd; it must be the one the opens give
+    def check(s):
+        assert "min_nbhd" in vars(s), s
+        assert s.min_nbhd == space._min_nbhds(s.n, s.opens), s
+
+    for s in spaces_up_to(5):
+        check(T.new_space(s.n, s.opens))
+    check(T.space_from_json(T.khalimsky_interval(6).to_json()))
+    check(T.discrete(16))
+    for n in range(9):
+        for s in (T.discrete(n), T.indiscrete(n), T.khalimsky_interval(n)):
+            check(s)
+        for p in range(n):
+            check(T.particular_point(n, p))
+            check(T.excluded_point(n, p))
+    check(T.sierpinski())
 
 
 def test_generate_dispatch():
