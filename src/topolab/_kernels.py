@@ -3,6 +3,9 @@
 Conventions:
 
 - a subset of the ground set {0..n-1} is an int bitmask (bit p = point p);
+- a topology is its neighbourhood table, the tuple (U_0, ..., U_{n-1}) of
+  per-point minimal open neighbourhoods, as ``FiniteSpace.min_nbhd`` holds
+  it; the kernels read and return no other form of a space;
 - a family of subsets is an int "family mask" with bit A set iff the subset
   whose bitmask value is A belongs to the family (used for n <= 6);
 - maps X -> Y are ranked like ``itertools.product(range(nY), repeat=nX)``:
@@ -16,18 +19,10 @@ from __future__ import annotations
 from functools import lru_cache
 from typing import NamedTuple
 
-from .space import _interior, _maximal, _min_nbhds
+from .space import _interior, _maximal
 
 # the one kernel implementation; the benchmark prints topolab.BACKEND
 BACKEND = "pure"
-
-# order of the tuple returned by class_masks
-CLASS_ORDER = (
-    "open", "closed", "clopen",
-    "preopen", "preclosed", "semiopen", "semiclosed",
-    "alpha_open", "alpha_closed", "beta_open", "beta_closed",
-    "g_closed", "g_open", "alpha_m_closed", "alpha_m_open",
-)
 
 # order of the tuple returned by map_masks
 MAP_PROP_ORDER = (
@@ -38,82 +33,44 @@ MAP_PROP_ORDER = (
 )
 
 
-def space_pack(n, opens):
-    """Derived tables for a validated topology.
+def space_pack(n, minn):
+    """Derived tables for the neighbourhood table ``minn`` of an n-point
+    space.
 
-    Returns ``(min_nbhd, maximal, interior_table, closure_table)``: per-point
-    smallest open neighbourhoods, the mask of maximal points (see
-    ``FiniteSpace.maximal``), and full interior/closure lookup tables
-    indexed by subset bitmask.  Only :func:`class_masks` calls it; it is a
-    function of its own because the benchmark's tracer times it by name.
+    Returns ``(maximal, interior_table, closure_table)``: the mask of
+    maximal points (see ``FiniteSpace.maximal``), and full interior/closure
+    lookup tables indexed by subset bitmask.  Only :func:`class_masks` calls
+    it; it is a function of its own because the benchmark's tracer times it
+    by name.
     """
     full = (1 << n) - 1
-    minn = _min_nbhds(n, opens)
     int_t = tuple(_interior(minn, a) for a in range(full + 1))
     cl_t = tuple(full ^ int_t[full ^ a] for a in range(full + 1))
-    return minn, _maximal(minn), int_t, cl_t
+    return _maximal(minn), int_t, cl_t
 
 
-def class_masks(n, opens):
-    """The 15 class family masks, in CLASS_ORDER.  Requires n <= 6."""
-    minn, maximal, int_t, cl_t = space_pack(n, opens)
-    size = 1 << n
-    full = size - 1
-    open_fm = 0
-    for u in opens:
-        open_fm |= 1 << u
-    closed_fm = 0
-    for a in range(size):
-        if open_fm >> (full ^ a) & 1:
-            closed_fm |= 1 << a
-    preopen = preclosed = semiopen = semiclosed = 0
-    alpha_open = alpha_closed = beta_open = beta_closed = 0
-    g_closed = am_closed = am_open = 0
-    for a in range(size):
+def class_masks(n, minn):
+    """The family masks of the open, closed, alpha_m-closed and alpha_m-open
+    sets of the n-point space with neighbourhood table ``minn``: the four
+    that :func:`map_masks` reads on each side, in its argument order.  The
+    alpha_m classes are the semiclosed and semiopen sets up to the maximal
+    points (see :mod:`topolab.classes`).  Requires n <= 6."""
+    maximal, int_t, cl_t = space_pack(n, minn)
+    open_fm = closed_fm = am_closed = am_open = 0
+    for a in range(1 << n):
         bit = 1 << a
         ia = int_t[a]
         ca = cl_t[a]
+        if ia == a:
+            open_fm |= bit
+        if ca == a:
+            closed_fm |= bit
         ica = int_t[ca]      # int(cl(A))
-        cia = cl_t[ia]       # cl(int(A))
-        icia = int_t[cia]    # int(cl(int(A)))
-        cica = cl_t[ica]     # cl(int(cl(A)))
-        if a & ica == a:
-            preopen |= bit
-        if cia & a == cia:
-            preclosed |= bit
-        if a & cia == a:
-            semiopen |= bit
-        if ica & a == ica:
-            semiclosed |= bit
-        if a & icia == a:
-            alpha_open |= bit
-        if cica & a == cica:
-            alpha_closed |= bit
-        if a & cica == a:
-            beta_open |= bit
-        if icia & a == icia:
-            beta_closed |= bit
-        ker = 0
-        t = a
-        while t:
-            b = t & -t
-            t ^= b
-            ker |= minn[b.bit_length() - 1]
-        if ca & ker == ca:
-            g_closed |= bit
-        # semiclosed and semiopen up to the maximal points (topolab.classes)
         if ica & (a | maximal) == ica:
             am_closed |= bit
-        if a & (cia | maximal) == a:
+        if a & (cl_t[ia] | maximal) == a:
             am_open |= bit
-    g_open = 0
-    for a in range(size):
-        if g_closed >> (full ^ a) & 1:
-            g_open |= 1 << a
-    return (open_fm, closed_fm, open_fm & closed_fm,
-            preopen, preclosed, semiopen, semiclosed,
-            alpha_open, alpha_closed, beta_open, beta_closed,
-            g_closed, g_open, am_closed, am_open)
+    return open_fm, closed_fm, am_closed, am_open
 
 
 class SubsetTables(NamedTuple):
@@ -234,33 +191,20 @@ def map_masks(nx, x_open, x_closed, x_amc, x_amo,
 
 
 def enumerate_masks(n):
-    """Family masks of all labeled topologies on n points, ascending.
+    """Neighbourhood tables of all labeled topologies on n points, one tuple
+    (U_0, ..., U_{n-1}) per topology, in search order.
 
     Depth-first assignment of per-point minimal neighbourhoods; the
-    consistency constraint is y in m(x) => m(y) <= m(x).  Requires n <= 5.
+    consistency constraint is y in m(x) => m(y) <= m(x).  The benchmark's
+    tracer times it by this name, so the name stays.  Requires n <= 5.
     """
-    if n == 0:
-        return [1]
     size = 1 << n
     minn = [0] * n
     out = []
 
     def extend(x):
         if x == n:
-            fm = 0
-            for a in range(size):
-                t = a
-                ok = True
-                while t:
-                    b = t & -t
-                    t ^= b
-                    mx = minn[b.bit_length() - 1]
-                    if mx & a != mx:
-                        ok = False
-                        break
-                if ok:
-                    fm |= 1 << a
-            out.append(fm)
+            out.append(tuple(minn))
             return
         bx = 1 << x
         for cand in range(size):
@@ -280,7 +224,6 @@ def enumerate_masks(n):
                 extend(x + 1)
 
     extend(0)
-    out.sort()
     return out
 
 

@@ -61,21 +61,25 @@ Queries read the space's per-point table and its mask of maximal points;
 so does :func:`alpha_m_closed_meet_irreducibles`, which lists at most
 |M| + (n - |M|)·|M| sets (5.7 on average over the spaces of at most 5
 points, whose families average 18.7 members) and keeps none of them.
-:func:`family` and :func:`family_set` walk all 2^n subsets once per space
-and class, and keep the members in the space's own memo;
-:func:`family_mask` asks the ``class_masks`` kernel afresh on every call.
+:func:`family`, :func:`family_set` and :func:`family_mask` walk all 2^n
+subsets on every call, testing each with the class's predicate, and keep
+nothing; no query of the library calls them.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from . import _kernels
 from .errors import BadParams, ScopeTooLarge
 from .space import (FiniteSpace, PointSet, _interior, canonical_subsets, check_space,
                     points_of)
 
-CLASS_IDS = _kernels.CLASS_ORDER
+CLASS_IDS = (
+    "open", "closed", "clopen",
+    "preopen", "preclosed", "semiopen", "semiclosed",
+    "alpha_open", "alpha_closed", "beta_open", "beta_closed",
+    "g_closed", "g_open", "alpha_m_closed", "alpha_m_open",
+)
 
 # widest space for class masks (one bit per subset), as the sweeps use them
 MASK_LIMIT = 6
@@ -240,27 +244,18 @@ def _class_index(class_id: str) -> int:
 
 def family_mask(space: FiniteSpace, class_id: str) -> int:
     """Family mask of one class (bit A set iff subset A belongs); n <= 6."""
-    i = _class_index(class_id)
+    _class_index(class_id)
     if check_space(space).n > MASK_LIMIT:
         raise ScopeTooLarge(f"family masks need n <= {MASK_LIMIT}, got {space.n}")
-    return _kernels.class_masks(space.n, space.opens)[i]
-
-
-def _family_tuple(space: FiniteSpace, i: int) -> tuple:
-    members = check_space(space)._families.get(i)
-    if members is None:
-        member = _PREDICATES[i]
-        members = space._families[i] = tuple(
-            a for a in canonical_subsets(space.n) if member(space, a))
-    return members
+    return sum(1 << a for a in family(space, class_id))
 
 
 def family(space: FiniteSpace, class_id: str) -> list:
-    """All subsets of one class, canonically ordered.  Kept on the space
-    object, so later calls on the same object do not walk the subsets."""
-    return list(_family_tuple(space, _class_index(class_id)))
+    """All subsets of one class, canonically ordered."""
+    member = _PREDICATES[_class_index(class_id)]
+    return [a for a in canonical_subsets(check_space(space).n) if member(space, a)]
 
 
 def family_set(space: FiniteSpace, class_id: str) -> frozenset:
     """Same members as :func:`family`, as a frozenset for O(1) lookups."""
-    return frozenset(_family_tuple(space, _class_index(class_id)))
+    return frozenset(family(space, class_id))

@@ -14,7 +14,7 @@ from typing import Iterator
 from . import _kernels
 from .errors import BadParams, ScopeTooLarge
 from .maps import SpaceMap
-from .space import FiniteSpace, check_space, family_sort_key
+from .space import FiniteSpace, _from_min_nbhds, check_space, family_sort_key
 
 ENUMERATION_CAP = 5
 # canonical_form tries n! relabelings: on a 2-vCPU host discrete(7) takes
@@ -43,14 +43,9 @@ def _check_shard(shard):
 def _labeled(n: int) -> tuple:
     spaces = _labeled_cache.get(n)
     if spaces is None:
-        spaces = []
-        for fm in _kernels.enumerate_masks(n):
-            opens = [a for a in range(1 << n) if fm >> a & 1]
-            opens.sort(key=family_sort_key)
-            spaces.append(FiniteSpace(n, tuple(opens)))
-        spaces.sort(key=lambda s: s.opens)
-        spaces = tuple(spaces)
-        _labeled_cache[n] = spaces
+        spaces = _labeled_cache[n] = tuple(sorted(
+            (_from_min_nbhds(n, minn) for minn in _kernels.enumerate_masks(n)),
+            key=lambda s: s.opens))
     return spaces
 
 

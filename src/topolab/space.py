@@ -71,12 +71,12 @@ class FiniteSpace:
     ``opens`` is deduplicated and stored in canonical order (cardinality,
     then numeric bitmask value).  Instances are pure values: hashable,
     comparable field by field, picklable, and safe to share across threads.
-    Derived data are cached on the instance on first use, and recomputing
-    any of it gives the same value: the per-point neighbourhood table, from
-    which interior and closure are computed per call, the mask of maximal
-    points, and the class families that :mod:`topolab.classes` has listed
-    for this space.  :func:`new_space` and the generators store the table
-    they built the space from, so it is not derived a second time.
+    Two derived values are cached on the instance on first use, and
+    recomputing either gives the same value: the per-point neighbourhood
+    table, from which interior and closure are computed per call, and the
+    mask of maximal points.  The table is the form every space is built
+    from: :func:`new_space`, the generators and the enumeration store the
+    table they hold, so it is not derived from the opens a second time.
     Construct through :func:`new_space` or the generators; the raw
     constructor does not validate.
     """
@@ -100,12 +100,6 @@ class FiniteSpace:
         set, that is, with U_z == U_x for every z in U_x.  U_x lies in M
         for x in M, and every nonempty open set holds a point of M."""
         return _maximal(self.min_nbhd)
-
-    @cached_property
-    def _families(self) -> dict:
-        # class index -> members of that class in canonical order, filled
-        # by topolab.classes; it lives and dies with this instance
-        return {}
 
     def check_subset(self, a: PointSet) -> None:
         if not isinstance(a, int) or isinstance(a, bool) or not 0 <= a <= self.full:
@@ -253,13 +247,17 @@ def _seeded(space: FiniteSpace, minn) -> FiniteSpace:
     return space
 
 
-def _from_min_nbhds(n: int, minn: list) -> FiniteSpace:
+def _from_min_nbhds(n: int, minn) -> FiniteSpace:
     """The space whose minimal neighbourhoods are ``minn``.  The table must
     be exact: x in minn[x], and minn[z] <= minn[x] for z in minn[x].  The
-    opens, the subsets closed upward under it, are a topology by
-    construction, so they are not validated again."""
-    opens = [a for a in canonical_subsets(n) if _interior(minn, a) == a]
-    return _seeded(FiniteSpace(n, tuple(opens)), minn)
+    opens are the unions of table entries, a topology by construction, so
+    they are not validated again.  Each U_x is joined to every union listed
+    so far, unless it is one already, so k opens cost O(k·n) unions."""
+    opens = {0}
+    for u in minn:
+        if u not in opens:
+            opens |= {o | u for o in opens}
+    return _seeded(FiniteSpace(n, tuple(sorted(opens, key=family_sort_key))), minn)
 
 
 def _check_n(n, low: int = 0):
@@ -351,10 +349,11 @@ def check_space(obj, what: str = "space") -> FiniteSpace:
 
 
 def load_json(text):
-    """The value of one JSON text; BadParams if it is not JSON text."""
+    """The value of one JSON text; BadParams if it is not JSON text, or
+    nests too deeply for the parser."""
     try:
         return json.loads(text)
-    except (json.JSONDecodeError, TypeError) as exc:
+    except (ValueError, TypeError, RecursionError) as exc:
         raise BadParams(f"invalid JSON: {exc}") from None
 
 

@@ -25,7 +25,7 @@ from functools import lru_cache
 from itertools import islice
 from typing import NamedTuple
 
-from . import _kernels, axioms, classes, maps
+from . import _kernels, axioms, maps
 from .enumeration import spaces_up_to
 from .errors import ArityMismatch, BadParams, InternalCheckError, ScopeTooLarge
 from .maps import SpaceMap, assignment_from_index, check_map, compose, map_from_record
@@ -361,7 +361,8 @@ def check_instance(claim_id: str, spaces, bound_maps=()) -> bool:
 
 # ---------------------------------------------------------------- mask path
 
-# the class masks map_masks reads on each side of a pair, in its argument order
+# the class masks map_masks reads on each side of a pair, in its argument
+# order, which is also the order class_masks returns them in
 _MAP_SIDE = ("open", "closed", "alpha_m_closed", "alpha_m_open")
 
 
@@ -378,17 +379,15 @@ def _pair_masks(tables: dict, ix: int, iy: int):
 def _space_tables(spaces) -> dict:
     """The sweep's per-space tables, each a tuple indexed by stream position:
     point count, the two axiom flags, and the class masks that map_masks and
-    the composition fold read.  One class_masks call per space."""
-    idx = classes.CLASS_IDS.index
+    the composition fold read.  One class_masks call per space, on its
+    neighbourhood table; the axioms are decided by :mod:`topolab.axioms`."""
     columns = {name: [] for name in ("n", "T_alpha_m", "singleton_dichotomy") + _MAP_SIDE}
     for s in spaces:
-        masks = _kernels.class_masks(s.n, s.opens)
-        either = masks[idx("alpha_closed")] | masks[idx("clopen")]
         columns["n"].append(s.n)
-        columns["T_alpha_m"].append(masks[idx("alpha_m_closed")] == masks[idx("closed")])
-        columns["singleton_dichotomy"].append(all(either >> (1 << p) & 1 for p in range(s.n)))
-        for name in _MAP_SIDE:
-            columns[name].append(masks[idx(name)])
+        columns["T_alpha_m"].append(axioms.is_T_alpha_m(s))
+        columns["singleton_dichotomy"].append(axioms.singleton_dichotomy(s))
+        for name, mask in zip(_MAP_SIDE, _kernels.class_masks(s.n, s.min_nbhd)):
+            columns[name].append(mask)
     return {name: tuple(column) for name, column in columns.items()}
 
 

@@ -118,3 +118,12 @@ def naive_alpha_m_closed(n, opens, a):
     ica = naive_interior(n, opens, naive_closure(n, opens, a))
     return all(ica & u == ica for u in range(1 << n)
                if u & a == a and naive_alpha_open(n, opens, u))
+
+
+def naive_up_sets(n, minn):
+    """The opens of the neighbourhood table ``minn``, in canonical order
+    (cardinality, then value): every subset of the n points is tried, and
+    kept iff it holds the neighbourhood of each of its points."""
+    opens = [a for a in range(1 << n)
+             if all(minn[x] & a == minn[x] for x in range(n) if a >> x & 1)]
+    return sorted(opens, key=lambda a: (bin(a).count("1"), a))

@@ -2,8 +2,9 @@
 the benchmark's tracer and the tests still reach, and one end-to-end run.
 
 ``map_masks`` is checked against the direct predicates in
-``test_maps.py``, ``class_masks`` in ``test_classes.py`` and
-``enumerate_masks`` against the naive oracle in ``test_enumeration.py``.
+``test_maps.py``, ``class_masks`` against the naive oracles here and the
+alpha_m predicates in ``test_classes.py``, and the tables ``enumerate_masks``
+yields against the naive oracle in ``test_enumeration.py``.
 """
 
 import random
@@ -12,20 +13,23 @@ import topolab as T
 from topolab import _kernels, classes, verifier
 from topolab.maps import SpaceMap, assignment_from_index, compose, map_index
 
-from _oracles import naive_closure, naive_interior, naive_maximal, naive_min_nbhd
+from _oracles import naive_alpha_m_closed, naive_closure, naive_interior, naive_maximal
 
 
 def test_space_pack_and_class_masks_agree():
-    # space_pack against the naive oracles, class_masks against the predicates
-    for s in T.spaces_up_to(3):
-        minn, maximal, int_t, cl_t = _kernels.space_pack(s.n, s.opens)
-        assert minn == tuple(naive_min_nbhd(s.n, s.opens, x) for x in range(s.n))
+    # space_pack and the four class masks against the naive oracles, from
+    # the neighbourhood table, on every space with n <= 4
+    for s in T.spaces_up_to(4):
+        maximal, int_t, cl_t = _kernels.space_pack(s.n, s.min_nbhd)
         assert maximal == naive_maximal(s.n, s.opens)
         assert int_t == tuple(naive_interior(s.n, s.opens, a) for a in s.subsets())
         assert cl_t == tuple(naive_closure(s.n, s.opens, a) for a in s.subsets())
-        masks = _kernels.class_masks(s.n, s.opens)
-        for cid, mask in zip(_kernels.CLASS_ORDER, masks):
-            assert mask == sum(1 << a for a in T.family(s, cid)), (s, cid)
+        want = [sum(1 << a for a in s.subsets() if member(a)) for member in (
+            lambda a: a in s.opens,
+            lambda a: s.full ^ a in s.opens,
+            lambda a: naive_alpha_m_closed(s.n, s.opens, a),
+            lambda a: naive_alpha_m_closed(s.n, s.opens, s.full ^ a))]
+        assert _kernels.class_masks(s.n, s.min_nbhd) == tuple(want), s
 
 
 def test_composition_failures_agree():
@@ -49,8 +53,10 @@ def test_composition_failures_agree():
 
 def test_tuple_orders_exported_once():
     assert T.BACKEND == _kernels.BACKEND == "pure"
-    assert classes.CLASS_IDS is _kernels.CLASS_ORDER
-    assert len(_kernels.CLASS_ORDER) == 15
+    assert T.CLASS_IDS is classes.CLASS_IDS
+    assert len(classes.CLASS_IDS) == len(set(classes.CLASS_IDS)) == 15
+    # class_masks returns the masks that map_masks reads, in its order
+    assert verifier._MAP_SIDE == ("open", "closed", "alpha_m_closed", "alpha_m_open")
     assert len(_kernels.MAP_PROP_ORDER) == 11
 
 

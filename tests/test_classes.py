@@ -72,15 +72,15 @@ def test_alpha_m_classes_match_the_definition():
     # the maximal-point tests of the predicate, the single pass and the
     # class_masks kernel against the paper's definition, on every n <= 4
     for s in all_spaces(4):
-        masks = _kernels.class_masks(s.n, s.opens)
-        closed_fm, open_fm = masks[-2:]
+        open_fm, closed_fm, am_closed_fm, am_open_fm = _kernels.class_masks(s.n, s.min_nbhd)
         for a in s.subsets():
             want = naive_alpha_m_closed(s.n, s.opens, a)
             want_open = naive_alpha_m_closed(s.n, s.opens, s.full ^ a)
             r = T.classify_subset(s, a)
             assert T.is_alpha_m_closed(s, a) == r.alpha_m_closed == want, (s, a)
             assert T.is_alpha_m_open(s, a) == r.alpha_m_open == want_open, (s, a)
-            assert (closed_fm >> a & 1, open_fm >> a & 1) == (want, want_open), (s, a)
+            assert (am_closed_fm >> a & 1, am_open_fm >> a & 1) == (want, want_open), (s, a)
+            assert (open_fm >> a & 1, closed_fm >> a & 1) == (r.open, r.closed), (s, a)
         # proved in topolab.classes: the family is closed under intersection
         fam = T.family_set(s, "alpha_m_closed")
         assert all(a & b in fam for a in fam for b in fam), s
@@ -153,32 +153,10 @@ def test_family_canonical_order():
     assert fam == sorted(range(8), key=lambda a: (bin(a).count("1"), a))
 
 
-def test_families_are_kept_on_the_space_object(monkeypatch):
-    # the memo lives on the space, not in a module-level cache keyed by value:
-    # a second call on one object does not walk the subsets, an equal but
-    # distinct object does
-    assert not [name for name, v in vars(classes).items() if hasattr(v, "cache_info")]
-    calls = []
-    i = T.CLASS_IDS.index("alpha_m_closed")
-
-    def counting(space, a):
-        calls.append(a)
-        return classes.is_alpha_m_closed(space, a)
-
-    monkeypatch.setattr(classes, "_PREDICATES",
-                        classes._PREDICATES[:i] + (counting,) + classes._PREDICATES[i + 1:])
-    s = T.khalimsky_interval(5)
-    first = T.family(s, "alpha_m_closed")
-    assert len(calls) == 32
-    assert T.family_set(s, "alpha_m_closed") == frozenset(first)
-    assert T.family(s, "alpha_m_closed") == first and len(calls) == 32
-    twin = T.space_from_json(s.to_json())
-    assert twin == s and twin is not s
-    assert T.family(twin, "alpha_m_closed") == first and len(calls) == 64
-
-
 def test_family_set_and_mask_agree_with_family():
-    # family walks the predicates, family_mask reads the class_masks kernel
+    # all three walk the predicates afresh: no module-level cache, and the
+    # space keeps only its neighbourhood table and maximal points
+    assert not [name for name, v in vars(classes).items() if hasattr(v, "cache_info")]
     for s in all_spaces(4):
         for cid in T.CLASS_IDS:
             fam = T.family(s, cid)
@@ -186,6 +164,7 @@ def test_family_set_and_mask_agree_with_family():
             mask = classes.family_mask(s, cid)
             members = [a for a in s.subsets() if mask >> a & 1]
             assert fam == sorted(members, key=lambda a: (bin(a).count("1"), a))
+        assert set(vars(s)) <= {"n", "opens", "min_nbhd", "maximal"}, s
 
 
 def test_family_unknown_class_rejected():
@@ -206,8 +185,7 @@ def test_family_unknown_class_rejected():
 
 def test_reports_agree_with_families():
     # classify_subset flags match family membership everywhere (this pins
-    # the single pass to the per-predicate families, and through
-    # test_family_set_and_mask_agree_with_family to the class_masks kernel)
+    # the single pass to the per-predicate families)
     for s in all_spaces(4):
         fams = {cid: T.family_set(s, cid) for cid in T.CLASS_IDS}
         for a in s.subsets():

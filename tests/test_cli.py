@@ -1,4 +1,5 @@
 import json
+import os
 import shutil
 import subprocess
 import sys
@@ -8,6 +9,9 @@ import pytest
 
 import topolab as T
 from topolab.cli import main
+
+ROOT = Path(__file__).resolve().parents[1]
+SRC = str(ROOT / "src")
 
 
 def run_cli(*argv, capsys=None):
@@ -87,6 +91,22 @@ def test_classify_missing_file(capsys):
     code, _, err = run_cli("classify", "-s", "/nonexistent.json", "-A", "0",
                            capsys=capsys)
     assert code == 1 and err
+
+
+def test_hostile_input_files(tmp_path, capsys):
+    # binary, over-nested and over-long input is an input error, never a
+    # traceback
+    binary = tmp_path / "binary.json"
+    binary.write_bytes(bytes(range(256)))
+    nested = tmp_path / "nested.json"
+    nested.write_text("[" * 200_000)
+    digits = tmp_path / "digits.json"
+    digits.write_text("1" * 5000)
+    for path in (binary, nested, digits):
+        for argv in (("axioms", "-s", str(path)), ("check-map", "-m", str(path))):
+            code, out, err = run_cli(*argv, capsys=capsys)
+            assert code == 1 and not out, argv
+            assert err.startswith("error: ") and err.count("\n") == 1, argv
 
 
 def test_classify_invalid_topology(tmp_path, capsys):
@@ -269,10 +289,17 @@ sys.exit(EntryPoint("topolab", spec, "console_scripts").load()())
 """
 
 
+def _child_env() -> dict:
+    # the child imports topolab from this checkout's src, installed or not
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, (SRC, env.get("PYTHONPATH"))))
+    return env
+
+
 def test_console_script_and_module_entry():
     out = subprocess.run([sys.executable, "-m", "topolab", "generate",
                           "sierpinski"], capture_output=True, text=True,
-                         timeout=60)
+                         timeout=60, env=_child_env())
     assert out.returncode == 0
     assert out.stdout == '{"n":2,"opens":[[],[0],[0,1]]}\n'
 
@@ -283,17 +310,33 @@ def test_console_script_and_module_entry():
         import tomllib
     except ModuleNotFoundError:  # Python 3.10
         tomllib = pytest.importorskip("tomli")
-    pyproject = Path(__file__).resolve().parents[1] / "pyproject.toml"
-    with pyproject.open("rb") as fh:
+    with (ROOT / "pyproject.toml").open("rb") as fh:
         spec = tomllib.load(fh)["project"]["scripts"]["topolab"]
     commands = [[sys.executable, "-c", _CONSOLE_SCRIPT, spec]]
     if shutil.which("topolab"):
         commands.append(["topolab"])
     for command in commands:
         out = subprocess.run(command + ["enumerate", "-n", "1"],
-                             capture_output=True, text=True, timeout=60)
+                             capture_output=True, text=True, timeout=60,
+                             env=_child_env())
         assert out.returncode == 0
         assert out.stdout == '{"n":1,"opens":[[],[0]]}\n'
+
+
+def test_closed_stdout_exits_quietly():
+    # a reader that stops early, like `topolab enumerate -n 5 | head -1`
+    child = subprocess.Popen([sys.executable, "-m", "topolab", "enumerate", "-n", "5"],
+                             stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                             env=_child_env())
+    try:
+        assert child.stdout.readline().startswith(b'{"n":5,')
+        child.stdout.close()
+        err = child.stderr.read().decode()
+        assert child.wait(timeout=60) == 1
+    finally:
+        child.kill()
+        child.wait()
+    assert "Traceback" not in err and not err.strip(), err
 
 
 def test_round_trip_generate_classify(tmp_path, capsys):

@@ -10,7 +10,8 @@ from topolab.enumeration import spaces_up_to
 from topolab.errors import BadParams, NotATopology
 
 from _oracles import (naive_closure, naive_interior, naive_labeled_families,
-                      naive_maximal, naive_min_nbhd)
+                      naive_maximal, naive_min_nbhd, naive_up_sets)
+from test_maps import preorder_spaces
 
 SIERP = T.sierpinski()
 
@@ -204,14 +205,17 @@ def test_khalimsky_minimal_neighbourhoods():
 
 
 def test_constructors_seed_the_exact_neighbourhood_table():
-    # new_space and the generators store the table they already hold as
-    # min_nbhd; it must be the one the opens give
+    # new_space, the generators and the enumeration store the table they
+    # already hold as min_nbhd; it must be the one the opens give
     def check(s):
         assert "min_nbhd" in vars(s), s
         assert s.min_nbhd == space._min_nbhds(s.n, s.opens), s
 
     for s in spaces_up_to(5):
-        check(T.new_space(s.n, s.opens))
+        check(s)
+        twin = T.new_space(s.n, s.opens)
+        assert twin.opens == s.opens, s
+        check(twin)
     check(T.space_from_json(T.khalimsky_interval(6).to_json()))
     check(T.discrete(16))
     for n in range(9):
@@ -221,6 +225,13 @@ def test_constructors_seed_the_exact_neighbourhood_table():
             check(T.particular_point(n, p))
             check(T.excluded_point(n, p))
     check(T.sierpinski())
+
+
+@settings(max_examples=60, deadline=None)
+@given(preorder_spaces(max_n=16))
+def test_table_builder_lists_every_up_set(s):
+    # _from_min_nbhds joins table entries; the reference tries all 2^n subsets
+    assert list(s.opens) == naive_up_sets(s.n, s.min_nbhd)
 
 
 def test_generate_dispatch():
@@ -272,6 +283,14 @@ def test_bad_json_is_input_error():
         T.space_from_json("{not json")
     with pytest.raises(BadParams):
         T.space_from_json(5)                    # not JSON text at all
+    with pytest.raises(BadParams):
+        T.space_from_json("[" * 200_000)        # nests past the parser's recursion limit
+    with pytest.raises(BadParams):
+        T.space_from_json("1" * 5000)           # past the integer digit limit
+    with pytest.raises(BadParams):
+        T.space_from_json(b"{\x80}")            # bytes that are not UTF-8
+    with pytest.raises(BadParams):
+        T.map_from_json("[" * 200_000)
     with pytest.raises(BadParams):
         T.space_from_json('{"n":2,"opens":[[],[0],[0,2]]}')  # point out of range
     with pytest.raises(NotATopology):
