@@ -21,6 +21,10 @@ from .errors import (BadParams, InternalCheckError, NotATopology, ScopeTooLarge,
 from .maps import classify_map, map_from_json
 from .space import generate, space_from_json, subset_of_points
 
+# input files are read up to this size; the largest valid input, a map of
+# discrete(16) onto itself, is about 2.8 MB of compact JSON
+MAX_INPUT_BYTES = 64 << 20
+
 
 class _Parser(argparse.ArgumentParser):
     # argparse exits 2 on usage errors; 2 is reserved for ScopeTooLarge here
@@ -71,7 +75,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--json", dest="json_path", metavar="FILE",
                    help="also write structured reports to FILE")
     p.add_argument("--jobs", type=int,
-                   help="worker processes (default $TOPOLAB_JOBS or 1)")
+                   help="worker processes, at most one per CPU "
+                   "(default $TOPOLAB_JOBS or 1)")
 
     return parser
 
@@ -89,8 +94,11 @@ def _parse_subset(text: str, n: int) -> int:
 
 def _read(path: str) -> str:
     try:
-        with open(path, "r", encoding="utf-8") as fh:
-            return fh.read()
+        with open(path, "rb") as fh:
+            data = fh.read(MAX_INPUT_BYTES + 1)
+        if len(data) > MAX_INPUT_BYTES:
+            raise BadParams(f"cannot read {path}: larger than {MAX_INPUT_BYTES} bytes")
+        return data.decode("utf-8")
     except (OSError, UnicodeDecodeError) as exc:
         raise BadParams(f"cannot read {path}: {exc}") from None
 

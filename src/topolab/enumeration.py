@@ -14,11 +14,12 @@ from typing import Iterator
 from . import _kernels
 from .errors import BadParams, ScopeTooLarge
 from .maps import SpaceMap
-from .space import FiniteSpace, _from_min_nbhds, check_space, family_sort_key
+from .space import FiniteSpace, check_space
 
 ENUMERATION_CAP = 5
-# canonical_form tries n! relabelings: on a 2-vCPU host discrete(7) takes
-# 0.75 s and discrete(8) 13 s
+# canonical_form tries n! relabelings and expands each distinct table to its
+# opens.  On a 2-vCPU host the symmetric discrete(7), one table, takes 0.03 s,
+# and the rigid 7-point chain, 5,040 tables, 0.09 s; the 8-point chain 0.84 s
 CANONICAL_FORM_CAP = 7
 
 _labeled_cache: dict = {}
@@ -44,7 +45,7 @@ def _labeled(n: int) -> tuple:
     spaces = _labeled_cache.get(n)
     if spaces is None:
         spaces = _labeled_cache[n] = tuple(sorted(
-            (_from_min_nbhds(n, minn) for minn in _kernels.enumerate_masks(n)),
+            (FiniteSpace(n, minn) for minn in _kernels.enumerate_masks(n)),
             key=lambda s: s.opens))
     return spaces
 
@@ -77,27 +78,28 @@ def relabel(space: FiniteSpace, perm) -> FiniteSpace:
             raise BadParams(f"permutation entry {x!r} is not an integer")
     if sorted(perm) != list(range(space.n)):
         raise BadParams(f"{perm!r} is not a permutation of 0..{space.n - 1}")
-    opens = []
-    for u in space.opens:
+    minn = [0] * space.n
+    for x, u in enumerate(space.min_nbhd):
         v = 0
-        t = u
-        while t:
-            b = t & -t
-            t ^= b
+        while u:
+            b = u & -u
+            u ^= b
             v |= 1 << perm[b.bit_length() - 1]
-        opens.append(v)
-    opens.sort(key=family_sort_key)
-    return FiniteSpace(space.n, tuple(opens))
+        minn[perm[x]] = v
+    return FiniteSpace(space.n, tuple(minn))
 
 
 def _orbit(space: FiniteSpace) -> tuple[FiniteSpace, set]:
-    """(least relabeling, opens of every relabeling) of the space.
+    """(least relabeling, neighbourhood table of every relabeling) of the
+    space.
 
     The least relabeling compares opens tuples, so it is the first member of
-    the orbit in the labeled stream order.
+    the orbit in the labeled stream order.  A symmetric space has fewer
+    distinct tables than permutations, and only those are expanded to opens.
     """
-    orbit = {relabel(space, p).opens for p in permutations(range(space.n))}
-    return FiniteSpace(space.n, min(orbit)), orbit
+    orbit = {relabel(space, p).min_nbhd for p in permutations(range(space.n))}
+    least = min((FiniteSpace(space.n, t) for t in orbit), key=lambda s: s.opens)
+    return least, orbit
 
 
 def canonical_form(space: FiniteSpace) -> FiniteSpace:
@@ -115,7 +117,7 @@ def canonical_form(space: FiniteSpace) -> FiniteSpace:
 def _homeo_classes(n: int) -> Iterator[FiniteSpace]:
     seen = set()
     for s in _labeled(n):
-        if s.opens not in seen:
+        if s.min_nbhd not in seen:
             least, orbit = _orbit(s)
             seen |= orbit
             yield least

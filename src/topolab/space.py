@@ -66,33 +66,38 @@ def format_subset(mask: PointSet) -> str:
 
 @dataclass(frozen=True)
 class FiniteSpace:
-    """An immutable, validated topology on points 0..n-1.
+    """An immutable topology on points 0..n-1, stored as its neighbourhood
+    table.
 
-    ``opens`` is deduplicated and stored in canonical order (cardinality,
-    then numeric bitmask value).  Instances are pure values: hashable,
-    comparable field by field, picklable, and safe to share across threads.
-    Two derived values are cached on the instance on first use, and
-    recomputing either gives the same value: the per-point neighbourhood
-    table, from which interior and closure are computed per call, and the
-    mask of maximal points.  The table is the form every space is built
-    from: :func:`new_space`, the generators and the enumeration store the
-    table they hold, so it is not derived from the opens a second time.
-    Construct through :func:`new_space` or the generators; the raw
-    constructor does not validate.
+    ``min_nbhd`` is the tuple (U_0, ..., U_{n-1}) of per-point minimal open
+    neighbourhoods; a finite topology and its table determine each other,
+    so instances are pure values whose equality and hash follow (n,
+    table).  They are picklable and safe to share across threads.  Interior
+    and closure are computed from the table per call.  Two derived values
+    are cached on the instance on first use: ``opens``, the open sets in
+    canonical order (cardinality, then numeric bitmask value), and the mask
+    of maximal points.  Construct through :func:`new_space` or the
+    generators; the raw constructor takes an exact table (x in U_x, and
+    U_z <= U_x for z in U_x) and does not validate it.
     """
 
     n: int
-    opens: tuple[PointSet, ...]
+    min_nbhd: tuple[PointSet, ...]
 
     @property
     def full(self) -> PointSet:
         return (1 << self.n) - 1
 
     @cached_property
-    def min_nbhd(self) -> tuple[PointSet, ...]:
-        """Smallest open neighbourhood U_x of each point x: the intersection
-        of the opens that contain it."""
-        return _min_nbhds(self.n, self.opens)
+    def opens(self) -> tuple[PointSet, ...]:
+        """The open sets, the unions of table entries, in canonical order.
+        Each U_x is joined to every union listed so far, unless it is one
+        already, so k opens cost O(k·n) unions."""
+        opens = {0}
+        for u in self.min_nbhd:
+            if u not in opens:
+                opens |= {o | u for o in opens}
+        return tuple(sorted(opens, key=family_sort_key))
 
     @cached_property
     def maximal(self) -> PointSet:
@@ -222,8 +227,8 @@ def _validate_family(n: int, members: set) -> tuple[PointSet, ...]:
 def new_space(n: int, opens: Iterable[PointSet]) -> FiniteSpace:
     """Validated constructor from bitmask opens.
 
-    Deduplicates, checks every subset fits, checks the topology axioms,
-    and stores the family canonically ordered.  Raises NotATopology with
+    Checks every subset fits and the topology axioms, and stores the
+    neighbourhood table of the family.  Raises NotATopology with
     a message naming one offending pair (or the missing empty/full set).
     """
     if not isinstance(n, int) or isinstance(n, bool) or not 0 <= n <= MAX_POINTS:
@@ -236,28 +241,7 @@ def new_space(n: int, opens: Iterable[PointSet]) -> FiniteSpace:
         if not isinstance(u, int) or isinstance(u, bool) or not 0 <= u <= full:
             raise BadParams(f"subset {u!r} does not fit in {n} points")
         members.add(u)
-    minn = _validate_family(n, members)
-    return _seeded(FiniteSpace(n, tuple(sorted(members, key=family_sort_key))), minn)
-
-
-def _seeded(space: FiniteSpace, minn) -> FiniteSpace:
-    # store the table the constructor already holds as the cached min_nbhd,
-    # so that it is not derived from the opens a second time
-    vars(space)["min_nbhd"] = tuple(minn)
-    return space
-
-
-def _from_min_nbhds(n: int, minn) -> FiniteSpace:
-    """The space whose minimal neighbourhoods are ``minn``.  The table must
-    be exact: x in minn[x], and minn[z] <= minn[x] for z in minn[x].  The
-    opens are the unions of table entries, a topology by construction, so
-    they are not validated again.  Each U_x is joined to every union listed
-    so far, unless it is one already, so k opens cost O(k·n) unions."""
-    opens = {0}
-    for u in minn:
-        if u not in opens:
-            opens |= {o | u for o in opens}
-    return _seeded(FiniteSpace(n, tuple(sorted(opens, key=family_sort_key))), minn)
+    return FiniteSpace(n, _validate_family(n, members))
 
 
 def _check_n(n, low: int = 0):
@@ -268,19 +252,18 @@ def _check_n(n, low: int = 0):
 def discrete(n: int) -> FiniteSpace:
     """Every subset open."""
     _check_n(n)
-    return _from_min_nbhds(n, [1 << x for x in range(n)])
+    return FiniteSpace(n, tuple(1 << x for x in range(n)))
 
 
 def indiscrete(n: int) -> FiniteSpace:
     """Only the empty set and the full set open."""
     _check_n(n)
-    full = (1 << n) - 1
-    return _from_min_nbhds(n, [full] * n)
+    return FiniteSpace(n, ((1 << n) - 1,) * n)
 
 
 def sierpinski() -> FiniteSpace:
     """Two points with exactly one nontrivial open, {0}."""
-    return _from_min_nbhds(2, [0b01, 0b11])
+    return FiniteSpace(2, (0b01, 0b11))
 
 
 def particular_point(n: int, p: int) -> FiniteSpace:
@@ -288,7 +271,7 @@ def particular_point(n: int, p: int) -> FiniteSpace:
     _check_n(n, low=1)
     if not isinstance(p, int) or isinstance(p, bool) or not 0 <= p < n:
         raise BadParams(f"point {p!r} outside ground set of {n} points")
-    return _from_min_nbhds(n, [(1 << x) | (1 << p) for x in range(n)])
+    return FiniteSpace(n, tuple((1 << x) | (1 << p) for x in range(n)))
 
 
 def excluded_point(n: int, p: int) -> FiniteSpace:
@@ -297,7 +280,7 @@ def excluded_point(n: int, p: int) -> FiniteSpace:
     if not isinstance(p, int) or isinstance(p, bool) or not 0 <= p < n:
         raise BadParams(f"point {p!r} outside ground set of {n} points")
     full = (1 << n) - 1
-    return _from_min_nbhds(n, [full if x == p else 1 << x for x in range(n)])
+    return FiniteSpace(n, tuple(full if x == p else 1 << x for x in range(n)))
 
 
 def khalimsky_interval(n: int) -> FiniteSpace:
@@ -305,18 +288,8 @@ def khalimsky_interval(n: int) -> FiniteSpace:
     three-point neighbourhood {p-1, p, p+1} clipped to range."""
     _check_n(n)
     full = (1 << n) - 1
-    minn = []
-    for p in range(n):
-        if p % 2 == 1:
-            minn.append(1 << p)
-        else:
-            m = 1 << p
-            if p > 0:
-                m |= 1 << (p - 1)
-            if p + 1 < n:
-                m |= 1 << (p + 1)
-            minn.append(m & full)
-    return _from_min_nbhds(n, minn)
+    return FiniteSpace(n, tuple(1 << p if p % 2 else 0b111 << p >> 1 & full
+                                for p in range(n)))
 
 
 GENERATORS = {

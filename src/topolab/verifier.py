@@ -15,6 +15,7 @@ hypotheses fail count as (vacuously true) checked instances.
 from __future__ import annotations
 
 import json
+import os
 import time
 from collections import Counter
 from collections.abc import Iterable
@@ -638,10 +639,12 @@ def _verify_claims(claim_scopes: dict, jobs: int) -> dict:
 
     Claims of one scope are answered by one sweep, and report its wall
     time.  Ids restating one encoding are folded once and reported
-    separately.  With jobs > 1 every sweep shares one process pool.
+    separately.  With jobs > 1 every sweep shares one process pool, of at
+    most one worker per CPU; the reports do not depend on the worker count.
     """
     if not isinstance(jobs, int) or isinstance(jobs, bool) or jobs < 1:
         raise BadParams(f"jobs {jobs!r} must be a positive integer")
+    jobs = min(jobs, os.cpu_count() or 1)
     groups = {}     # scope -> {encoding key: [claim ids]}
     for claim_id, scope in claim_scopes.items():
         key = _encoding_key(claim_id)

@@ -53,6 +53,24 @@ def relabel_family(fm, n, perm):
     return out
 
 
+def relabel_opens(opens, perm):
+    """Push every open through the point relabeling x -> perm[x], and sort
+    the result by cardinality, then bitmask value."""
+    out = []
+    for a in opens:
+        b = 0
+        for x, y in enumerate(perm):
+            if a >> x & 1:
+                b |= 1 << y
+        out.append(b)
+    return tuple(sorted(out, key=lambda b: (bin(b).count("1"), b)))
+
+
+def naive_canonical_opens(n, opens):
+    """The least of the relabeled opens tuples over all n! relabelings."""
+    return min(relabel_opens(opens, perm) for perm in permutations(range(n)))
+
+
 def orbit_count(families, n):
     """Number of orbits of the point-permutation action on the families."""
     seen = set()

@@ -107,6 +107,13 @@ def test_hostile_input_files(tmp_path, capsys):
             code, out, err = run_cli(*argv, capsys=capsys)
             assert code == 1 and not out, argv
             assert err.startswith("error: ") and err.count("\n") == 1, argv
+    # an endless file is read up to a bound, not until memory runs out
+    if os.path.exists("/dev/zero"):
+        done = subprocess.run([sys.executable, "-m", "topolab", "axioms", "-s", "/dev/zero"],
+                              capture_output=True, env=_child_env(), timeout=60)
+        assert done.returncode == 1 and not done.stdout
+        err = done.stderr.decode()
+        assert err.startswith("error: ") and err.count("\n") == 1, err
 
 
 def test_classify_invalid_topology(tmp_path, capsys):

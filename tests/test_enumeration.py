@@ -6,7 +6,8 @@ import topolab as T
 from topolab import enumeration as en
 from topolab.errors import BadParams, ScopeTooLarge
 
-from _oracles import naive_labeled_families, orbit_count
+from _oracles import (naive_canonical_opens, naive_labeled_families, orbit_count,
+                      relabel_opens)
 
 
 def test_labeled_counts_against_naive_oracle():
@@ -146,6 +147,23 @@ def test_canonical_form():
         assert en.canonical_form(c) == c
     with pytest.raises(BadParams):
         en.canonical_form(5)
+
+
+def test_relabel_permutes_the_opens():
+    # relabel permutes the neighbourhood table; the opens it lists must be
+    # the permuted opens, sorted
+    for s in en.spaces_up_to(4):
+        for p in permutations(range(s.n)):
+            assert en.relabel(s, p).opens == relabel_opens(s.opens, p), (s, p)
+
+
+def test_canonical_form_matches_the_naive_oracle():
+    # the least relabeling by opens, from the tables of the orbit, against
+    # the least of the n! permuted opens tuples
+    for s in en.spaces_up_to(4):
+        assert en.canonical_form(s).opens == naive_canonical_opens(s.n, s.opens), s
+    for r in en.enumerate_topologies_up_to_homeo(5):
+        assert r.opens == naive_canonical_opens(5, r.opens), r
 
 
 def test_canonical_form_classifies_homeomorphism():

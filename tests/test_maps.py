@@ -328,7 +328,7 @@ def preorder_spaces(draw, min_n=0, max_n=6):
         for x in range(n):
             if reach[x] >> k & 1:
                 reach[x] |= reach[k]
-    return space._from_min_nbhds(n, reach)
+    return space.FiniteSpace(n, tuple(reach))
 
 
 @settings(max_examples=150, deadline=None)
@@ -368,7 +368,7 @@ def test_map_queries_walk_no_family(monkeypatch):
             for x in range(n):
                 if reach[x] >> k & 1:
                     reach[x] |= reach[k]
-        pool.append(space._from_min_nbhds(n, reach))
+        pool.append(space.FiniteSpace(n, tuple(reach)))
     wide = T.discrete(16)
 
     def refuse(*args):

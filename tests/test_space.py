@@ -1,4 +1,6 @@
+import dataclasses
 import json
+import pickle
 
 import pytest
 from hypothesis import given, settings
@@ -205,10 +207,9 @@ def test_khalimsky_minimal_neighbourhoods():
 
 
 def test_constructors_seed_the_exact_neighbourhood_table():
-    # new_space, the generators and the enumeration store the table they
-    # already hold as min_nbhd; it must be the one the opens give
+    # new_space, the generators and the enumeration store a table, from
+    # which the opens are derived; it must be the one the opens give back
     def check(s):
-        assert "min_nbhd" in vars(s), s
         assert s.min_nbhd == space._min_nbhds(s.n, s.opens), s
 
     for s in spaces_up_to(5):
@@ -230,7 +231,7 @@ def test_constructors_seed_the_exact_neighbourhood_table():
 @settings(max_examples=60, deadline=None)
 @given(preorder_spaces(max_n=16))
 def test_table_builder_lists_every_up_set(s):
-    # _from_min_nbhds joins table entries; the reference tries all 2^n subsets
+    # FiniteSpace.opens joins table entries; the reference tries all 2^n subsets
     assert list(s.opens) == naive_up_sets(s.n, s.min_nbhd)
 
 
@@ -318,3 +319,24 @@ def test_spaces_hash_and_compare():
     assert hash(T.new_space(2, [0, 1, 3])) == hash(SIERP)
     assert T.new_space(2, [0, 2, 3]) != SIERP
     assert len({T.discrete(2), T.discrete(2), T.indiscrete(2)}) == 2
+
+
+def test_a_space_is_its_table():
+    # the table is the one stored form: equality and hash follow it, and
+    # the opens are derived from it when read
+    assert [f.name for f in dataclasses.fields(T.FiniteSpace)] == ["n", "min_nbhd"]
+    k = T.khalimsky_interval(5)
+    assert "opens" not in vars(k)
+    assert k == T.FiniteSpace(5, k.min_nbhd) == T.new_space(5, k.opens)
+    assert hash(k) == hash(T.FiniteSpace(5, k.min_nbhd))
+    back = pickle.loads(pickle.dumps(k))
+    assert back == k and back.opens == k.opens
+
+
+def test_queries_list_no_opens():
+    for s in (T.discrete(16), T.khalimsky_interval(16)):
+        T.axiom_report(s)
+        for a in (0, 1, 0b110, s.full >> 1, s.full):
+            T.classify_subset(s, a)
+        T.classify_map(T.identity_map(s))
+        assert "opens" not in vars(s), s

@@ -413,6 +413,37 @@ def test_middle_memo_follows_the_tables():
     assert failures(forward[::-1]) == [16, 36]
 
 
+def test_jobs_are_capped_at_the_cpu_count(monkeypatch):
+    # a process pool forks all its workers on the first submit, so --jobs
+    # is capped at the CPU count; a fake pool records the worker count and
+    # the chunks, and maps serially, so no process is started
+    pools, chunks = [], []
+
+    class SerialPool:
+        def __init__(self, max_workers):
+            pools.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, *columns):
+            chunks.append(len(columns[0]))
+            return list(map(fn, *columns))
+
+    monkeypatch.setattr(verifier, "ProcessPoolExecutor", SerialPool)
+    monkeypatch.setattr(verifier.os, "cpu_count", lambda: 3)
+    scope = verifier.Scope(max_points=3)
+    capped = verifier.reports_to_json(T.verify_all(scope, jobs=100_000))
+    assert pools == [3] and chunks and max(chunks) <= 3 * 4
+    assert capped == verifier.reports_to_json(T.verify_all(scope))
+    monkeypatch.setattr(verifier.os, "cpu_count", lambda: None)
+    T.verify("T3_9b", scope, jobs=100_000)
+    assert pools == [3]             # one worker: no pool at all
+
+
 def test_verify_rejects_bad_scope_or_claim():
     with pytest.raises(BadParams):
         T.verify("nope")
