@@ -17,8 +17,10 @@ Conventions:
 from __future__ import annotations
 
 from functools import lru_cache
+from itertools import product
 from typing import NamedTuple
 
+from .maps import assignment_from_index
 from .space import _interior, _maximal
 
 # the one kernel implementation; the benchmark prints topolab.BACKEND
@@ -118,8 +120,7 @@ def _rank_columns(rows, width):
 def subset_tables(nx, ny):
     """The :class:`SubsetTables` of the maps from nX to nY points."""
     preimages, images = [], []
-    for rank in range(ny ** nx):
-        assign = _decode(rank, nx, ny)
+    for assign in product(range(ny), repeat=nx):     # rank order
         single = [0] * ny
         for x, y in enumerate(assign):
             single[y] |= 1 << x
@@ -227,14 +228,6 @@ def enumerate_masks(n):
     return out
 
 
-def _decode(idx, k, base):
-    a = [0] * k
-    for x in range(k - 1, -1, -1):
-        a[x] = idx % base
-        idx //= base
-    return a
-
-
 def composition_failures(nx, ny, nz, f_indices, g_indices, target_bits, limit):
     """Count (f, g) pairs whose composite map misses ``target_bits``.
 
@@ -252,8 +245,8 @@ def composition_failures(nx, ny, nz, f_indices, g_indices, target_bits, limit):
         return 0, []
     count = 0
     fails = []
-    f_assign = [_decode(fi, nx, ny) for fi in f_indices]
-    g_assign = [_decode(gi, ny, nz) for gi in g_indices]
+    f_assign = [assignment_from_index(fi, nx, ny) for fi in f_indices]
+    g_assign = [assignment_from_index(gi, ny, nz) for gi in g_indices]
     weights = [nz ** (nx - 1 - x) for x in range(nx)]
     for fa, fi in zip(f_assign, f_indices):
         for ga, gi in zip(g_assign, g_indices):

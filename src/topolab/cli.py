@@ -74,9 +74,8 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="keep every failing instance as a witness")
     p.add_argument("--json", dest="json_path", metavar="FILE",
                    help="also write structured reports to FILE")
-    p.add_argument("--jobs", type=int,
-                   help="worker processes, at most one per CPU "
-                   "(default $TOPOLAB_JOBS or 1)")
+    p.add_argument("--jobs", type=int, default=1,
+                   help="worker processes, at most one per CPU (default 1)")
 
     return parser
 
@@ -149,13 +148,6 @@ def _cmd_enumerate(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    jobs = args.jobs
-    if jobs is None:
-        text = os.environ.get("TOPOLAB_JOBS", "1")
-        try:
-            jobs = int(text)
-        except ValueError:
-            raise BadParams(f"TOPOLAB_JOBS={text!r} is not an integer") from None
     witness_limit = None if args.all_witnesses else args.witness_limit
     claims = tuple(dict.fromkeys(args.claim)) if args.claim else verifier.CLAIM_IDS
     scopes = {}
@@ -164,7 +156,7 @@ def _cmd_verify(args) -> int:
                  else verifier.default_scope(claim_id).max_points)
         scopes[claim_id] = verifier.Scope(bound, map_cap=args.map_cap,
                                           witness_limit=witness_limit)
-    by_claim = verifier._verify_claims(scopes, jobs)
+    by_claim = verifier._verify_claims(scopes, args.jobs)
     reports = [by_claim[c] for c in claims]
     print(f"note: {verifier.SCOPE_NOTE}")
     header = (f"{'CLAIM':<10} {'OUTCOME':<15} {'N<=':>3} {'INSTANCES':>12} "

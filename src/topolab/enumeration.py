@@ -89,38 +89,36 @@ def relabel(space: FiniteSpace, perm) -> FiniteSpace:
     return FiniteSpace(space.n, tuple(minn))
 
 
-def _orbit(space: FiniteSpace) -> tuple[FiniteSpace, set]:
-    """(least relabeling, neighbourhood table of every relabeling) of the
-    space.
+def _orbit(space: FiniteSpace) -> set:
+    """The neighbourhood table of every relabeling of the space.
 
-    The least relabeling compares opens tuples, so it is the first member of
-    the orbit in the labeled stream order.  A symmetric space has fewer
-    distinct tables than permutations, and only those are expanded to opens.
+    A symmetric space has fewer distinct tables than permutations.
     """
-    orbit = {relabel(space, p).min_nbhd for p in permutations(range(space.n))}
-    least = min((FiniteSpace(space.n, t) for t in orbit), key=lambda s: s.opens)
-    return least, orbit
+    return {relabel(space, p).min_nbhd for p in permutations(range(space.n))}
 
 
 def canonical_form(space: FiniteSpace) -> FiniteSpace:
     """Least relabeling of the space; equal iff two spaces are homeomorphic.
 
-    It tries all n! relabelings, so spaces above ``CANONICAL_FORM_CAP``
-    points raise ``ScopeTooLarge``.
+    The least relabeling compares opens tuples, so it is the first member of
+    the orbit in the labeled stream order.  It tries all n! relabelings, and
+    expands only the distinct tables to opens, so spaces above
+    ``CANONICAL_FORM_CAP`` points raise ``ScopeTooLarge``.
     """
     if check_space(space).n > CANONICAL_FORM_CAP:
         raise ScopeTooLarge(
             f"canonical form is capped at {CANONICAL_FORM_CAP} points, got {space.n}")
-    return _orbit(space)[0]
+    return min((FiniteSpace(space.n, t) for t in _orbit(space)), key=lambda s: s.opens)
 
 
 def _homeo_classes(n: int) -> Iterator[FiniteSpace]:
+    # the stream is sorted by opens, so a class's first member in it is
+    # its least relabeling
     seen = set()
     for s in _labeled(n):
         if s.min_nbhd not in seen:
-            least, orbit = _orbit(s)
-            seen |= orbit
-            yield least
+            seen |= _orbit(s)
+            yield s
 
 
 def enumerate_topologies_up_to_homeo(n: int, shard=None) -> Iterator[FiniteSpace]:

@@ -22,7 +22,7 @@ from collections.abc import Iterable
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import nullcontext
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, partial
 from itertools import islice
 from typing import NamedTuple
 
@@ -476,15 +476,6 @@ class _FailingG(dict):
         return n
 
 
-@lru_cache(maxsize=1)
-def _middle_memo(map_cap, *columns) -> dict:
-    """(property, middle position) -> _FailingG, for the map cap and the
-    table columns (point count and ``_MAP_SIDE``) of the last composition
-    sweep, which are all that its counts read.  Each worker process builds
-    it once and every chunk it runs reads it."""
-    return {}
-
-
 def _failing_pairs(f_ranks, f_sides, g_ranks, g_sides):
     """(f rank, g rank) of each failing composite, f-outer and g-inner."""
     by_side = {}
@@ -496,9 +487,9 @@ def _failing_pairs(f_ranks, f_sides, g_ranks, g_sides):
             yield rf, rg
 
 
-def _sweep_chunk(encs, scope: Scope, tables: dict, start: int, stop: int):
+def _sweep_chunk(encs, scope: Scope, tables: dict, outer):
     """Failure count and first failing bindings of each encoding in ``encs``
-    over outer-space positions [start, stop).
+    over the outer-space positions ``outer``, in ascending order.
 
     A binding is (space positions, map ranks).  Every space is read through
     its position in ``tables``, the sweep's :func:`_space_tables`.  Each
@@ -510,8 +501,9 @@ def _sweep_chunk(encs, scope: Scope, tables: dict, start: int, stop: int):
     out of Y to its side B_g (see :func:`_map_sides`).  The failures of
     (X, Y) are the sum over f of the number of g, over every Z, with
     A_f & B_g.  The B_g counts of each Y are built from Y's row once per
-    process.  Only an (X, Y) with failures, and room for witnesses, is
-    scanned pair by pair: Z, then f rank, then g rank.
+    call, that is once per worker, since a worker sweeps one share.  Only
+    an (X, Y) with failures, and room for witnesses, is scanned pair by
+    pair: Z, then f rank, then g rank.
     """
     limit, cap = scope.witness_limit, scope.map_cap
     sizes, t_alpha_m = tables["n"], tables["T_alpha_m"]
@@ -522,8 +514,7 @@ def _sweep_chunk(encs, scope: Scope, tables: dict, start: int, stop: int):
     triples = [(k, enc.map_prop) for k, enc in enumerate(encs)
                if isinstance(enc, _TripleClaim)]
     middles = [iy for iy, t in enumerate(t_alpha_m) if t] if triples else []
-    memo = _middle_memo(cap, *(tables[name] for name in ("n",) + _MAP_SIDE)) \
-        if triples else None
+    memo = {}   # (property, middle position) -> _FailingG
     kept = {}   # rows of the middle spaces
 
     def row(i):
@@ -559,7 +550,7 @@ def _sweep_chunk(encs, scope: Scope, tables: dict, start: int, stop: int):
             for pair in _failing_pairs(f_ranks, f_sides, *g_sides(prop, iy, iz)):
                 yield (ix, iy, iz), pair
 
-    for ix in range(start, stop):
+    for ix in outer:
         for k, enc in singles:
             if tables[enc.hyp][ix] and not tables[enc.concl][ix]:
                 failures[k] += 1
@@ -600,28 +591,21 @@ def _sweep_chunk(encs, scope: Scope, tables: dict, start: int, stop: int):
     return failures, found
 
 
-def _chunks(total: int, jobs: int):
-    parts = max(1, min(total, jobs * 4))
-    step = (total + parts - 1) // parts
-    return [(lo, min(lo + step, total)) for lo in range(0, total, step)]
-
-
 def _run_sweep(encs, scope: Scope, jobs: int, pool):
     """(failures, witness bindings) of each encoding in ``encs`` from one
-    walk of the scope, split over the pool's workers."""
+    walk of the scope, split into one share per worker.
+
+    Share i is every jobs-th outer position from i.  A binding's tuple
+    order, ((positions), (ranks)), is the sweep order, so the first
+    witnesses of the whole scope are the least bindings over the shares.
+    """
     spaces = spaces_up_to(scope.max_points)
-    tables = _space_tables(spaces)
-    parts = _chunks(len(spaces), jobs) if pool is not None else [(0, len(spaces))]
-    args = [(encs, scope, tables, lo, hi) for lo, hi in parts]
-    results = (pool.map(_sweep_chunk, *zip(*args)) if len(parts) > 1
-               else [_sweep_chunk(*args[0])])
-    failures = [0] * len(encs)
-    found = [[] for _ in encs]
-    for part_failures, part_found in results:
-        for k in range(len(encs)):
-            failures[k] += part_failures[k]
-            found[k].extend(part_found[k])
-    return [(f, bindings[:scope.witness_limit]) for f, bindings in zip(failures, found)]
+    shares = [range(i, len(spaces), jobs) for i in range(jobs)]
+    sweep = partial(_sweep_chunk, encs, scope, _space_tables(spaces))
+    results = list((pool.map if pool else map)(sweep, shares))
+    return [(sum(failures[k] for failures, _ in results),
+             sorted(b for _, found in results for b in found[k])[:scope.witness_limit])
+            for k in range(len(encs))]
 
 
 def default_scope(claim_id: str) -> Scope:
@@ -640,7 +624,8 @@ def _verify_claims(claim_scopes: dict, jobs: int) -> dict:
     Claims of one scope are answered by one sweep, and report its wall
     time.  Ids restating one encoding are folded once and reported
     separately.  With jobs > 1 every sweep shares one process pool, of at
-    most one worker per CPU; the reports do not depend on the worker count.
+    most one worker per CPU, and hands each worker one share of its outer
+    spaces; the reports do not depend on the worker count.
     """
     if not isinstance(jobs, int) or isinstance(jobs, bool) or jobs < 1:
         raise BadParams(f"jobs {jobs!r} must be a positive integer")

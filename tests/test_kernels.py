@@ -60,7 +60,7 @@ def test_tuple_orders_exported_once():
     assert len(_kernels.MAP_PROP_ORDER) == 11
 
 
-def test_pure_backend_runs_the_full_pipeline():
+def test_kernels_run_the_full_pipeline():
     # spot-check one refutation end to end
     r = T.verify("T3_2_ab", verifier.Scope(max_points=2))
     assert (r.outcome, r.failures, r.witnesses[0].spaces[0].opens) == \

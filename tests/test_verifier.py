@@ -304,6 +304,9 @@ def test_pair_sweep_requests_each_pair_once():
         T.verify_all(scope=verifier.Scope(max_points=3), claims=claims)
         info = verifier._pair_masks.cache_info()
         assert (info.misses, info.hits, info.currsize) == (35 * 35, 0, 0), claims
+    # and nothing else in the verifier keeps state between calls
+    assert [name for name, obj in vars(verifier).items()
+            if hasattr(obj, "cache_info")] == ["_pair_masks"]
 
 
 @pytest.fixture(scope="module")
@@ -326,7 +329,7 @@ def test_sweep_tables_match_direct_predicates(stream_tables, data):
     tables = {name: (column[ix], column[iy]) for name, column in stream_tables.items()}
     encs = [verifier._ENCODINGS[key] for key in PAIR_KEYS]
     scope = verifier.Scope(max_points=4, witness_limit=None)
-    failures, found = verifier._sweep_chunk(encs, scope, tables, 0, 1)
+    failures, found = verifier._sweep_chunk(encs, scope, tables, range(1))
     x = spaces[ix]
     for key, count, bindings in zip(PAIR_KEYS, failures, found):
         assert count == len(bindings), key
@@ -384,40 +387,21 @@ def test_composition_fold_matches_every_pair():
     assert brute_failures == [480232, 298976]
     for limit in (5, None):
         scope = verifier.Scope(max_points=3, witness_limit=limit)
-        failures, found = verifier._sweep_chunk(encs, scope, tables, 0, len(spaces))
+        failures, found = verifier._sweep_chunk(encs, scope, tables, range(len(spaces)))
         assert failures == brute_failures
         assert found == [bindings[:limit] for bindings in brute_found]
     capped = verifier.Scope(max_points=3, map_cap=4, witness_limit=3)
     expect = _brute_composition(encs, capped, tables)
     assert expect[0] == [8974, 5707]
-    failures, found = verifier._sweep_chunk(encs, capped, tables, 0, len(spaces))
+    failures, found = verifier._sweep_chunk(encs, capped, tables, range(len(spaces)))
     assert (failures, found) == (expect[0], [b[:3] for b in expect[1]])
-
-
-def test_middle_memo_follows_the_tables():
-    # the composition counts a worker keeps per middle position must not
-    # outlive the tables they were read from: the same scope swept over the
-    # stream in another order gives the counts of a fresh process
-    forward = spaces_up_to(2)
-    encs = [verifier._ENCODINGS["P3_6"], verifier._ENCODINGS["T3_8b"]]
-    scope = verifier.Scope(max_points=2, witness_limit=None)
-
-    def failures(spaces):
-        tables = dict(verifier._space_tables(spaces), T_alpha_m=(True,) * len(spaces))
-        return verifier._sweep_chunk(encs, scope, tables, 0, len(spaces))[0]
-
-    verifier._middle_memo.cache_clear()
-    assert failures(forward[::-1]) == [16, 36]
-    verifier._middle_memo.cache_clear()
-    failures(forward)
-    assert failures(forward[::-1]) == [16, 36]
 
 
 def test_jobs_are_capped_at_the_cpu_count(monkeypatch):
     # a process pool forks all its workers on the first submit, so --jobs
     # is capped at the CPU count; a fake pool records the worker count and
-    # the chunks, and maps serially, so no process is started
-    pools, chunks = [], []
+    # the shares, and maps serially, so no process is started
+    pools, sweeps = [], []   # worker counts; the shares of each sweep
 
     class SerialPool:
         def __init__(self, max_workers):
@@ -429,19 +413,24 @@ def test_jobs_are_capped_at_the_cpu_count(monkeypatch):
         def __exit__(self, *exc):
             return False
 
-        def map(self, fn, *columns):
-            chunks.append(len(columns[0]))
-            return list(map(fn, *columns))
+        def map(self, fn, shares):
+            sweeps.append(list(shares))
+            return list(map(fn, sweeps[-1]))
 
     monkeypatch.setattr(verifier, "ProcessPoolExecutor", SerialPool)
     monkeypatch.setattr(verifier.os, "cpu_count", lambda: 3)
-    scope = verifier.Scope(max_points=3)
-    capped = verifier.reports_to_json(T.verify_all(scope, jobs=100_000))
-    assert pools == [3] and chunks and max(chunks) <= 3 * 4
-    assert capped == verifier.reports_to_json(T.verify_all(scope))
+    # each share is a stride of the stream, and the witnesses merged from
+    # the three shares are those of one serial walk, whatever the limit
+    for limit in (1, 5, None):
+        scope = verifier.Scope(max_points=3, witness_limit=limit)
+        del sweeps[:]
+        capped = verifier.reports_to_json(T.verify_all(scope, jobs=100_000))
+        assert sweeps == [[range(i, 35, 3) for i in range(3)]], limit
+        assert capped == verifier.reports_to_json(T.verify_all(scope)), limit
+    assert pools == [3, 3, 3]
     monkeypatch.setattr(verifier.os, "cpu_count", lambda: None)
     T.verify("T3_9b", scope, jobs=100_000)
-    assert pools == [3]             # one worker: no pool at all
+    assert pools == [3, 3, 3]       # one worker: no pool at all
 
 
 def test_verify_rejects_bad_scope_or_claim():
