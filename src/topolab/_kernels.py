@@ -16,7 +16,7 @@ Conventions:
 
 from __future__ import annotations
 
-from functools import lru_cache
+from functools import cache
 from itertools import product
 from typing import NamedTuple
 
@@ -116,7 +116,7 @@ def _rank_columns(rows, width):
 
 
 # one entry per shape, so at most 36 up to 5 points
-@lru_cache(maxsize=None)
+@cache
 def subset_tables(nx, ny):
     """The :class:`SubsetTables` of the maps from nX to nY points."""
     preimages, images = [], []
@@ -169,7 +169,8 @@ def map_masks(nx, x_open, x_closed, x_amc, x_amo,
     ``inverse_alpha_m_continuous`` says that each member of one family is
     carried (by preimage or image) into another, and is folded from the
     columns of :func:`subset_tables`, all maps at once.
-    Requires nX, nY <= 5.
+    ``open_preimages_alpha_m_open`` is ``alpha_m_continuous`` by complements
+    (see :mod:`topolab.maps`), so ``x_amo`` is not read.  Requires nX, nY <= 5.
     """
     tables = subset_tables(nx, ny)
     pre, img = tables.pre_ranks, tables.img_ranks
@@ -177,16 +178,17 @@ def map_masks(nx, x_open, x_closed, x_amc, x_amo,
     amcm = _carried(img, x_closed, y_amc, every)
     surj = _carried(img, 1 << (1 << nx) - 1, 1 << (1 << ny) - 1, every)
     bij = surj if nx == ny else 0
+    amc = _carried(pre, y_closed, x_amc, every)
     return (_carried(pre, y_open, x_open, every),
             _carried(img, x_open, y_open, every),
             _carried(img, x_closed, y_closed, every),
             surj,
             bij,
-            _carried(pre, y_closed, x_amc, every),
+            amc,
             _carried(pre, y_amc, x_amc, every),
             amcm,
             _carried(img, x_open, y_amo, every),
-            _carried(pre, y_open, x_amo, every),
+            amc,
             # a bijection's inverse pulls each closed C of X back to f(C)
             bij & amcm)
 

@@ -2,13 +2,13 @@
 
 Spaces stream in a fixed canonical order: ascending point count, then
 lexicographic on the canonically-sorted opens tuple.  The order is stable
-across runs, so shards of the stream can be recombined
-deterministically.
+across runs.
 """
 
 from __future__ import annotations
 
-from itertools import islice, permutations, product
+from functools import cache
+from itertools import permutations, product
 from typing import Iterator
 
 from . import _kernels
@@ -22,8 +22,6 @@ ENUMERATION_CAP = 5
 # and the rigid 7-point chain, 5,040 tables, 0.09 s; the 8-point chain 0.84 s
 CANONICAL_FORM_CAP = 7
 
-_labeled_cache: dict = {}
-
 
 def _check_scope(n: int) -> None:
     if not isinstance(n, int) or isinstance(n, bool) or n < 0:
@@ -32,38 +30,17 @@ def _check_scope(n: int) -> None:
         raise ScopeTooLarge(f"enumeration is capped at {ENUMERATION_CAP} points, got {n}")
 
 
-def _check_shard(shard):
-    if shard is None:
-        return
-    if not (isinstance(shard, (tuple, list)) and len(shard) == 2
-            and all(isinstance(v, int) and not isinstance(v, bool) for v in shard)
-            and 0 <= shard[0] < shard[1]):
-        raise BadParams(f"shard {shard!r} must be (index, count) with 0 <= index < count")
-
-
+# one stream per point count, kept for the process: stream positions refer to it
+@cache
 def _labeled(n: int) -> tuple:
-    spaces = _labeled_cache.get(n)
-    if spaces is None:
-        spaces = _labeled_cache[n] = tuple(sorted(
-            (FiniteSpace(n, minn) for minn in _kernels.enumerate_masks(n)),
-            key=lambda s: s.opens))
-    return spaces
+    return tuple(sorted((FiniteSpace(n, minn) for minn in _kernels.enumerate_masks(n)),
+                        key=lambda s: s.opens))
 
 
-def enumerate_topologies(n: int, shard=None) -> Iterator[FiniteSpace]:
-    """All labeled topologies on n points, in canonical stream order.
-
-    ``shard=(i, k)`` yields every k-th space starting at position i, so k
-    disjoint shards partition the stream.
-    """
+def enumerate_topologies(n: int) -> Iterator[FiniteSpace]:
+    """All labeled topologies on n points, in canonical stream order."""
     _check_scope(n)
-    _check_shard(shard)
-    spaces = _labeled(n)
-    if shard is None:
-        yield from spaces
-    else:
-        i, k = shard
-        yield from spaces[i::k]
+    yield from _labeled(n)
 
 
 def relabel(space: FiniteSpace, perm) -> FiniteSpace:
@@ -121,23 +98,16 @@ def _homeo_classes(n: int) -> Iterator[FiniteSpace]:
             yield s
 
 
-def enumerate_topologies_up_to_homeo(n: int, shard=None) -> Iterator[FiniteSpace]:
+def enumerate_topologies_up_to_homeo(n: int) -> Iterator[FiniteSpace]:
     """One representative per homeomorphism class, in stream order.
 
     Each representative is the class's least relabeling, as
     ``canonical_form`` gives it.  The labeled stream is walked once: a space
     starts a new class unless an earlier orbit holds it, so each class's
-    orbit is relabeled once.  ``shard=(i, k)`` yields every k-th
-    representative starting at position i.
+    orbit is relabeled once.
     """
     _check_scope(n)
-    _check_shard(shard)
-    reps = _homeo_classes(n)
-    if shard is None:
-        yield from reps
-    else:
-        i, k = shard
-        yield from islice(reps, i, None, k)
+    yield from _homeo_classes(n)
 
 
 def spaces_up_to(max_points: int) -> tuple:
@@ -149,23 +119,12 @@ def spaces_up_to(max_points: int) -> tuple:
     return tuple(out)
 
 
-def enumerate_maps(domain: FiniteSpace, codomain: FiniteSpace,
-                   surjective_only: bool = False,
-                   bijective_only: bool = False) -> Iterator[SpaceMap]:
-    """All maps domain -> codomain in rank order, optionally filtered."""
+def enumerate_maps(domain: FiniteSpace, codomain: FiniteSpace) -> Iterator[SpaceMap]:
+    """All maps domain -> codomain in rank order."""
     check_space(domain, "domain")
     check_space(codomain, "codomain")
     if domain.n > ENUMERATION_CAP or codomain.n > ENUMERATION_CAP:
         raise ScopeTooLarge(
             f"map enumeration is capped at {ENUMERATION_CAP}-point spaces")
-    full = codomain.full
     for assign in product(range(codomain.n), repeat=domain.n):
-        if bijective_only or surjective_only:
-            img = 0
-            for y in assign:
-                img |= 1 << y
-            if img != full:
-                continue
-            if bijective_only and len(set(assign)) != domain.n:
-                continue
         yield SpaceMap(domain, codomain, assign)

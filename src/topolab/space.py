@@ -33,7 +33,10 @@ def subset_of_points(points: Iterable[int], n: int) -> PointSet:
 
 
 def points_of(mask: PointSet) -> list[int]:
-    """Ascending point indices of a bitmask."""
+    """Ascending point indices of a bitmask; BadParams for anything that is
+    not a non-negative int."""
+    if not isinstance(mask, int) or mask < 0:
+        raise BadParams(f"subset {mask!r} is not a non-negative bitmask")
     out = []
     while mask:
         b = mask & -mask

@@ -22,7 +22,7 @@ from collections.abc import Iterable
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import nullcontext
 from dataclasses import dataclass
-from functools import lru_cache, partial
+from functools import cache, lru_cache, partial
 from itertools import islice
 from typing import NamedTuple
 
@@ -463,27 +463,11 @@ def _map_sides(prop: str, as_f: bool, dom: int, cod: int, ranks, tables: dict) -
     return sides
 
 
-class _FailingG(dict):
-    """A_f -> how many maps g out of one middle space Y, to every Z, make g
-    after f fail.  Each A_f is summed from the B_g counts on first use."""
-
-    def __init__(self, g_sides: Counter):
-        super().__init__()
-        self.g_sides = g_sides
-
-    def __missing__(self, a):
-        self[a] = n = sum(c for b, c in self.g_sides.items() if a & b)
-        return n
-
-
 def _failing_pairs(f_ranks, f_sides, g_ranks, g_sides):
     """(f rank, g rank) of each failing composite, f-outer and g-inner."""
-    by_side = {}
+    bad = cache(lambda a: [rg for rg, b in zip(g_ranks, g_sides) if a & b])
     for rf, a in zip(f_ranks, f_sides):
-        bad = by_side.get(a)
-        if bad is None:
-            bad = by_side[a] = [rg for rg, b in zip(g_ranks, g_sides) if a & b]
-        for rg in bad:
+        for rg in bad(a):
             yield rf, rg
 
 
@@ -500,10 +484,10 @@ def _sweep_chunk(encs, scope: Scope, tables: dict, outer):
     from X to a T_alpha_m middle Y is reduced to its side A_f, and each g
     out of Y to its side B_g (see :func:`_map_sides`).  The failures of
     (X, Y) are the sum over f of the number of g, over every Z, with
-    A_f & B_g.  The B_g counts of each Y are built from Y's row once per
-    call, that is once per worker, since a worker sweeps one share.  Only
-    an (X, Y) with failures, and room for witnesses, is scanned pair by
-    pair: Z, then f rank, then g rank.
+    A_f & B_g.  Y's row and B_g counts are built once per call, that is
+    once per worker, since a worker sweeps one share.  Only an (X, Y) with
+    failures, and room for witnesses, is scanned pair by pair: Z, then f
+    rank, then g rank.
     """
     limit, cap = scope.witness_limit, scope.map_cap
     sizes, t_alpha_m = tables["n"], tables["T_alpha_m"]
@@ -514,16 +498,12 @@ def _sweep_chunk(encs, scope: Scope, tables: dict, outer):
     triples = [(k, enc.map_prop) for k, enc in enumerate(encs)
                if isinstance(enc, _TripleClaim)]
     middles = [iy for iy, t in enumerate(t_alpha_m) if t] if triples else []
-    memo = {}   # (property, middle position) -> _FailingG
-    kept = {}   # rows of the middle spaces
 
     def row(i):
-        if i in kept:
-            return kept[i]
-        masks = [_pair_masks(tables, i, iz) for iz in range(len(sizes))]
-        if triples and t_alpha_m[i]:
-            kept[i] = masks
-        return masks
+        return [_pair_masks(tables, i, iz) for iz in range(len(sizes))]
+
+    # the composition claims read a middle space's row more than once
+    middle_row = cache(row)
 
     def room(k):
         return None if limit is None else max(0, limit - len(found[k]))
@@ -533,17 +513,17 @@ def _sweep_chunk(encs, scope: Scope, tables: dict, outer):
 
     def g_sides(prop, iy, iz):
         # ranks and sides of the maps g: Y -> Z that satisfy prop
-        ranks = points_of(row(iy)[iz][_PROP_IDX[prop]] & allowed(iy, iz))
+        ranks = points_of(middle_row(iy)[iz][_PROP_IDX[prop]] & allowed(iy, iz))
         return ranks, _map_sides(prop, False, iy, iz, ranks, tables)
 
+    @cache
     def failing_g(prop, iy):
-        hits = memo.get((prop, iy))
-        if hits is None:
-            counts = Counter()
-            for iz in range(len(sizes)):
-                counts.update(g_sides(prop, iy, iz)[1])
-            hits = memo[prop, iy] = _FailingG(counts)
-        return hits
+        # A_f -> how many maps g out of Y, to every Z, make g after f fail;
+        # each A_f is summed from the B_g counts on first use
+        counts = Counter()
+        for iz in range(len(sizes)):
+            counts.update(g_sides(prop, iy, iz)[1])
+        return cache(lambda a: sum(c for b, c in counts.items() if a & b))
 
     def failing_triples(prop, ix, iy, f_ranks, f_sides):
         for iz in range(len(sizes)):
@@ -558,7 +538,7 @@ def _sweep_chunk(encs, scope: Scope, tables: dict, outer):
         pairs = [(k, enc) for k, enc in doubles if t_alpha_m[ix] or not enc.space_hyp_x]
         if not pairs and not triples:
             continue
-        x_row = row(ix)
+        x_row = middle_row(ix) if triples and t_alpha_m[ix] else row(ix)
 
         for iy, masks in enumerate(x_row):
             f_allowed = allowed(ix, iy)
@@ -583,7 +563,7 @@ def _sweep_chunk(encs, scope: Scope, tables: dict, outer):
                 if not f_ranks:
                     continue
                 f_sides = _map_sides(prop, True, ix, iy, f_ranks, tables)
-                count = sum(map(failing_g(prop, iy).__getitem__, f_sides))
+                count = sum(map(failing_g(prop, iy), f_sides))
                 failures[k] += count
                 if count and room(k) != 0:
                     found[k].extend(islice(
@@ -696,8 +676,8 @@ def validate_witness(report: TheoremReport) -> bool:
     return True
 
 
-def reports_to_json(reports, indent=None) -> str:
+def reports_to_json(reports) -> str:
     """Deterministic structured output for a batch of reports."""
     payload = {"note": SCOPE_NOTE,
                "reports": [r.to_record() for r in reports]}
-    return json.dumps(payload, indent=indent, separators=(",", ":"))
+    return json.dumps(payload, separators=(",", ":"))

@@ -57,13 +57,6 @@ def test_homeo_reps_partition_five_points():
     assert total == 6942
 
 
-def test_homeo_sharding_partitions_the_reps():
-    whole = list(en.enumerate_topologies_up_to_homeo(4))
-    parts = [list(en.enumerate_topologies_up_to_homeo(4, shard=(i, 3)))
-             for i in range(3)]
-    assert sorted(sum(parts, []), key=lambda s: s.opens) == whole
-
-
 def test_emitted_spaces_validate_and_are_unique():
     for n in range(5):
         seen = set()
@@ -82,23 +75,6 @@ def test_stream_order_deterministic_and_sorted():
 def test_two_point_stream_order():
     got = [s.opens for s in en.enumerate_topologies(2)]
     assert got == [(0, 1, 2, 3), (0, 1, 3), (0, 2, 3), (0, 3)]
-
-
-def test_sharding_partitions_the_stream():
-    whole = list(en.enumerate_topologies(4))
-    for k in (1, 2, 3, 7):
-        parts = [list(en.enumerate_topologies(4, shard=(i, k))) for i in range(k)]
-        assert sorted(sum(parts, []), key=lambda s: s.opens) == whole
-        assert sum(len(p) for p in parts) == len(whole)
-    with pytest.raises(BadParams):
-        list(en.enumerate_topologies(2, shard=(2, 2)))
-    with pytest.raises(BadParams):
-        list(en.enumerate_topologies(2, shard=(-1, 2)))
-    for bad in (5, (0, 1, 2), (0, True), (True, 2), (0.0, 1), "01", (0,)):
-        with pytest.raises(BadParams):
-            list(en.enumerate_topologies(2, shard=bad))
-        with pytest.raises(BadParams):
-            list(en.enumerate_topologies_up_to_homeo(2, shard=bad))
 
 
 def test_scope_caps():
@@ -209,19 +185,9 @@ def test_enumerate_maps_counts():
     assert len(list(en.enumerate_maps(d3, T.discrete(0)))) == 0
 
 
-def test_enumerate_maps_order_and_filters():
-    sierp = T.sierpinski()
-    ind = T.indiscrete(2)
-    ranks = [f.assignment for f in en.enumerate_maps(sierp, ind)]
+def test_enumerate_maps_rank_order():
+    ranks = [f.assignment for f in en.enumerate_maps(T.sierpinski(), T.indiscrete(2))]
     assert ranks == [(0, 0), (0, 1), (1, 0), (1, 1)]
-    surj = list(en.enumerate_maps(sierp, ind, surjective_only=True))
-    assert [f.assignment for f in surj] == [(0, 1), (1, 0)]
-    bij = list(en.enumerate_maps(T.discrete(3), T.discrete(3), bijective_only=True))
-    assert len(bij) == 6
-    for f in bij:
-        assert T.is_bijective(f)
-    onto = list(en.enumerate_maps(T.discrete(3), T.discrete(2), surjective_only=True))
-    assert len(onto) == 2 ** 3 - 2
 
 
 def test_enumerate_maps_scope():

@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import pickle
+import signal
 
 import pytest
 from hypothesis import given, settings
@@ -308,6 +309,25 @@ def test_subset_helpers():
         T.subset_of_points([3], 3)
     with pytest.raises(BadParams):
         T.subset_of_points([True], 3)
+
+
+def test_subset_helpers_reject_negative_masks():
+    # a negative int has endless set bits in two's complement, so a loop
+    # that clears one bit at a time never ends; the alarm turns such a hang
+    # into a failure
+    def timeout(signum, frame):
+        raise TimeoutError("no answer within 1 s")
+
+    previous = signal.signal(signal.SIGALRM, timeout)
+    signal.alarm(1)
+    try:
+        for fn in (T.points_of, T.format_subset):
+            for bad in (-1, -0b101, 1.0, "1", None):
+                with pytest.raises(BadParams):
+                    fn(bad)
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
 
 
 def test_repr_is_readable():

@@ -164,8 +164,9 @@ def test_refutation_T3_9b_smallest_witness():
 
 
 def test_exact_claims_hold_at_3():
-    for cid in EXACT_AT_3:
-        r = T.verify(cid, verifier.Scope(max_points=3))
+    reports = T.verify_all(verifier.Scope(max_points=3), claims=EXACT_AT_3)
+    for cid, r in zip(EXACT_AT_3, reports):
+        assert r.claim == cid
         assert r.outcome == "holds-on-scope", cid
         assert r.failures == 0 and r.witnesses == ()
 
