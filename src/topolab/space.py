@@ -45,11 +45,6 @@ def points_of(mask: PointSet) -> list[int]:
     return out
 
 
-def family_sort_key(mask: PointSet) -> tuple[int, int]:
-    """Canonical subset order: cardinality first, then numeric value."""
-    return (mask.bit_count(), mask)
-
-
 def canonical_subsets(n: int):
     """Every subset of n points in canonical order, without sorting: per
     cardinality, Gosper's hack steps to the next bitmask with as many bits."""
@@ -81,7 +76,8 @@ class FiniteSpace:
     canonical order (cardinality, then numeric bitmask value), and the mask
     of maximal points.  Construct through :func:`new_space` or the
     generators; the raw constructor takes an exact table (x in U_x, and
-    U_z <= U_x for z in U_x) and does not validate it.
+    U_z <= U_x for z in U_x) and does not validate it; :func:`check_table`
+    does.
     """
 
     n: int
@@ -100,7 +96,9 @@ class FiniteSpace:
         for u in self.min_nbhd:
             if u not in opens:
                 opens |= {o | u for o in opens}
-        return tuple(sorted(opens, key=family_sort_key))
+        # the sort by cardinality is stable, so each cardinality stays in
+        # numeric order
+        return tuple(sorted(sorted(opens), key=int.bit_count))
 
     @cached_property
     def maximal(self) -> PointSet:
@@ -322,6 +320,35 @@ def check_space(obj, what: str = "space") -> FiniteSpace:
     if not isinstance(obj, FiniteSpace):
         raise BadParams(f"{what} {obj!r} is not a FiniteSpace")
     return obj
+
+
+def check_table(obj) -> FiniteSpace:
+    """``obj`` if it is a FiniteSpace whose table is a topology's.
+
+    BadParams if it is no FiniteSpace, or its table is not a tuple of n
+    subsets of its n points; NotATopology if some x is not in U_x, or some z
+    in U_x has U_z not inside U_x.  It costs O(n²), so only the entry points
+    that permute a table call it; ``check_space`` and the constructor do not.
+    """
+    space = check_space(obj)
+    n, minn = space.n, space.min_nbhd
+    if not isinstance(n, int) or isinstance(n, bool) or n < 0:
+        raise BadParams(f"point count {n!r} is not a non-negative integer")
+    if not isinstance(minn, tuple) or len(minn) != n:
+        raise BadParams(f"neighbourhood table {minn!r} is not a tuple of {n} subsets")
+    full = (1 << n) - 1
+    for u in minn:
+        if not isinstance(u, int) or isinstance(u, bool) or not 0 <= u <= full:
+            raise BadParams(f"neighbourhood {u!r} does not fit in {n} points")
+    for x, u in enumerate(minn):
+        if not u >> x & 1:
+            raise NotATopology(f"point {x} is not in its neighbourhood {format_subset(u)}")
+        for z in points_of(u):
+            if minn[z] & u != minn[z]:
+                raise NotATopology(
+                    f"point {z} is in the neighbourhood {format_subset(u)} of point {x},"
+                    f" but its own, {format_subset(minn[z])}, is not inside it")
+    return space
 
 
 def load_json(text):

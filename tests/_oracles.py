@@ -4,7 +4,7 @@ Everything here is written against the raw definitions with itertools only,
 deliberately sharing no code with the package under test.
 """
 
-from itertools import permutations
+from itertools import permutations, product
 
 
 def naive_labeled_families(n):
@@ -145,3 +145,13 @@ def naive_up_sets(n, minn):
     opens = [a for a in range(1 << n)
              if all(minn[x] & a == minn[x] for x in range(n) if a >> x & 1)]
     return sorted(opens, key=lambda a: (bin(a).count("1"), a))
+
+
+def naive_tables(n):
+    """Every neighbourhood table of a topology on n points, in lexicographic
+    order: every n-tuple of subsets is tried, and kept iff each x lies in
+    its own entry U_x and each y in U_x has U_y inside U_x."""
+    return [t for t in product(range(1 << n), repeat=n)
+            if all(t[x] >> x & 1 for x in range(n))
+            and all(t[y] & t[x] == t[y]
+                    for x in range(n) for y in range(n) if t[x] >> y & 1)]

@@ -4,7 +4,7 @@ import pytest
 
 import topolab as T
 from topolab import enumeration as en
-from topolab.errors import BadParams, ScopeTooLarge
+from topolab.errors import BadParams, NotATopology, ScopeTooLarge
 
 from _oracles import (naive_canonical_opens, naive_labeled_families, orbit_count,
                       relabel_opens)
@@ -140,6 +140,49 @@ def test_canonical_form_matches_the_naive_oracle():
         assert en.canonical_form(s).opens == naive_canonical_opens(s.n, s.opens), s
     for r in en.enumerate_topologies_up_to_homeo(5):
         assert r.opens == naive_canonical_opens(5, r.opens), r
+    # the chains' opens are the initial segments {0..x}: no two of their
+    # relabelings are equal
+    chains = [T.FiniteSpace(n, tuple((2 << x) - 1 for x in range(n))) for n in (6, 7)]
+    for s in chains + [T.discrete(6)]:
+        assert en.canonical_form(s).opens == naive_canonical_opens(s.n, s.opens), s
+
+
+def test_orbit_matches_relabel():
+    # the orbit permutes the table without relabel's checks; it must give
+    # the tables relabel gives
+    spaces = list(en.spaces_up_to(4)) + list(en.enumerate_topologies(5))[::7]
+    for s in spaces:
+        assert en._orbit(s) == {en.relabel(s, p).min_nbhd
+                                for p in permutations(range(s.n))}, s
+
+
+def test_tables_that_are_no_topology_are_refused():
+    # the raw constructor does not validate; the two entry points that
+    # permute a table do
+    not_topologies = (
+        T.FiniteSpace(2, (0b10, 0b11)),            # 0 is not in U_0
+        T.FiniteSpace(3, (0b011, 0b110, 0b100)),   # 1 in U_0, U_1 not in U_0
+    )
+    malformed = (
+        T.FiniteSpace(2, [1, 3]),                  # not a tuple
+        T.FiniteSpace(2, (1,)),                    # one entry short
+        T.FiniteSpace(2, (1, 4)),                  # 4 is not a subset of 2 points
+        T.FiniteSpace(2, (1, -1)),
+        T.FiniteSpace(2, (True, 3)),
+        T.FiniteSpace(2, (1, 3.0)),
+        T.FiniteSpace(-1, ()),
+        T.FiniteSpace(2.0, (1, 3)),
+    )
+    for s in not_topologies:
+        with pytest.raises(NotATopology):
+            en.canonical_form(s)
+        with pytest.raises(NotATopology):
+            en.relabel(s, range(s.n))
+    for s in malformed:
+        with pytest.raises(BadParams):
+            en.canonical_form(s)
+        with pytest.raises(BadParams):
+            en.relabel(s, (1, 0))
 
 
 def test_canonical_form_classifies_homeomorphism():

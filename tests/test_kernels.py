@@ -4,7 +4,7 @@ the benchmark's tracer and the tests still reach, and one end-to-end run.
 ``map_masks`` is checked against the direct predicates in
 ``test_maps.py``, ``class_masks`` against the naive oracles here and the
 alpha_m predicates in ``test_classes.py``, and the tables ``enumerate_masks``
-yields against the naive oracle in ``test_enumeration.py``.
+yields against the naive oracles here and in ``test_enumeration.py``.
 """
 
 import random
@@ -13,7 +13,8 @@ import topolab as T
 from topolab import _kernels, classes, verifier
 from topolab.maps import SpaceMap, assignment_from_index, compose, map_index
 
-from _oracles import naive_alpha_m_closed, naive_closure, naive_interior, naive_maximal
+from _oracles import (naive_alpha_m_closed, naive_closure, naive_interior, naive_maximal,
+                      naive_tables)
 
 
 def test_space_pack_and_class_masks_agree():
@@ -30,6 +31,12 @@ def test_space_pack_and_class_masks_agree():
             lambda a: naive_alpha_m_closed(s.n, s.opens, a),
             lambda a: naive_alpha_m_closed(s.n, s.opens, s.full ^ a))]
         assert _kernels.class_masks(s.n, s.min_nbhd) == tuple(want), s
+
+
+def test_enumerate_masks_matches_every_table():
+    # the pruned search against a filter of all 2^(n*n) tuples, order included
+    for n in range(5):
+        assert _kernels.enumerate_masks(n) == naive_tables(n), n
 
 
 def test_composition_failures_agree():
