@@ -42,27 +42,27 @@ AXIOM_IDS = ("T0", "T1", "T_half", "T_alpha_m", "singleton_dichotomy")
 
 def is_T0(space: FiniteSpace) -> bool:
     """Some open contains exactly one of each pair of distinct points."""
-    return _t0_witness(space) is None
+    return _t0_witness(check_space(space)) is None
 
 
 def is_T1(space: FiniteSpace) -> bool:
     """Each of two distinct points has an open avoiding the other."""
-    return _t1_witness(space) is None
+    return _t1_witness(check_space(space)) is None
 
 
 def is_T_half(space: FiniteSpace) -> bool:
     """Every g-closed set is closed."""
-    return _all_singletons(space, _open_or_closed)
+    return _all_singletons(check_space(space), _open_or_closed)
 
 
 def is_T_alpha_m(space: FiniteSpace) -> bool:
     """Every alpha_m-closed set is closed."""
-    return _all_singletons(space, _closed_or_open_with_open_closure)
+    return _all_singletons(check_space(space), _closed_or_open_with_open_closure)
 
 
 def singleton_dichotomy(space: FiniteSpace) -> bool:
     """Every singleton is alpha-closed or clopen."""
-    return _dichotomy_witness(space) is None
+    return _dichotomy_witness(check_space(space)) is None
 
 
 def _t0_witness(space: FiniteSpace):

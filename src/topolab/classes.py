@@ -97,47 +97,47 @@ def _union(table, a: PointSet) -> PointSet:
 
 
 def is_preopen(space: FiniteSpace, a: PointSet) -> bool:
-    i = space.interior(space.closure(a))
+    i = check_space(space).interior(space.closure(a))
     return a & i == a
 
 
 def is_preclosed(space: FiniteSpace, a: PointSet) -> bool:
-    c = space.closure(space.interior(a))
+    c = check_space(space).closure(space.interior(a))
     return c & a == c
 
 
 def is_semiopen(space: FiniteSpace, a: PointSet) -> bool:
-    c = space.closure(space.interior(a))
+    c = check_space(space).closure(space.interior(a))
     return a & c == a
 
 
 def is_semiclosed(space: FiniteSpace, a: PointSet) -> bool:
-    i = space.interior(space.closure(a))
+    i = check_space(space).interior(space.closure(a))
     return i & a == i
 
 
 def is_alpha_open(space: FiniteSpace, a: PointSet) -> bool:
-    i = space.interior(space.closure(space.interior(a)))
+    i = check_space(space).interior(space.closure(space.interior(a)))
     return a & i == a
 
 
 def is_alpha_closed(space: FiniteSpace, a: PointSet) -> bool:
-    c = space.closure(space.interior(space.closure(a)))
+    c = check_space(space).closure(space.interior(space.closure(a)))
     return c & a == c
 
 
 def is_beta_open(space: FiniteSpace, a: PointSet) -> bool:
-    c = space.closure(space.interior(space.closure(a)))
+    c = check_space(space).closure(space.interior(space.closure(a)))
     return a & c == a
 
 
 def is_beta_closed(space: FiniteSpace, a: PointSet) -> bool:
-    i = space.interior(space.closure(space.interior(a)))
+    i = check_space(space).interior(space.closure(space.interior(a)))
     return i & a == i
 
 
 def is_g_closed(space: FiniteSpace, a: PointSet) -> bool:
-    space.check_subset(a)
+    check_space(space).check_subset(a)
     return _g_closed(space, a)
 
 
@@ -149,11 +149,11 @@ def _g_closed(space: FiniteSpace, a: PointSet) -> bool:
 
 
 def is_g_open(space: FiniteSpace, a: PointSet) -> bool:
-    return is_g_closed(space, space.complement(a))
+    return is_g_closed(space, check_space(space).complement(a))
 
 
 def is_alpha_m_closed(space: FiniteSpace, a: PointSet) -> bool:
-    space.check_subset(a)
+    check_space(space).check_subset(a)
     return _alpha_m_closed(space, a)
 
 
@@ -165,7 +165,7 @@ def _alpha_m_closed(space: FiniteSpace, a: PointSet) -> bool:
 
 
 def is_alpha_m_open(space: FiniteSpace, a: PointSet) -> bool:
-    return is_alpha_m_closed(space, space.complement(a))
+    return is_alpha_m_closed(space, check_space(space).complement(a))
 
 
 def alpha_m_closed_meet_irreducibles(space: FiniteSpace) -> list:

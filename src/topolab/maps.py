@@ -16,13 +16,6 @@ from .errors import BadParams, SpaceMismatch
 from .space import (FiniteSpace, PointSet, _interior, check_space, load_json, points_of,
                     space_from_record)
 
-MAP_PROPERTY_IDS = (
-    "continuous", "open_map", "closed_map", "surjective", "bijective",
-    "alpha_m_continuous", "alpha_m_irresolute",
-    "alpha_m_closed_map", "alpha_m_open_map",
-)
-
-
 @dataclass(frozen=True)
 class SpaceMap:
     """A total map ``domain  -> codomain``, point x to assignment[x]."""
@@ -86,7 +79,7 @@ def check_map(obj, what: str = "map") -> SpaceMap:
 
 
 def identity_map(space: FiniteSpace) -> SpaceMap:
-    return SpaceMap(space, space, tuple(range(space.n)))
+    return SpaceMap(space, space, tuple(range(check_space(space).n)))
 
 
 def compose(g: SpaceMap, f: SpaceMap) -> SpaceMap:
@@ -102,11 +95,11 @@ def compose(g: SpaceMap, f: SpaceMap) -> SpaceMap:
 
 
 def is_surjective(f: SpaceMap) -> bool:
-    return f.image(f.domain.full) == f.codomain.full
+    return check_map(f).image(f.domain.full) == f.codomain.full
 
 
 def is_bijective(f: SpaceMap) -> bool:
-    return (len(set(f.assignment)) == f.domain.n
+    return (len(set(check_map(f).assignment)) == f.domain.n
             and is_surjective(f))
 
 
@@ -147,6 +140,7 @@ def is_continuous(f: SpaceMap) -> bool:
     Each open set of Y is the union of the U_y it holds, preimages commute
     with unions, and unions of open sets are open; so it suffices that
     f^-1(U_y) is open for every y."""
+    check_map(f)
     fib = _fibres(f)
     return all(_is_open(f.domain, _union(fib, u)) for u in f.codomain.min_nbhd)
 
@@ -156,6 +150,7 @@ def is_open_map(f: SpaceMap) -> bool:
 
     Each open set of X is the union of the U_x it holds, and images commute
     with unions; so it suffices that f(U_x) is open for every x."""
+    check_map(f)
     pts = _point_images(f)
     return all(_is_open(f.codomain, _union(pts, u)) for u in f.domain.min_nbhd)
 
@@ -166,6 +161,7 @@ def is_closed_map(f: SpaceMap) -> bool:
     Each closed set of X is the union of the cl({x}) it holds, images
     commute with unions, and finite unions of closed sets are closed; so it
     suffices that f(cl({x})) is closed for every x."""
+    check_map(f)
     minn, full = f.domain.min_nbhd, f.domain.full
     pts, cod_full = _point_images(f), f.codomain.full
     for x in range(f.domain.n):
@@ -183,6 +179,7 @@ def is_alpha_m_continuous(f: SpaceMap) -> bool:
     intersections, and alpha_m-closed sets are closed under them (see
     :mod:`topolab.classes`); so it suffices that X - f^-1(U_y) is
     alpha_m-closed, that is, f^-1(U_y) is alpha_m-open, for every y."""
+    check_map(f)
     fib, full = _fibres(f), f.domain.full
     return all(_alpha_m_closed(f.domain, full ^ _union(fib, u))
                for u in f.codomain.min_nbhd)
@@ -196,6 +193,7 @@ def is_alpha_m_irresolute(f: SpaceMap) -> bool:
     preimages commute with intersections, and alpha_m-closed sets of X are
     closed under them; so it suffices that the preimage of each
     meet-irreducible one is alpha_m-closed."""
+    check_map(f)
     fib = _fibres(f)
     return all(_alpha_m_closed(f.domain, _union(fib, c))
                for c in alpha_m_closed_meet_irreducibles(f.codomain))
@@ -212,6 +210,7 @@ def is_alpha_m_closed_map(f: SpaceMap) -> bool:
     ker(f^-1({y})); so F lies in G = X - ker(f^-1({y})).  Then f(F) <= f(G),
     y is not in f(G), and y is in int(cl(f(G))), so f(G) is not
     alpha_m-closed either."""
+    check_map(f)
     minn, full = f.domain.min_nbhd, f.domain.full
     fib, pts = _fibres(f), _point_images(f)
     for y in points_of(f.codomain.full ^ f.codomain.maximal):
@@ -228,6 +227,7 @@ def is_alpha_m_open_map(f: SpaceMap) -> bool:
     with unions, and alpha_m-open sets, the complements of alpha_m-closed
     ones, are closed under unions; so it suffices that f(U_x) is
     alpha_m-open for every x."""
+    check_map(f)
     pts, full = _point_images(f), f.codomain.full
     return all(_alpha_m_closed(f.codomain, full ^ _union(pts, u))
                for u in f.domain.min_nbhd)
@@ -242,6 +242,22 @@ def open_preimages_alpha_m_open(f: SpaceMap) -> bool:
     that decides :func:`is_alpha_m_continuous`, so the two properties
     coincide."""
     return is_alpha_m_continuous(f)
+
+
+# the one-map properties by name, in MapClassification field order
+MAP_PREDICATES = {
+    "continuous": is_continuous,
+    "open_map": is_open_map,
+    "closed_map": is_closed_map,
+    "surjective": is_surjective,
+    "bijective": is_bijective,
+    "alpha_m_continuous": is_alpha_m_continuous,
+    "alpha_m_irresolute": is_alpha_m_irresolute,
+    "alpha_m_closed_map": is_alpha_m_closed_map,
+    "alpha_m_open_map": is_alpha_m_open_map,
+}
+
+MAP_PROPERTY_IDS = tuple(MAP_PREDICATES)
 
 
 @dataclass(frozen=True)
@@ -264,17 +280,7 @@ class MapClassification:
 
 def classify_map(f: SpaceMap) -> MapClassification:
     check_map(f)
-    return MapClassification(
-        continuous=is_continuous(f),
-        open_map=is_open_map(f),
-        closed_map=is_closed_map(f),
-        surjective=is_surjective(f),
-        bijective=is_bijective(f),
-        alpha_m_continuous=is_alpha_m_continuous(f),
-        alpha_m_irresolute=is_alpha_m_irresolute(f),
-        alpha_m_closed_map=is_alpha_m_closed_map(f),
-        alpha_m_open_map=is_alpha_m_open_map(f),
-    )
+    return MapClassification(**{name: holds(f) for name, holds in MAP_PREDICATES.items()})
 
 
 def map_index(f: SpaceMap) -> int:

@@ -23,7 +23,14 @@ PointSet = int
 
 
 def subset_of_points(points: Iterable[int], n: int) -> PointSet:
-    """Bitmask of an iterable of 0-based point indices (order-free)."""
+    """Bitmask of an iterable of 0-based point indices (order-free);
+    BadParams unless ``points`` is iterable and ``n`` an int."""
+    if not isinstance(n, int) or isinstance(n, bool):
+        raise BadParams(f"point count {n!r} is not an integer")
+    try:
+        points = iter(points)
+    except TypeError:
+        raise BadParams(f"points {points!r} are not an iterable of point indices") from None
     mask = 0
     for p in points:
         if not isinstance(p, int) or isinstance(p, bool) or not 0 <= p < n:
@@ -34,8 +41,8 @@ def subset_of_points(points: Iterable[int], n: int) -> PointSet:
 
 def points_of(mask: PointSet) -> list[int]:
     """Ascending point indices of a bitmask; BadParams for anything that is
-    not a non-negative int."""
-    if not isinstance(mask, int) or mask < 0:
+    not a non-negative int, bools included."""
+    if not isinstance(mask, int) or isinstance(mask, bool) or mask < 0:
         raise BadParams(f"subset {mask!r} is not a non-negative bitmask")
     out = []
     while mask:
@@ -307,7 +314,7 @@ def generate(name: str, *params: int) -> FiniteSpace:
     """Dispatch to a named generator; BadParams on unknown name or arity."""
     try:
         fn, arity = GENERATORS[name]
-    except KeyError:
+    except (KeyError, TypeError):       # TypeError: a name that cannot be a key
         raise BadParams(f"unknown generator {name!r}; choose from "
                         + ", ".join(sorted(GENERATORS))) from None
     if len(params) != arity:

@@ -23,14 +23,15 @@ from concurrent.futures import ProcessPoolExecutor
 from contextlib import nullcontext
 from dataclasses import dataclass
 from functools import cache, lru_cache, partial
-from itertools import islice
+from itertools import islice, product
+from math import prod
 from typing import NamedTuple
 
 from . import _kernels, axioms, maps
 from .enumeration import spaces_up_to
 from .errors import ArityMismatch, BadParams, InternalCheckError, ScopeTooLarge
 from .maps import SpaceMap, assignment_from_index, check_map, compose, map_from_record
-from .space import FiniteSpace, check_space, points_of, space_from_record
+from .space import check_space, points_of, space_from_record
 
 MAX_SCOPE_POINTS = 5
 
@@ -39,16 +40,9 @@ SCOPE_NOTE = ("exhaustive check of every binding within the bounded scope; "
 
 _PROP_IDX = {name: i for i, name in enumerate(_kernels.MAP_PROP_ORDER)}
 
+# the one-map predicates by name, with the two the claims derive from them
 _DIRECT_MAP_PRED = {
-    "continuous": maps.is_continuous,
-    "open_map": maps.is_open_map,
-    "closed_map": maps.is_closed_map,
-    "surjective": maps.is_surjective,
-    "bijective": maps.is_bijective,
-    "alpha_m_continuous": maps.is_alpha_m_continuous,
-    "alpha_m_irresolute": maps.is_alpha_m_irresolute,
-    "alpha_m_closed_map": maps.is_alpha_m_closed_map,
-    "alpha_m_open_map": maps.is_alpha_m_open_map,
+    **maps.MAP_PREDICATES,
     "open_preimages_alpha_m_open": maps.open_preimages_alpha_m_open,
     "inverse_alpha_m_continuous":
         lambda f: maps.is_alpha_m_continuous(maps.inverse(f)),
@@ -60,14 +54,26 @@ _LABEL_TEMPLATE = {
 _LABEL_TEMPLATE["inverse_alpha_m_continuous"] = "alpha_m_continuous(inverse({m}))"
 
 
+# the space axioms the claims name, by name; the sweep tabulates each per space
+_AXIOMS = {
+    "T_alpha_m": axioms.is_T_alpha_m,
+    "singleton_dichotomy": axioms.singleton_dichotomy,
+}
+
+
+# Each claim kind binds ``arity`` spaces X, Y, Z, ... and the arity - 1 maps
+# along them, X -> Y -> Z.
+
 @dataclass(frozen=True)
 class _SpaceClaim:
-    hyp: str    # axiom flag name
+    arity = 1
+    hyp: str    # axiom name in _AXIOMS
     concl: str
 
 
 @dataclass(frozen=True)
 class _PairClaim:
+    arity = 2
     map_hyp: tuple
     space_hyp_x: bool = False       # additional hypothesis: T_alpha_m(X)
     concl_map: str = ""             # empty iff the conclusion is T_alpha_m(Y)
@@ -75,6 +81,7 @@ class _PairClaim:
 
 @dataclass(frozen=True)
 class _TripleClaim:
+    arity = 3
     map_prop: str   # hypothesis property of f and g; conclusion property of g after f
 
 
@@ -245,14 +252,6 @@ class TheoremReport:
 
 # ---------------------------------------------------------------- direct path
 
-def _axiom_flag(name: str, space: FiniteSpace) -> bool:
-    if name == "T_alpha_m":
-        return axioms.is_T_alpha_m(space)
-    if name == "singleton_dichotomy":
-        return axioms.singleton_dichotomy(space)
-    raise AssertionError(name)
-
-
 def _encoding_key(claim_id) -> str:
     """Encoding key of a claim id; BadParams for anything that is not one."""
     if not isinstance(claim_id, str) or claim_id not in _CLAIMS:
@@ -261,18 +260,12 @@ def _encoding_key(claim_id) -> str:
 
 
 def _bind(claim_id: str, spaces, bound_maps) -> None:
-    enc = _ENCODINGS[_encoding_key(claim_id)]
-    if isinstance(enc, _SpaceClaim):
-        want_spaces, want_maps = 1, 0
-    elif isinstance(enc, _PairClaim):
-        want_spaces, want_maps = 2, 1
-    else:
-        want_spaces, want_maps = 3, 2
+    arity = _ENCODINGS[_encoding_key(claim_id)].arity
     if not isinstance(spaces, (list, tuple)) or not isinstance(bound_maps, (list, tuple)):
         raise BadParams("bound spaces and maps must each be a list or tuple")
-    if len(spaces) != want_spaces or len(bound_maps) != want_maps:
+    if len(spaces) != arity or len(bound_maps) != arity - 1:
         raise ArityMismatch(
-            f"claim {claim_id} binds {want_spaces} space(s) and {want_maps} map(s); "
+            f"claim {claim_id} binds {arity} space(s) and {arity - 1} map(s); "
             f"got {len(spaces)} and {len(bound_maps)}")
     for s in spaces:
         check_space(s, "bound space")
@@ -282,6 +275,41 @@ def _bind(claim_id: str, spaces, bound_maps) -> None:
         if f.domain != spaces[i] or f.codomain != spaces[i + 1]:
             raise ArityMismatch(
                 f"map {i} endpoints do not match the bound spaces of claim {claim_id}")
+
+
+def _map_term(name: str, m: str, f: SpaceMap):
+    # (label, thunk) of property ``name`` of the map f, called m in the label
+    return _LABEL_TEMPLATE[name].format(m=m), partial(_DIRECT_MAP_PRED[name], f)
+
+
+def _terms(enc, spaces, bound_maps) -> list:
+    """``(label, thunk)`` of each hypothesis of one binding, in declared
+    order, then of its conclusion; calling a thunk decides its flag.
+
+    The binding is ``enc.arity`` spaces, named X, Y, Z in the labels, and
+    the ``enc.arity - 1`` maps between consecutive ones, f: X -> Y then
+    g: Y -> Z.  The conclusion of a composition claim is the property of
+    g after f, which is composed only when its thunk is called.
+    """
+    if isinstance(enc, _SpaceClaim):
+        (x,) = spaces
+        return [(f"{name}(X)", partial(_AXIOMS[name], x)) for name in (enc.hyp, enc.concl)]
+    t_alpha_m = _AXIOMS["T_alpha_m"]
+    if isinstance(enc, _PairClaim):
+        x, y = spaces
+        (f,) = bound_maps
+        terms = [_map_term(name, "f", f) for name in enc.map_hyp]
+        if enc.space_hyp_x:
+            terms.append(("T_alpha_m(X)", partial(t_alpha_m, x)))
+        terms.append(_map_term(enc.concl_map, "f", f) if enc.concl_map
+                     else ("T_alpha_m(Y)", partial(t_alpha_m, y)))
+        return terms
+    f, g = bound_maps
+    pred = _DIRECT_MAP_PRED[enc.map_prop]
+    return [_map_term(enc.map_prop, "f", f), _map_term(enc.map_prop, "g", g),
+            ("T_alpha_m(Y)", partial(t_alpha_m, spaces[1])),
+            (_LABEL_TEMPLATE[enc.map_prop].format(m="compose(g,f)"),
+             lambda: pred(compose(g, f)))]
 
 
 class InstanceEvaluation(NamedTuple):
@@ -300,58 +328,16 @@ def evaluate_instance(claim_id: str, spaces, bound_maps=()) -> InstanceEvaluatio
     returned conclusion flag is None for vacuously true instances).
     """
     _bind(claim_id, spaces, bound_maps)
-    enc = _ENCODINGS[_CLAIMS[claim_id]]
+    *hyp_terms, (label, conclusion) = _terms(_ENCODINGS[_CLAIMS[claim_id]],
+                                             spaces, bound_maps)
     hyps = []
-
-    def run(label, fn):
-        value = bool(fn())
-        hyps.append((label, value))
-        return value
-
-    if isinstance(enc, _SpaceClaim):
-        (s,) = spaces
-        if not run(f"{enc.hyp}(X)", lambda: _axiom_flag(enc.hyp, s)):
-            return InstanceEvaluation(tuple(hyps), (f"{enc.concl}(X)", None), True)
-        value = _axiom_flag(enc.concl, s)
-        return InstanceEvaluation(tuple(hyps), (f"{enc.concl}(X)", value), value)
-    if isinstance(enc, _PairClaim):
-        x, y = spaces
-        (f,) = bound_maps
-        for name in enc.map_hyp:
-            label = _LABEL_TEMPLATE[name].format(m="f")
-            if not run(label, lambda name=name: _DIRECT_MAP_PRED[name](f)):
-                return InstanceEvaluation(tuple(hyps), _pair_concl_label(enc), True)
-        if enc.space_hyp_x and not run("T_alpha_m(X)",
-                                       lambda: axioms.is_T_alpha_m(x)):
-            return InstanceEvaluation(tuple(hyps), _pair_concl_label(enc), True)
-        label, _ = _pair_concl_label(enc)
-        if enc.concl_map:
-            value = bool(_DIRECT_MAP_PRED[enc.concl_map](f))
-        else:
-            value = axioms.is_T_alpha_m(y)
-        return InstanceEvaluation(tuple(hyps), (label, value), value)
-    x, y, z = spaces
-    f, g = bound_maps
-    pred = _DIRECT_MAP_PRED[enc.map_prop]
-    for label, fn in ((_LABEL_TEMPLATE[enc.map_prop].format(m="f"), lambda: pred(f)),
-                      (_LABEL_TEMPLATE[enc.map_prop].format(m="g"), lambda: pred(g)),
-                      ("T_alpha_m(Y)", lambda: axioms.is_T_alpha_m(y))):
-        if not run(label, fn):
-            return InstanceEvaluation(
-                tuple(hyps),
-                (_LABEL_TEMPLATE[enc.map_prop].format(m="compose(g,f)"), None),
-                True)
-    value = bool(pred(compose(g, f)))
-    return InstanceEvaluation(
-        tuple(hyps),
-        (_LABEL_TEMPLATE[enc.map_prop].format(m="compose(g,f)"), value),
-        value)
-
-
-def _pair_concl_label(enc: _PairClaim):
-    if enc.concl_map:
-        return (_LABEL_TEMPLATE[enc.concl_map].format(m="f"), None)
-    return ("T_alpha_m(Y)", None)
+    for name, test in hyp_terms:
+        value = bool(test())
+        hyps.append((name, value))
+        if not value:
+            return InstanceEvaluation(tuple(hyps), (label, None), True)
+    value = bool(conclusion())
+    return InstanceEvaluation(tuple(hyps), (label, value), value)
 
 
 def check_instance(claim_id: str, spaces, bound_maps=()) -> bool:
@@ -379,14 +365,14 @@ def _pair_masks(tables: dict, ix: int, iy: int):
 
 def _space_tables(spaces) -> dict:
     """The sweep's per-space tables, each a tuple indexed by stream position:
-    point count, the two axiom flags, and the class masks that map_masks and
-    the composition fold read.  One class_masks call per space, on its
-    neighbourhood table; the axioms are decided by :mod:`topolab.axioms`."""
-    columns = {name: [] for name in ("n", "T_alpha_m", "singleton_dichotomy") + _MAP_SIDE}
+    point count, the flag of each axiom in ``_AXIOMS``, and the class masks
+    that map_masks and the composition fold read.  One class_masks call per
+    space, on its neighbourhood table."""
+    columns = {name: [] for name in ("n", *_AXIOMS, *_MAP_SIDE)}
     for s in spaces:
         columns["n"].append(s.n)
-        columns["T_alpha_m"].append(axioms.is_T_alpha_m(s))
-        columns["singleton_dichotomy"].append(axioms.singleton_dichotomy(s))
+        for name, holds in _AXIOMS.items():
+            columns[name].append(holds(s))
         for name, mask in zip(_MAP_SIDE, _kernels.class_masks(s.n, s.min_nbhd)):
             columns[name].append(mask)
     return {name: tuple(column) for name, column in columns.items()}
@@ -398,17 +384,15 @@ def _map_count(n_dom: int, n_cod: int, cap) -> int:
 
 
 def _count_instances(enc, spaces, scope: Scope) -> int:
+    """Bindings of one encoding over the stream ``spaces``: every chain of
+    ``enc.arity`` spaces, times the ``enc.arity - 1`` maps along it, one
+    per consecutive pair, capped by ``scope.map_cap``.  Map counts depend
+    only on point counts, so the sum runs over chains of point counts, each
+    weighted by how many spaces have those counts."""
     sizes = Counter(s.n for s in spaces)
-    if isinstance(enc, _SpaceClaim):
-        return len(spaces)
-    if isinstance(enc, _PairClaim):
-        return sum(ca * cb * _map_count(a, b, scope.map_cap)
-                   for a, ca in sizes.items() for b, cb in sizes.items())
-    return sum(ca * cb * cc
-               * _map_count(a, b, scope.map_cap) * _map_count(b, c, scope.map_cap)
-               for a, ca in sizes.items()
-               for b, cb in sizes.items()
-               for c, cc in sizes.items())
+    return sum(prod(sizes[n] for n in chain)
+               * prod(_map_count(a, b, scope.map_cap) for a, b in zip(chain, chain[1:]))
+               for chain in product(sizes, repeat=enc.arity))
 
 
 def _witness(claim_id: str, spaces, positions, ranks) -> Witness:
@@ -590,8 +574,7 @@ def _run_sweep(encs, scope: Scope, jobs: int, pool):
 
 def default_scope(claim_id: str) -> Scope:
     """n <= 4 for the space-quantified claims, n <= 3 for map-quantified ones."""
-    enc = _ENCODINGS[_encoding_key(claim_id)]
-    return Scope(4) if isinstance(enc, _SpaceClaim) else Scope(3)
+    return Scope(4) if _ENCODINGS[_encoding_key(claim_id)].arity == 1 else Scope(3)
 
 
 def claim_statement(claim_id: str) -> str:
@@ -667,7 +650,10 @@ def verify_all(scope: Scope = None, claims=None, jobs: int = 1):
 
 def validate_witness(report: TheoremReport) -> bool:
     """True iff every witness still refutes its claim after a round trip
-    through the serialized text form."""
+    through the serialized text form; BadParams for anything but a
+    TheoremReport."""
+    if not isinstance(report, TheoremReport):
+        raise BadParams(f"report {report!r} is not a TheoremReport")
     for w in report.witnesses:
         rec = json.loads(json.dumps(w.to_record()))
         back = witness_from_record(rec)

@@ -228,6 +228,32 @@ def test_verify_parallel_matches_serial(tmp_path, capsys):
     assert a.read_bytes() == b.read_bytes()
 
 
+# the benchmark's reference outputs, which every change must reproduce
+# byte for byte; read here, never written
+REFERENCE_RUNS = {
+    "catalogue-j1": (("verify", "--jobs", "1"), "catalogue.json"),
+    "catalogue-j2": (("verify", "--jobs", "2"), "catalogue.json"),
+    "pairs-n4": (("verify", "--jobs", "1", "--max-points", "4", "--claim", "P3_3",
+                  "--claim", "T3_4b", "--claim", "T3_9b", "--claim", "T3_10"),
+                 "pairs-n4.json"),
+    "homeo-n5": (("enumerate", "-n", "5", "--upto-homeo"), "homeo-n5.txt"),
+}
+
+
+@pytest.mark.parametrize("run", REFERENCE_RUNS)
+def test_outputs_match_the_reference_files(run, tmp_path, capsys):
+    argv, ref = REFERENCE_RUNS[run]
+    if ref.endswith(".json"):
+        report = tmp_path / ref
+        code, _, err = run_cli(*argv, "--json", str(report), capsys=capsys)
+        got = report.read_bytes()
+    else:
+        code, out, err = run_cli(*argv, capsys=capsys)
+        got = out.encode()
+    assert (code, err) == (0, "")
+    assert got == (ROOT / "perfbench" / "ref" / ref).read_bytes()
+
+
 def test_verify_witness_limit_flags(tmp_path, capsys):
     out_json = tmp_path / "r.json"
     run_cli("verify", "--claim", "T3_2_ab", "--max-points", "3",

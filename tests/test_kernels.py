@@ -64,7 +64,7 @@ def test_tuple_orders_exported_once():
     assert len(classes.CLASS_IDS) == len(set(classes.CLASS_IDS)) == 15
     # class_masks returns the masks that map_masks reads, in its order
     assert verifier._MAP_SIDE == ("open", "closed", "alpha_m_closed", "alpha_m_open")
-    assert len(_kernels.MAP_PROP_ORDER) == 11
+    assert len(_kernels.MAP_PROP_ORDER) == 10
 
 
 def test_kernels_run_the_full_pipeline():

@@ -207,7 +207,6 @@ def test_classification_against_predicates():
 
 KERNEL_PREDS = {
     "continuous": T.is_continuous,
-    "open_map": T.is_open_map,
     "closed_map": T.is_closed_map,
     "surjective": T.is_surjective,
     "bijective": T.is_bijective,
