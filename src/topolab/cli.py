@@ -66,8 +66,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-points", type=int, default=None,
                    help="scope bound for every selected claim (default: 4 for "
                    "space-quantified claims, 3 for map-quantified ones)")
-    p.add_argument("--map-cap", type=int, default=None,
-                   help="only sweep the first N maps per space pair")
     p.add_argument("--witness-limit", type=int, default=5,
                    help="witnesses kept per claim (default 5)")
     p.add_argument("--all-witnesses", action="store_true",
@@ -154,8 +152,7 @@ def _cmd_verify(args) -> int:
     for claim_id in claims:
         bound = (args.max_points if args.max_points is not None
                  else verifier.default_scope(claim_id).max_points)
-        scopes[claim_id] = verifier.Scope(bound, map_cap=args.map_cap,
-                                          witness_limit=witness_limit)
+        scopes[claim_id] = verifier.Scope(bound, witness_limit=witness_limit)
     by_claim = verifier._verify_claims(scopes, args.jobs)
     reports = [by_claim[c] for c in claims]
     print(f"note: {verifier.SCOPE_NOTE}")

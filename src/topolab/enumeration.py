@@ -14,7 +14,7 @@ from typing import Iterator
 from . import _kernels
 from .errors import BadParams, ScopeTooLarge
 from .maps import SpaceMap
-from .space import FiniteSpace, check_space, check_table, points_of
+from .space import FiniteSpace, _opens, check_space, points_of
 
 ENUMERATION_CAP = 5
 # canonical_form tries n! relabelings and expands each distinct table to its
@@ -33,7 +33,8 @@ def _check_scope(n: int) -> None:
 # one stream per point count, kept for the process: stream positions refer to it
 @cache
 def _labeled(n: int) -> tuple:
-    return tuple(sorted((FiniteSpace(n, minn) for minn in _kernels.enumerate_masks(n)),
+    return tuple(sorted((FiniteSpace._unchecked(n, minn)
+                         for minn in _kernels.enumerate_masks(n)),
                         key=lambda s: s.opens))
 
 
@@ -46,10 +47,10 @@ def enumerate_topologies(n: int) -> Iterator[FiniteSpace]:
 def relabel(space: FiniteSpace, perm) -> FiniteSpace:
     """Push the topology through the point relabeling x -> perm[x].
 
-    BadParams if ``perm`` is not a permutation of the points, or the table is
-    malformed; NotATopology if the table is not one of a topology.
+    BadParams if ``space`` is not a FiniteSpace, or ``perm`` is not a
+    permutation of its points.
     """
-    check_table(space)
+    check_space(space)
     try:
         perm = tuple(perm)
     except TypeError:
@@ -90,13 +91,14 @@ def canonical_form(space: FiniteSpace) -> FiniteSpace:
     The least relabeling compares opens tuples, so it is the first member of
     the orbit in the labeled stream order.  It tries all n! relabelings, and
     expands only the distinct tables to opens, so spaces above
-    ``CANONICAL_FORM_CAP`` points raise ``ScopeTooLarge``.  A malformed table
-    raises BadParams, and one that is not a topology's NotATopology.
+    ``CANONICAL_FORM_CAP`` points raise ``ScopeTooLarge``.  Only the least
+    table is built into a space.  BadParams if ``space`` is not a
+    FiniteSpace.
     """
-    if check_table(space).n > CANONICAL_FORM_CAP:
+    if check_space(space).n > CANONICAL_FORM_CAP:
         raise ScopeTooLarge(
             f"canonical form is capped at {CANONICAL_FORM_CAP} points, got {space.n}")
-    return min((FiniteSpace(space.n, t) for t in _orbit(space)), key=lambda s: s.opens)
+    return FiniteSpace(space.n, min(_orbit(space), key=_opens))
 
 
 def _homeo_classes(n: int) -> Iterator[FiniteSpace]:

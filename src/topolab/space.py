@@ -81,14 +81,46 @@ class FiniteSpace:
     and closure are computed from the table per call.  Two derived values
     are cached on the instance on first use: ``opens``, the open sets in
     canonical order (cardinality, then numeric bitmask value), and the mask
-    of maximal points.  Construct through :func:`new_space` or the
-    generators; the raw constructor takes an exact table (x in U_x, and
-    U_z <= U_x for z in U_x) and does not validate it; :func:`check_table`
-    does.
+    of maximal points.
+
+    The constructor checks the table in O(n²), so every instance is a
+    topology: BadParams unless n is an int in 0..MAX_POINTS and the table a
+    tuple of n subsets of the n points; NotATopology if some x is not in
+    U_x, or some z in U_x has U_z not inside U_x.  :func:`new_space` builds
+    one from its open sets.
     """
 
     n: int
     min_nbhd: tuple[PointSet, ...]
+
+    def __post_init__(self):
+        n, minn = self.n, self.min_nbhd
+        _check_n(n)
+        if not isinstance(minn, tuple) or len(minn) != n:
+            raise BadParams(f"neighbourhood table {minn!r} is not a tuple of {n} subsets")
+        full = (1 << n) - 1
+        for u in minn:
+            if not isinstance(u, int) or isinstance(u, bool) or not 0 <= u <= full:
+                raise BadParams(f"neighbourhood {u!r} does not fit in {n} points")
+        for x, u in enumerate(minn):
+            if not u >> x & 1:
+                raise NotATopology(f"point {x} is not in its neighbourhood {format_subset(u)}")
+            for z in points_of(u):
+                if minn[z] & u != minn[z]:
+                    raise NotATopology(
+                        f"point {z} is in the neighbourhood {format_subset(u)} of point {x},"
+                        f" but its own, {format_subset(minn[z])}, is not inside it")
+
+    @classmethod
+    def _unchecked(cls, n: int, min_nbhd: tuple) -> FiniteSpace:
+        """A space from a table already known to be a topology's, without
+        the constructor's check; for the enumeration's streams only."""
+        space = cls.__new__(cls)
+        # attribute by attribute, as the constructor does, so that every
+        # instance's dict shares its keys with the others'
+        object.__setattr__(space, "n", n)
+        object.__setattr__(space, "min_nbhd", min_nbhd)
+        return space
 
     @property
     def full(self) -> PointSet:
@@ -96,16 +128,8 @@ class FiniteSpace:
 
     @cached_property
     def opens(self) -> tuple[PointSet, ...]:
-        """The open sets, the unions of table entries, in canonical order.
-        Each U_x is joined to every union listed so far, unless it is one
-        already, so k opens cost O(k·n) unions."""
-        opens = {0}
-        for u in self.min_nbhd:
-            if u not in opens:
-                opens |= {o | u for o in opens}
-        # the sort by cardinality is stable, so each cardinality stays in
-        # numeric order
-        return tuple(sorted(sorted(opens), key=int.bit_count))
+        """The open sets, the unions of table entries, in canonical order."""
+        return _opens(self.min_nbhd)
 
     @cached_property
     def maximal(self) -> PointSet:
@@ -155,6 +179,19 @@ class FiniteSpace:
     def __repr__(self):
         opens = ",".join(format_subset(u) for u in self.opens)
         return f"FiniteSpace(n={self.n}, opens=[{opens}])"
+
+
+def _opens(minn) -> tuple[PointSet, ...]:
+    """The open sets of a neighbourhood table in canonical order.  Each U_x
+    is joined to every union listed so far, unless it is one already, so k
+    opens cost O(k·n) unions."""
+    opens = {0}
+    for u in minn:
+        if u not in opens:
+            opens |= {o | u for o in opens}
+    # the sort by cardinality is stable, so each cardinality stays in
+    # numeric order
+    return tuple(sorted(sorted(opens), key=int.bit_count))
 
 
 def _min_nbhds(n: int, opens) -> tuple[PointSet, ...]:
@@ -239,8 +276,7 @@ def new_space(n: int, opens: Iterable[PointSet]) -> FiniteSpace:
     neighbourhood table of the family.  Raises NotATopology with
     a message naming one offending pair (or the missing empty/full set).
     """
-    if not isinstance(n, int) or isinstance(n, bool) or not 0 <= n <= MAX_POINTS:
-        raise BadParams(f"point count {n!r} outside 0..{MAX_POINTS}")
+    _check_n(n)
     full = (1 << n) - 1
     if not isinstance(opens, Iterable):
         raise BadParams(f"opens {opens!r} is not an iterable of subsets")
@@ -327,35 +363,6 @@ def check_space(obj, what: str = "space") -> FiniteSpace:
     if not isinstance(obj, FiniteSpace):
         raise BadParams(f"{what} {obj!r} is not a FiniteSpace")
     return obj
-
-
-def check_table(obj) -> FiniteSpace:
-    """``obj`` if it is a FiniteSpace whose table is a topology's.
-
-    BadParams if it is no FiniteSpace, or its table is not a tuple of n
-    subsets of its n points; NotATopology if some x is not in U_x, or some z
-    in U_x has U_z not inside U_x.  It costs O(n²), so only the entry points
-    that permute a table call it; ``check_space`` and the constructor do not.
-    """
-    space = check_space(obj)
-    n, minn = space.n, space.min_nbhd
-    if not isinstance(n, int) or isinstance(n, bool) or n < 0:
-        raise BadParams(f"point count {n!r} is not a non-negative integer")
-    if not isinstance(minn, tuple) or len(minn) != n:
-        raise BadParams(f"neighbourhood table {minn!r} is not a tuple of {n} subsets")
-    full = (1 << n) - 1
-    for u in minn:
-        if not isinstance(u, int) or isinstance(u, bool) or not 0 <= u <= full:
-            raise BadParams(f"neighbourhood {u!r} does not fit in {n} points")
-    for x, u in enumerate(minn):
-        if not u >> x & 1:
-            raise NotATopology(f"point {x} is not in its neighbourhood {format_subset(u)}")
-        for z in points_of(u):
-            if minn[z] & u != minn[z]:
-                raise NotATopology(
-                    f"point {z} is in the neighbourhood {format_subset(u)} of point {x},"
-                    f" but its own, {format_subset(minn[z])}, is not inside it")
-    return space
 
 
 def load_json(text):

@@ -149,15 +149,14 @@ CLAIM_IDS = tuple(_CLAIMS)
 
 @dataclass(frozen=True)
 class Scope:
-    """Bounds of a sweep: all labeled spaces with 0..max_points points.
+    """Bounds of a sweep: all labeled spaces with 0..max_points points, and
+    every map between them.
 
-    ``map_cap`` optionally limits each space pair to its first map_cap maps
-    in rank order; ``witness_limit`` caps collected witnesses (None keeps
-    every failing instance).
+    ``witness_limit`` caps collected witnesses (None keeps every failing
+    instance).
     """
 
     max_points: int
-    map_cap: int = None
     witness_limit: int = 5
 
     def __post_init__(self):
@@ -167,14 +166,14 @@ class Scope:
         if self.max_points > MAX_SCOPE_POINTS:
             raise ScopeTooLarge(
                 f"sweeps are capped at {MAX_SCOPE_POINTS} points, got {self.max_points}")
-        for name in ("map_cap", "witness_limit"):
-            value = getattr(self, name)
-            if value is not None and (not isinstance(value, int)
-                                      or isinstance(value, bool) or value < 1):
-                raise BadParams(f"{name} must be None or a positive integer")
+        limit = self.witness_limit
+        if limit is not None and (not isinstance(limit, int)
+                                  or isinstance(limit, bool) or limit < 1):
+            raise BadParams("witness_limit must be None or a positive integer")
 
     def to_record(self) -> dict:
-        return {"max_points": self.max_points, "map_cap": self.map_cap,
+        # "map_cap" stays, always null, so that saved reports keep their bytes
+        return {"max_points": self.max_points, "map_cap": None,
                 "witness_limit": self.witness_limit}
 
 
@@ -378,20 +377,16 @@ def _space_tables(spaces) -> dict:
     return {name: tuple(column) for name, column in columns.items()}
 
 
-def _map_count(n_dom: int, n_cod: int, cap) -> int:
-    m = n_cod ** n_dom  # one empty map when the domain is empty
-    return m if cap is None else min(m, cap)
-
-
-def _count_instances(enc, spaces, scope: Scope) -> int:
+def _count_instances(enc, spaces) -> int:
     """Bindings of one encoding over the stream ``spaces``: every chain of
     ``enc.arity`` spaces, times the ``enc.arity - 1`` maps along it, one
-    per consecutive pair, capped by ``scope.map_cap``.  Map counts depend
-    only on point counts, so the sum runs over chains of point counts, each
-    weighted by how many spaces have those counts."""
+    per consecutive pair.  There are b ** a maps from a points to b points,
+    one empty map when a is 0.  Map counts depend only on point counts, so
+    the sum runs over chains of point counts, each weighted by how many
+    spaces have those counts."""
     sizes = Counter(s.n for s in spaces)
     return sum(prod(sizes[n] for n in chain)
-               * prod(_map_count(a, b, scope.map_cap) for a, b in zip(chain, chain[1:]))
+               * prod(b ** a for a, b in zip(chain, chain[1:]))
                for chain in product(sizes, repeat=enc.arity))
 
 
@@ -473,7 +468,7 @@ def _sweep_chunk(encs, scope: Scope, tables: dict, outer):
     failures, and room for witnesses, is scanned pair by pair: Z, then f
     rank, then g rank.
     """
-    limit, cap = scope.witness_limit, scope.map_cap
+    limit = scope.witness_limit
     sizes, t_alpha_m = tables["n"], tables["T_alpha_m"]
     failures = [0] * len(encs)
     found = [[] for _ in encs]
@@ -492,12 +487,9 @@ def _sweep_chunk(encs, scope: Scope, tables: dict, outer):
     def room(k):
         return None if limit is None else max(0, limit - len(found[k]))
 
-    def allowed(i, j):
-        return (1 << _map_count(sizes[i], sizes[j], cap)) - 1
-
     def g_sides(prop, iy, iz):
         # ranks and sides of the maps g: Y -> Z that satisfy prop
-        ranks = points_of(middle_row(iy)[iz][_PROP_IDX[prop]] & allowed(iy, iz))
+        ranks = points_of(middle_row(iy)[iz][_PROP_IDX[prop]])
         return ranks, _map_sides(prop, False, iy, iz, ranks, tables)
 
     @cache
@@ -525,10 +517,10 @@ def _sweep_chunk(encs, scope: Scope, tables: dict, outer):
         x_row = middle_row(ix) if triples and t_alpha_m[ix] else row(ix)
 
         for iy, masks in enumerate(x_row):
-            f_allowed = allowed(ix, iy)
             for k, enc in pairs:
-                hyp_bits = f_allowed
-                for name in enc.map_hyp:
+                first, *rest = enc.map_hyp
+                hyp_bits = masks[_PROP_IDX[first]]
+                for name in rest:
                     hyp_bits &= masks[_PROP_IDX[name]]
                 if enc.concl_map:
                     fail_bits = hyp_bits & ~masks[_PROP_IDX[enc.concl_map]]
@@ -543,7 +535,7 @@ def _sweep_chunk(encs, scope: Scope, tables: dict, outer):
         # f: X -> Y and g: Y -> Z with Y T_alpha_m
         for iy in middles:
             for k, prop in triples:
-                f_ranks = points_of(x_row[iy][_PROP_IDX[prop]] & allowed(ix, iy))
+                f_ranks = points_of(x_row[iy][_PROP_IDX[prop]])
                 if not f_ranks:
                     continue
                 f_sides = _map_sides(prop, True, ix, iy, f_ranks, tables)
@@ -609,7 +601,7 @@ def _verify_claims(claim_scopes: dict, jobs: int) -> dict:
             spaces = spaces_up_to(scope.max_points)
             for (key, claim_ids), (failures, bindings) in zip(by_encoding.items(),
                                                               results):
-                instances = _count_instances(_ENCODINGS[key], spaces, scope)
+                instances = _count_instances(_ENCODINGS[key], spaces)
                 for claim_id in claim_ids:
                     witnesses = tuple(_witness(claim_id, spaces, *b) for b in bindings)
                     if bool(failures) != bool(witnesses):
@@ -663,7 +655,14 @@ def validate_witness(report: TheoremReport) -> bool:
 
 
 def reports_to_json(reports) -> str:
-    """Deterministic structured output for a batch of reports."""
-    payload = {"note": SCOPE_NOTE,
-               "reports": [r.to_record() for r in reports]}
+    """Deterministic structured output for a batch of reports; BadParams
+    for anything but an iterable of TheoremReports."""
+    if not isinstance(reports, Iterable):
+        raise BadParams(f"reports {reports!r} must be an iterable of TheoremReports")
+    records = []
+    for r in reports:
+        if not isinstance(r, TheoremReport):
+            raise BadParams(f"report {r!r} is not a TheoremReport")
+        records.append(r.to_record())
+    payload = {"note": SCOPE_NOTE, "reports": records}
     return json.dumps(payload, separators=(",", ":"))

@@ -1,12 +1,13 @@
-"""Every exported predicate, the subset and witness helpers, identity_map
-and generate answer an argument of the wrong type with a TopolabError,
-never a raw Python error."""
+"""Every exported predicate, the subset and witness helpers, identity_map,
+generate and reports_to_json answer an argument of the wrong type with a
+TopolabError, never a raw Python error."""
 
 from functools import partial
 
 import pytest
 
 import topolab as T
+from topolab import verifier
 from topolab.errors import TopolabError
 
 SIERP = T.sierpinski()
@@ -32,6 +33,7 @@ def _predicate_call(name):
 CALLS = {
     **{name: _predicate_call(name) for name in PREDICATES},
     "validate_witness": (T.validate_witness, BAD + (IDS,)),
+    "reports_to_json": (verifier.reports_to_json, BAD + ((IDS,),)),
     "identity_map": (T.identity_map, BAD + (IDS,)),
     "generate": (T.generate, BAD + (SIERP,)),
     "subset_of_points(points)": (lambda points: T.subset_of_points(points, 1),

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import shutil
@@ -237,21 +238,32 @@ REFERENCE_RUNS = {
                   "--claim", "T3_4b", "--claim", "T3_9b", "--claim", "T3_10"),
                  "pairs-n4.json"),
     "homeo-n5": (("enumerate", "-n", "5", "--upto-homeo"), "homeo-n5.txt"),
+    # reports too large to keep as files are pinned by their sha256 digest
+    "all-witnesses-j1": (("verify", "--jobs", "1", "--max-points", "3", "--all-witnesses"),
+                         "sha256:1008fce944debeb13acf2be9f93036447bbe05c6d9bda856d77058fe5f5c875a"),
+    "all-witnesses-j2": (("verify", "--jobs", "2", "--max-points", "3", "--all-witnesses"),
+                         "sha256:1008fce944debeb13acf2be9f93036447bbe05c6d9bda856d77058fe5f5c875a"),
+    "witness-limit-j2": (("verify", "--jobs", "2", "--max-points", "2", "--witness-limit", "1"),
+                         "sha256:2db71a2800c9371d3814d62429c4b3bf5bf8370e12c08d4ebfa365fe1f7c03a6"),
 }
 
 
 @pytest.mark.parametrize("run", REFERENCE_RUNS)
 def test_outputs_match_the_reference_files(run, tmp_path, capsys):
+    # a verify run is compared by its --json report, anything else by stdout
     argv, ref = REFERENCE_RUNS[run]
-    if ref.endswith(".json"):
-        report = tmp_path / ref
+    if argv[0] == "verify":
+        report = tmp_path / "report.json"
         code, _, err = run_cli(*argv, "--json", str(report), capsys=capsys)
         got = report.read_bytes()
     else:
         code, out, err = run_cli(*argv, capsys=capsys)
         got = out.encode()
     assert (code, err) == (0, "")
-    assert got == (ROOT / "perfbench" / "ref" / ref).read_bytes()
+    if ref.startswith("sha256:"):
+        assert "sha256:" + hashlib.sha256(got).hexdigest() == ref
+    else:
+        assert got == (ROOT / "perfbench" / "ref" / ref).read_bytes()
 
 
 def test_verify_witness_limit_flags(tmp_path, capsys):
@@ -294,6 +306,13 @@ def test_verify_scope_too_large(capsys):
 def test_verify_unknown_claim(capsys):
     code, _, err = run_cli("verify", "--claim", "X", capsys=capsys)
     assert code == 1 and "invalid choice" in err
+
+
+def test_verify_has_no_map_cap(capsys):
+    # every sweep covers every map; there is no flag to cut it short
+    code, out, err = run_cli("verify", "--map-cap", "2", capsys=capsys)
+    assert code == 1 and out == ""
+    assert err.startswith("usage:") and "--map-cap" in err and "Traceback" not in err
 
 
 def test_unknown_subcommand(capsys):

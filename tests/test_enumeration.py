@@ -157,32 +157,35 @@ def test_orbit_matches_relabel():
 
 
 def test_tables_that_are_no_topology_are_refused():
-    # the raw constructor does not validate; the two entry points that
-    # permute a table do
+    # the constructor checks the table, so no space holds a bad one; the
+    # entry points that permute a table refuse anything but a space
     not_topologies = (
-        T.FiniteSpace(2, (0b10, 0b11)),            # 0 is not in U_0
-        T.FiniteSpace(3, (0b011, 0b110, 0b100)),   # 1 in U_0, U_1 not in U_0
+        (2, (0b10, 0b11)),            # 0 is not in U_0
+        (3, (0b011, 0b110, 0b100)),   # 1 in U_0, U_1 not in U_0
     )
     malformed = (
-        T.FiniteSpace(2, [1, 3]),                  # not a tuple
-        T.FiniteSpace(2, (1,)),                    # one entry short
-        T.FiniteSpace(2, (1, 4)),                  # 4 is not a subset of 2 points
-        T.FiniteSpace(2, (1, -1)),
-        T.FiniteSpace(2, (True, 3)),
-        T.FiniteSpace(2, (1, 3.0)),
-        T.FiniteSpace(-1, ()),
-        T.FiniteSpace(2.0, (1, 3)),
+        (2, [1, 3]),                  # not a tuple
+        (2, (1,)),                    # one entry short
+        (2, (1, 2, 3)),               # one entry over
+        (2, (1, 4)),                  # 4 is not a subset of 2 points
+        (2, (1, -1)),
+        (2, (True, 3)),
+        (2, (1, 3.0)),
+        (-1, ()),
+        (2.0, (1, 3)),
+        (T.MAX_POINTS + 1, T.discrete(T.MAX_POINTS).min_nbhd + (1 << T.MAX_POINTS,)),
     )
-    for s in not_topologies:
+    for n, table in not_topologies:
         with pytest.raises(NotATopology):
-            en.canonical_form(s)
-        with pytest.raises(NotATopology):
-            en.relabel(s, range(s.n))
-    for s in malformed:
+            T.FiniteSpace(n, table)
+    for n, table in malformed:
         with pytest.raises(BadParams):
-            en.canonical_form(s)
+            T.FiniteSpace(n, table)
+    for bad in (None, (2, (1, 3)), "ab"):
         with pytest.raises(BadParams):
-            en.relabel(s, (1, 0))
+            en.canonical_form(bad)
+        with pytest.raises(BadParams):
+            en.relabel(bad, (1, 0))
 
 
 def test_canonical_form_classifies_homeomorphism():

@@ -124,13 +124,9 @@ def test_scope_bounds():
     with pytest.raises(BadParams):
         verifier.Scope(max_points=3, witness_limit=0)
     with pytest.raises(BadParams):
-        verifier.Scope(max_points=3, map_cap=0)
-    with pytest.raises(BadParams):
-        verifier.Scope(max_points=3, map_cap=True)
-    with pytest.raises(BadParams):
         verifier.Scope(max_points=3, witness_limit=True)
-    rec = verifier.Scope(max_points=2, map_cap=7).to_record()
-    assert rec == {"max_points": 2, "map_cap": 7, "witness_limit": 5}
+    rec = verifier.Scope(max_points=2).to_record()
+    assert rec == {"max_points": 2, "map_cap": None, "witness_limit": 5}
 
 
 def test_default_scopes():
@@ -215,18 +211,6 @@ def test_witness_limit_semantics():
         assert not T.check_instance(w.claim, w.spaces, w.maps)
 
 
-def test_map_cap_limits_quantifier():
-    capped = T.verify("P3_3", verifier.Scope(max_points=2, map_cap=2))
-    full = T.verify("P3_3", verifier.Scope(max_points=2))
-    assert capped.instances < full.instances
-    from topolab.enumeration import enumerate_maps, spaces_up_to
-    pool = spaces_up_to(2)
-    expect = sum(
-        min(sum(1 for _ in enumerate_maps(x, y)), 2)
-        for x in pool for y in pool)
-    assert capped.instances == expect
-
-
 def test_determinism_and_parallel_merge():
     scope = verifier.Scope(max_points=3)
     a = verifier.reports_to_json(T.verify_all(scope=scope))
@@ -259,13 +243,8 @@ PAIR_IDS = tuple(c for c in T.CLAIM_IDS if c not in SPACE_IDS + TRIPLE_IDS)
 
 def _brute_bindings(claim_id, scope):
     """Every binding of the claim in (x, y[, z], map rank) order."""
-    from itertools import islice
-    from topolab.enumeration import enumerate_maps, spaces_up_to
+    from topolab.enumeration import enumerate_maps as maps, spaces_up_to
     pool = spaces_up_to(scope.max_points)
-
-    def maps(a, b):
-        return list(islice(enumerate_maps(a, b), scope.map_cap))
-
     if claim_id in SPACE_IDS:
         return [((x,), ()) for x in pool]
     if claim_id in PAIR_IDS:
@@ -275,8 +254,7 @@ def _brute_bindings(claim_id, scope):
 
 
 @pytest.mark.parametrize("scope", [verifier.Scope(max_points=2),
-                                   verifier.Scope(max_points=2, map_cap=2,
-                                                  witness_limit=None)])
+                                   verifier.Scope(max_points=2, witness_limit=None)])
 def test_sweep_matches_brute_force(scope):
     reports = {r.claim: r for r in T.verify_all(scope=scope)}
     for cid in T.CLAIM_IDS:
@@ -353,7 +331,7 @@ def _brute_composition(encs, scope, tables):
     middles = [iy for iy, t in enumerate(tables["T_alpha_m"]) if t]
 
     def ranks(i, j, p):
-        count = verifier._map_count(spaces[i].n, spaces[j].n, scope.map_cap)
+        count = spaces[j].n ** spaces[i].n
         return points_of(rows[i][j][p] & ((1 << count) - 1))
 
     failures, found = [], []
@@ -391,11 +369,6 @@ def test_composition_fold_matches_every_pair():
         failures, found = verifier._sweep_chunk(encs, scope, tables, range(len(spaces)))
         assert failures == brute_failures
         assert found == [bindings[:limit] for bindings in brute_found]
-    capped = verifier.Scope(max_points=3, map_cap=4, witness_limit=3)
-    expect = _brute_composition(encs, capped, tables)
-    assert expect[0] == [8974, 5707]
-    failures, found = verifier._sweep_chunk(encs, capped, tables, range(len(spaces)))
-    assert (failures, found) == (expect[0], [b[:3] for b in expect[1]])
 
 
 def test_jobs_are_capped_at_the_cpu_count(monkeypatch):
