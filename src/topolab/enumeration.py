@@ -75,14 +75,14 @@ def _permuted(lists, perm) -> tuple:
     return tuple(table)
 
 
-def _orbit(space: FiniteSpace) -> set:
+def _orbit(space: FiniteSpace) -> frozenset:
     """The neighbourhood table of every relabeling of the space.
 
     A symmetric space has fewer distinct tables than permutations.  The
     tables are permuted directly, with none of ``relabel``'s checks.
     """
     lists = [points_of(u) for u in space.min_nbhd]
-    return {_permuted(lists, p) for p in permutations(range(space.n))}
+    return frozenset(_permuted(lists, p) for p in permutations(range(space.n)))
 
 
 def canonical_form(space: FiniteSpace) -> FiniteSpace:
@@ -101,26 +101,36 @@ def canonical_form(space: FiniteSpace) -> FiniteSpace:
     return FiniteSpace(space.n, min(_orbit(space), key=_opens))
 
 
-def _homeo_classes(n: int) -> Iterator[FiniteSpace]:
-    # the stream is sorted by opens, so a class's first member in it is
-    # its least relabeling
-    seen = set()
+# one class walk per point count, kept for the process like the stream
+@cache
+def _classes(n: int) -> tuple:
+    """Each homeomorphism class on n points as (first stream member, orbit),
+    in stream order.  The orbit is the frozenset of its members'
+    neighbourhood tables, so its size is n!/|Aut|.
+
+    The stream is sorted by opens, so a class's first member in it is its
+    least relabeling.  The stream is walked once: a space starts a new
+    class unless an earlier orbit holds it, so each class's orbit is
+    permuted once.
+    """
+    seen, classes = set(), []
     for s in _labeled(n):
         if s.min_nbhd not in seen:
-            seen |= _orbit(s)
-            yield s
+            orbit = _orbit(s)
+            seen |= orbit
+            classes.append((s, orbit))
+    return tuple(classes)
 
 
 def enumerate_topologies_up_to_homeo(n: int) -> Iterator[FiniteSpace]:
     """One representative per homeomorphism class, in stream order.
 
     Each representative is the class's least relabeling, as
-    ``canonical_form`` gives it.  The labeled stream is walked once: a space
-    starts a new class unless an earlier orbit holds it, so each class's
-    orbit is relabeled once.
+    ``canonical_form`` gives it (see ``_classes``).
     """
     _check_scope(n)
-    yield from _homeo_classes(n)
+    for s, _ in _classes(n):
+        yield s
 
 
 def spaces_up_to(max_points: int) -> tuple:

@@ -1,15 +1,24 @@
 """Exhaustive bounded-scope checking of the implication claims.
 
 Every claim is an implication over bound spaces and maps.  ``verify``
-sweeps every binding inside a :class:`Scope` (all labeled topologies with
+checks every binding inside a :class:`Scope` (all labeled topologies with
 0..max_points points and, per binding, all maps between them), counts the
 failing instances, and returns a report whose outcome is either
 ``holds-on-scope`` or ``refuted``.  Holds-on-scope is exhaustive for the
 scope and is not a proof beyond it.
 
-Instances are counted analytically from the binding product, so serial and
-parallel runs of the same scope produce identical reports; bindings whose
-hypotheses fail count as (vacuously true) checked instances.
+Every claim is invariant under relabelling each bound space on its own.
+So the sweep counts failures over one representative per homeomorphism
+class, each tuple of representatives weighted by the product of its orbit
+sizes, and then walks the labeled stream only to collect the witnesses:
+it visits just the bindings whose class tuple failed, in stream order, and
+stops at the witness limit.  The witnesses are the least failing labeled
+bindings, as a sweep of every labeled binding would list them.
+
+Instances are counted analytically from the binding product, and checked
+against the orbit-weighted bindings, so serial and parallel runs of the
+same scope produce identical reports; bindings whose hypotheses fail count
+as (vacuously true) checked instances.
 """
 
 from __future__ import annotations
@@ -19,15 +28,15 @@ import os
 import time
 from collections import Counter
 from collections.abc import Iterable
-from concurrent.futures import ProcessPoolExecutor
 from contextlib import nullcontext
 from dataclasses import dataclass
-from functools import cache, lru_cache, partial
+from functools import cache, lru_cache, partial, reduce
 from itertools import islice, product
 from math import prod
+from operator import or_
 from typing import NamedTuple
 
-from . import _kernels, axioms, maps
+from . import _kernels, axioms, enumeration, maps
 from .enumeration import spaces_up_to
 from .errors import ArityMismatch, BadParams, InternalCheckError, ScopeTooLarge
 from .maps import SpaceMap, assignment_from_index, check_map, compose, map_from_record
@@ -351,40 +360,64 @@ def check_instance(claim_id: str, spaces, bound_maps=()) -> bool:
 # order, which is also the order class_masks returns them in
 _MAP_SIDE = ("open", "closed", "alpha_m_closed", "alpha_m_open")
 
+# labeled topologies on n = 0..5 points (OEIS A000798): the orbit sizes of
+# the classes on n points must sum to the n-th
+_LABELED_COUNTS = (1, 1, 4, 29, 355, 6942)
+
+
+def ProcessPoolExecutor(max_workers: int):
+    """A process pool of ``max_workers`` workers.  Its module is imported on
+    the first call, so that a serial run never loads it.  The name is the
+    class's: the benchmark's tracer counts pool starts under it."""
+    from concurrent.futures import ProcessPoolExecutor as pool
+    return pool(max_workers=max_workers)
+
 
 # maxsize=0 keeps no entry, so every call is computed afresh and counted as
 # one miss; the decorator stays because perfbench/tracer.py reads cache_info()
 @lru_cache(maxsize=0)
 def _pair_masks(tables: dict, ix: int, iy: int):
-    """Map-property bitsets of every map between the spaces at stream
-    positions ix and iy."""
+    """Map-property bitsets of every map between the spaces at positions ix
+    and iy of the sweep's tables."""
     return _kernels.map_masks(tables["n"][ix], *(tables[name][ix] for name in _MAP_SIDE),
                               tables["n"][iy], *(tables[name][iy] for name in _MAP_SIDE))
 
 
-def _space_tables(spaces) -> dict:
-    """The sweep's per-space tables, each a tuple indexed by stream position:
-    point count, the flag of each axiom in ``_AXIOMS``, and the class masks
-    that map_masks and the composition fold read.  One class_masks call per
-    space, on its neighbourhood table."""
+def _space_tables(spaces, weights=None, classes=None) -> dict:
+    """The sweep's per-space tables, each a tuple indexed by position in
+    ``spaces``: point count, the flag of each axiom in ``_AXIOMS``, the class
+    masks that map_masks and the composition fold read, and the space's
+    weight and class.  One class_masks call per space, on its neighbourhood
+    table.
+
+    Over class representatives, ``weights`` holds the orbit sizes, and a
+    space is its own class.  Over the labeled stream every weight is 1, and
+    ``classes`` holds the position of each space's class representative.
+    A None in ``spaces`` keeps its position, with None in its other columns.
+    """
     columns = {name: [] for name in ("n", *_AXIOMS, *_MAP_SIDE)}
     for s in spaces:
+        if s is None:
+            for column in columns.values():
+                column.append(None)
+            continue
         columns["n"].append(s.n)
         for name, holds in _AXIOMS.items():
             columns[name].append(holds(s))
         for name, mask in zip(_MAP_SIDE, _kernels.class_masks(s.n, s.min_nbhd)):
             columns[name].append(mask)
+    columns["weight"] = [1] * len(spaces) if weights is None else weights
+    columns["class"] = range(len(spaces)) if classes is None else classes
     return {name: tuple(column) for name, column in columns.items()}
 
 
-def _count_instances(enc, spaces) -> int:
-    """Bindings of one encoding over the stream ``spaces``: every chain of
-    ``enc.arity`` spaces, times the ``enc.arity - 1`` maps along it, one
-    per consecutive pair.  There are b ** a maps from a points to b points,
-    one empty map when a is 0.  Map counts depend only on point counts, so
-    the sum runs over chains of point counts, each weighted by how many
-    spaces have those counts."""
-    sizes = Counter(s.n for s in spaces)
+def _count_instances(enc, sizes: Counter) -> int:
+    """Bindings of one encoding over spaces of which ``sizes[n]`` have n
+    points: every chain of ``enc.arity`` spaces, times the ``enc.arity - 1``
+    maps along it, one per consecutive pair.  There are b ** a maps from a
+    points to b points, one empty map when a is 0.  Map counts depend only
+    on point counts, so the sum runs over chains of point counts, each
+    weighted by how many spaces have those counts."""
     return sum(prod(sizes[n] for n in chain)
                * prod(b ** a for a, b in zip(chain, chain[1:]))
                for chain in product(sizes, repeat=enc.arity))
@@ -405,7 +438,7 @@ def _witness(claim_id: str, spaces, positions, ranks) -> Witness:
 
 def _map_sides(prop: str, as_f: bool, dom: int, cod: int, ranks, tables: dict) -> list:
     """Side of each map dom -> cod of the given ranks in the composition
-    claims, as f or as g.  ``dom`` and ``cod`` are stream positions in the
+    claims, as f or as g.  ``dom`` and ``cod`` are positions in the
     sweep's ``tables``.
 
     An alpha_m-continuous map pulls every closed set of its codomain back to
@@ -450,83 +483,117 @@ def _failing_pairs(f_ranks, f_sides, g_ranks, g_sides):
             yield rf, rg
 
 
-def _sweep_chunk(encs, scope: Scope, tables: dict, outer):
-    """Failure count and first failing bindings of each encoding in ``encs``
-    over the outer-space positions ``outer``, in ascending order.
+def _sweep_chunk(encs, tables: dict, outer, limit=0, keep=None):
+    """Weighted failure counts, failing class tuples and first ``limit``
+    failing bindings (all of them if None) of each encoding in ``encs``, over
+    the outer-space positions ``outer``, in ascending order.
 
     A binding is (space positions, map ranks).  Every space is read through
-    its position in ``tables``, the sweep's :func:`_space_tables`.  Each
-    outer space X fetches its row of pair masks (X to every space) once,
-    and every encoding is folded from that row while it is at hand.
+    its position in ``tables``, the sweep's :func:`_space_tables`.  A
+    binding's failures count the product of its spaces' weights times, and
+    its class tuple holds its spaces' classes.  Each pair of spaces fetches
+    its pair masks once; the rows of the T_alpha_m middle spaces are kept
+    for the composition claims, and every other row goes with its X.
 
     A composition claim never tests an (f, g) pair for its count.  Each f
     from X to a T_alpha_m middle Y is reduced to its side A_f, and each g
     out of Y to its side B_g (see :func:`_map_sides`).  The failures of
-    (X, Y) are the sum over f of the number of g, over every Z, with
-    A_f & B_g.  Y's row and B_g counts are built once per call, that is
-    once per worker, since a worker sweeps one share.  Only an (X, Y) with
-    failures, and room for witnesses, is scanned pair by pair: Z, then f
-    rank, then g rank.
+    (X, Y) are the sum over f of the number of g, over every Z and weighted
+    by Z, with A_f & B_g.  Y's row and B_g counts are built once per call,
+    that is once per worker, since a worker sweeps one share.  Some f and g
+    into and out of Y fail together iff the union of the A_f meets that of
+    the B_g, so a Z's class tuple fails iff the two unions meet.  Only an
+    (X, Y) with failures, and room for witnesses, is scanned pair by pair:
+    Z, then f rank, then g rank.
+
+    With ``keep`` None every binding is visited.  Otherwise the call is a
+    witness walk: ``keep[k]`` holds the failing class tuples of encoding k,
+    only the bindings in them are visited, and the walk stops once every
+    encoding with failures has its witnesses.  A walk's counts are not
+    read: they stop with it, and leave out the composition claims.
     """
-    limit = scope.witness_limit
-    sizes, t_alpha_m = tables["n"], tables["T_alpha_m"]
+    sizes, t_alpha_m, weight, cls = (tables[name]
+                                     for name in ("n", "T_alpha_m", "weight", "class"))
+    counting = keep is None
     failures = [0] * len(encs)
+    failing = [set() for _ in encs]
     found = [[] for _ in encs]
     singles = [(k, enc) for k, enc in enumerate(encs) if isinstance(enc, _SpaceClaim)]
     doubles = [(k, enc) for k, enc in enumerate(encs) if isinstance(enc, _PairClaim)]
     triples = [(k, enc.map_prop) for k, enc in enumerate(encs)
                if isinstance(enc, _TripleClaim)]
     middles = [iy for iy, t in enumerate(t_alpha_m) if t] if triples else []
+    # every leading part of a failing class tuple
+    starts = [] if counting else [{t[:j] for t in tuples for j in range(1, len(t) + 1)}
+                                  for tuples in keep]
+    rows = {}   # X -> {Y: pair masks of X and Y}
 
-    def row(i):
-        return [_pair_masks(tables, i, iz) for iz in range(len(sizes))]
-
-    # the composition claims read a middle space's row more than once
-    middle_row = cache(row)
+    def masks(ix, iy):
+        row = rows.setdefault(ix, {})
+        if iy not in row:
+            row[iy] = _pair_masks(tables, ix, iy)
+        return row[iy]
 
     def room(k):
         return None if limit is None else max(0, limit - len(found[k]))
 
+    def visits(k, *positions):
+        # a walk visits what starts a failing class tuple while k wants witnesses
+        return counting or (room(k) != 0
+                            and tuple(cls[i] for i in positions) in starts[k])
+
     def g_sides(prop, iy, iz):
         # ranks and sides of the maps g: Y -> Z that satisfy prop
-        ranks = points_of(middle_row(iy)[iz][_PROP_IDX[prop]])
+        ranks = points_of(masks(iy, iz)[_PROP_IDX[prop]])
         return ranks, _map_sides(prop, False, iy, iz, ranks, tables)
 
     @cache
     def failing_g(prop, iy):
-        # A_f -> how many maps g out of Y, to every Z, make g after f fail;
-        # each A_f is summed from the B_g counts on first use
-        counts = Counter()
+        # A_f -> how many maps g out of Y, to every Z and weighted by Z, make
+        # g after f fail, each A_f summed from the B_g counts on first use;
+        # and the union of the B_g of each Z
+        counts, unions = Counter(), []
         for iz in range(len(sizes)):
-            counts.update(g_sides(prop, iy, iz)[1])
-        return cache(lambda a: sum(c for b, c in counts.items() if a & b))
+            sides = g_sides(prop, iy, iz)[1]
+            for b in sides:
+                counts[b] += weight[iz]
+            unions.append(reduce(or_, sides, 0))
+        return cache(lambda a: sum(c for b, c in counts.items() if a & b)), unions
 
-    def failing_triples(prop, ix, iy, f_ranks, f_sides):
+    def failing_triples(k, prop, ix, iy, f_ranks, f_sides):
         for iz in range(len(sizes)):
-            for pair in _failing_pairs(f_ranks, f_sides, *g_sides(prop, iy, iz)):
-                yield (ix, iy, iz), pair
+            if counting or (cls[ix], cls[iy], cls[iz]) in keep[k]:
+                for pair in _failing_pairs(f_ranks, f_sides, *g_sides(prop, iy, iz)):
+                    yield (ix, iy, iz), pair
 
     for ix in outer:
+        if not counting and not any(room(k) != 0 for k, tuples in enumerate(keep)
+                                    if tuples):
+            break
         for k, enc in singles:
-            if tables[enc.hyp][ix] and not tables[enc.concl][ix]:
-                failures[k] += 1
+            if visits(k, ix) and tables[enc.hyp][ix] and not tables[enc.concl][ix]:
+                failures[k] += weight[ix]
+                failing[k].add((cls[ix],))
                 found[k].extend([((ix,), ())][:room(k)])
-        pairs = [(k, enc) for k, enc in doubles if t_alpha_m[ix] or not enc.space_hyp_x]
-        if not pairs and not triples:
-            continue
-        x_row = middle_row(ix) if triples and t_alpha_m[ix] else row(ix)
-
-        for iy, masks in enumerate(x_row):
+        pairs = [(k, enc) for k, enc in doubles
+                 if (t_alpha_m[ix] or not enc.space_hyp_x) and visits(k, ix)]
+        for iy in range(len(sizes)) if pairs else ():
             for k, enc in pairs:
+                if not visits(k, ix, iy):
+                    continue
+                m = masks(ix, iy)
                 first, *rest = enc.map_hyp
-                hyp_bits = masks[_PROP_IDX[first]]
+                hyp_bits = m[_PROP_IDX[first]]
                 for name in rest:
-                    hyp_bits &= masks[_PROP_IDX[name]]
+                    hyp_bits &= m[_PROP_IDX[name]]
                 if enc.concl_map:
-                    fail_bits = hyp_bits & ~masks[_PROP_IDX[enc.concl_map]]
+                    fail_bits = hyp_bits & ~m[_PROP_IDX[enc.concl_map]]
                 else:
                     fail_bits = 0 if t_alpha_m[iy] else hyp_bits
-                failures[k] += fail_bits.bit_count()
+                if not fail_bits:
+                    continue
+                failures[k] += weight[ix] * weight[iy] * fail_bits.bit_count()
+                failing[k].add((cls[ix], cls[iy]))
                 want = room(k)
                 if want != 0:
                     found[k].extend(((ix, iy), (rank,))
@@ -535,33 +602,81 @@ def _sweep_chunk(encs, scope: Scope, tables: dict, outer):
         # f: X -> Y and g: Y -> Z with Y T_alpha_m
         for iy in middles:
             for k, prop in triples:
-                f_ranks = points_of(x_row[iy][_PROP_IDX[prop]])
+                if not visits(k, ix, iy):
+                    continue
+                f_ranks = points_of(masks(ix, iy)[_PROP_IDX[prop]])
                 if not f_ranks:
                     continue
                 f_sides = _map_sides(prop, True, ix, iy, f_ranks, tables)
-                count = sum(map(failing_g(prop, iy), f_sides))
-                failures[k] += count
-                if count and room(k) != 0:
+                if counting:
+                    fold, unions = failing_g(prop, iy)
+                    count = sum(map(fold, f_sides))
+                    if not count:
+                        continue
+                    failures[k] += weight[ix] * weight[iy] * count
+                    reach = reduce(or_, f_sides)
+                    failing[k].update((cls[ix], cls[iy], cls[iz])
+                                      for iz, union in enumerate(unions) if reach & union)
+                if room(k) != 0:
                     found[k].extend(islice(
-                        failing_triples(prop, ix, iy, f_ranks, f_sides), room(k)))
-    return failures, found
+                        failing_triples(k, prop, ix, iy, f_ranks, f_sides), room(k)))
+        if not (triples and t_alpha_m[ix]):
+            rows.pop(ix, None)
+    return failures, failing, found
 
 
-def _run_sweep(encs, scope: Scope, jobs: int, pool):
-    """(failures, witness bindings) of each encoding in ``encs`` from one
-    walk of the scope, split into one share per worker.
+def _run_sweep(encs, scope: Scope, spaces, jobs: int, pool):
+    """(instances, failures, witness bindings) of each encoding in ``encs``
+    over the labeled stream ``spaces`` of the scope.
 
-    Share i is every jobs-th outer position from i.  A binding's tuple
-    order, ((positions), (ranks)), is the sweep order, so the first
-    witnesses of the whole scope are the least bindings over the shares.
+    Every claim is invariant under relabelling each bound space on its own,
+    so the failures are counted over one representative per homeomorphism
+    class (Stong 1966): a tuple of representatives counts for the product
+    of its orbit sizes.  The count is split into one share per worker:
+    share i is every jobs-th representative from i.  The orbit sizes of
+    each point count must sum to the number of labeled spaces, and the
+    bindings they stand for to the instances; otherwise the sweep raises
+    InternalCheckError.
+
+    The witnesses are the least failing bindings of the labeled stream,
+    since a binding's tuple order, ((positions), (ranks)), is the sweep
+    order.  One serial walk of the stream visits only the bindings whose
+    class tuple failed, and stops once every encoding has its witnesses.
+    With no witness limit it finds every failing binding, and their number
+    must equal the count.
     """
-    spaces = spaces_up_to(scope.max_points)
-    shares = [range(i, len(spaces), jobs) for i in range(jobs)]
-    sweep = partial(_sweep_chunk, encs, scope, _space_tables(spaces))
-    results = list((pool.map if pool else map)(sweep, shares))
-    return [(sum(failures[k] for failures, _ in results),
-             sorted(b for _, found in results for b in found[k])[:scope.witness_limit])
-            for k in range(len(encs))]
+    classes = [c for n in range(scope.max_points + 1) for c in enumeration._classes(n)]
+    reps = [s for s, _ in classes]
+    weights = [len(orbit) for _, orbit in classes]
+    labeled, weighted = Counter(s.n for s in spaces), Counter()
+    for s, w in zip(reps, weights):
+        weighted[s.n] += w
+    if any(weighted[n] != _LABELED_COUNTS[n] for n in range(scope.max_points + 1)):
+        raise InternalCheckError(f"orbit sizes per point count {dict(weighted)} "
+                                 f"are not the labeled counts {_LABELED_COUNTS}")
+    instances = [_count_instances(enc, labeled) for enc in encs]
+    if instances != [_count_instances(enc, weighted) for enc in encs]:
+        raise InternalCheckError("orbit-weighted bindings differ from the instances")
+
+    count = partial(_sweep_chunk, encs, _space_tables(reps, weights))
+    results = list((pool.map if pool else map)(
+        count, [range(i, len(reps), jobs) for i in range(jobs)]))
+    failures = [sum(r[0][k] for r in results) for k in range(len(encs))]
+    found = [[] for _ in encs]
+    if any(failures):
+        keep = [set().union(*(r[1][k] for r in results)) for k in range(len(encs))]
+        where = {t: c for c, (_, orbit) in enumerate(classes) for t in orbit}
+        cls = [where[s.min_nbhd] for s in spaces]
+        # only the spaces of failing classes are tabulated
+        hit = {c for tuples in keep for t in tuples for c in t}
+        walk = _space_tables([s if c in hit else None for s, c in zip(spaces, cls)],
+                             classes=cls)
+        _, _, found = _sweep_chunk(encs, walk, range(len(spaces)), scope.witness_limit, keep)
+        if scope.witness_limit is None and list(map(len, found)) != failures:
+            raise InternalCheckError(
+                f"the witness walk found {list(map(len, found))} failing bindings, "
+                f"the orbit-weighted count {failures}")
+    return list(zip(instances, failures, found))
 
 
 def default_scope(claim_id: str) -> Scope:
@@ -579,8 +694,8 @@ def _verify_claims(claim_scopes: dict, jobs: int) -> dict:
     Claims of one scope are answered by one sweep, and report its wall
     time.  Ids restating one encoding are folded once and reported
     separately.  With jobs > 1 every sweep shares one process pool, of at
-    most one worker per CPU, and hands each worker one share of its outer
-    spaces; the reports do not depend on the worker count.
+    most one worker per CPU, and hands each worker one share of its class
+    representatives; the reports do not depend on the worker count.
     """
     if not isinstance(jobs, int) or isinstance(jobs, bool) or jobs < 1:
         raise BadParams(f"jobs {jobs!r} must be a positive integer")
@@ -592,16 +707,15 @@ def _verify_claims(claim_scopes: dict, jobs: int) -> dict:
             raise BadParams(f"scope {scope!r} must be a Scope")
         groups.setdefault(scope, {}).setdefault(key, []).append(claim_id)
     reports = {}
-    with ProcessPoolExecutor(max_workers=jobs) if jobs > 1 else nullcontext() as pool:
+    with ProcessPoolExecutor(jobs) if jobs > 1 else nullcontext() as pool:
         for scope, by_encoding in groups.items():
+            spaces = spaces_up_to(scope.max_points)
             started = time.perf_counter()
             results = _run_sweep([_ENCODINGS[key] for key in by_encoding],
-                                 scope, jobs, pool)
+                                 scope, spaces, jobs, pool)
             wall = time.perf_counter() - started
-            spaces = spaces_up_to(scope.max_points)
-            for (key, claim_ids), (failures, bindings) in zip(by_encoding.items(),
-                                                              results):
-                instances = _count_instances(_ENCODINGS[key], spaces)
+            for (key, claim_ids), (instances, failures, bindings) in zip(
+                    by_encoding.items(), results):
                 for claim_id in claim_ids:
                     witnesses = tuple(_witness(claim_id, spaces, *b) for b in bindings)
                     if bool(failures) != bool(witnesses):

@@ -372,6 +372,18 @@ def test_console_script_and_module_entry():
         assert out.stdout == '{"n":1,"opens":[[],[0]]}\n'
 
 
+def test_import_loads_no_process_pool():
+    # a serial run never starts a pool, so importing the library or the CLI
+    # leaves the pool's modules unloaded
+    code = ("import sys, topolab, topolab.cli; "
+            "print([m for m in ('multiprocessing', 'concurrent.futures') "
+            "if m in sys.modules])")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, timeout=60, env=_child_env())
+    assert out.returncode == 0, out.stderr
+    assert out.stdout == "[]\n"
+
+
 def test_closed_stdout_exits_quietly():
     # a reader that stops early, like `topolab enumerate -n 5 | head -1`
     child = subprocess.Popen([sys.executable, "-m", "topolab", "enumerate", "-n", "5"],

@@ -5,10 +5,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import topolab as T
-from topolab import verifier
+from topolab import enumeration, verifier
 from topolab.enumeration import spaces_up_to
 from topolab.errors import ArityMismatch, BadParams, InternalCheckError, ScopeTooLarge
-from topolab.maps import assignment_from_index
+from topolab.maps import assignment_from_index, map_index
+from topolab.space import points_of
 
 SIERP = T.sierpinski()
 DISC1 = T.discrete(1)
@@ -275,14 +276,16 @@ def test_verify_is_verify_all_for_one_claim():
 
 
 def test_pair_sweep_requests_each_pair_once():
-    # one walk per scope: the composition claims reuse the rows the pair
-    # claims fetched instead of asking for them again; and no pair masks
-    # outlive the sweep
+    # one count per scope: the composition claims reuse the rows the pair
+    # claims fetched instead of asking for them again, so each pair of the
+    # 14 class representatives is requested once; the witness walk adds the
+    # 3 labeled pairs that hold T3_9b's first 5 witnesses, and stops there;
+    # and no pair masks outlive the sweep
     for claims in (PAIR_IDS, T.CLAIM_IDS):
         verifier._pair_masks.cache_clear()
         T.verify_all(scope=verifier.Scope(max_points=3), claims=claims)
         info = verifier._pair_masks.cache_info()
-        assert (info.misses, info.hits, info.currsize) == (35 * 35, 0, 0), claims
+        assert (info.misses, info.hits, info.currsize) == (14 * 14 + 3, 0, 0), claims
     # and nothing else in the verifier keeps state between calls
     assert [name for name, obj in vars(verifier).items()
             if hasattr(obj, "cache_info")] == ["_pair_masks"]
@@ -308,7 +311,7 @@ def test_sweep_tables_match_direct_predicates(stream_tables, data):
     tables = {name: (column[ix], column[iy]) for name, column in stream_tables.items()}
     encs = [verifier._ENCODINGS[key] for key in PAIR_KEYS]
     scope = verifier.Scope(max_points=4, witness_limit=None)
-    failures, found = verifier._sweep_chunk(encs, scope, tables, range(1))
+    failures, _, found = verifier._sweep_chunk(encs, tables, range(1), scope.witness_limit)
     x = spaces[ix]
     for key, count, bindings in zip(PAIR_KEYS, failures, found):
         assert count == len(bindings), key
@@ -324,7 +327,6 @@ def _brute_composition(encs, scope, tables):
     """The composition fold of ``_sweep_chunk`` over every (f, g) pair, via
     the composition kernel and the composite's own pair mask."""
     from topolab import _kernels
-    from topolab.space import points_of
     spaces = spaces_up_to(scope.max_points)
     rows = [[verifier._pair_masks(tables, ix, iz) for iz in range(len(spaces))]
             for ix in range(len(spaces))]
@@ -365,10 +367,84 @@ def test_composition_fold_matches_every_pair():
     brute_failures, brute_found = _brute_composition(encs, every, tables)
     assert brute_failures == [480232, 298976]
     for limit in (5, None):
-        scope = verifier.Scope(max_points=3, witness_limit=limit)
-        failures, found = verifier._sweep_chunk(encs, scope, tables, range(len(spaces)))
+        failures, _, found = verifier._sweep_chunk(encs, tables, range(len(spaces)), limit)
         assert failures == brute_failures
         assert found == [bindings[:limit] for bindings in brute_found]
+
+
+def _labeled_sweep(keys, scope):
+    """Failures and witness bindings of each encoding from one sweep of
+    every labeled binding, each of weight 1."""
+    spaces = spaces_up_to(scope.max_points)
+    encs = [verifier._ENCODINGS[key] for key in keys]
+    failures, _, found = verifier._sweep_chunk(
+        encs, verifier._space_tables(spaces), range(len(spaces)), scope.witness_limit)
+    return failures, found
+
+
+@pytest.mark.parametrize("scope, keys", [
+    (verifier.Scope(max_points=3), tuple(verifier._ENCODINGS)),
+    (verifier.Scope(max_points=3, witness_limit=None), tuple(verifier._ENCODINGS)),
+    (verifier.Scope(max_points=4), ("P3_3", "T3_4b", "T3_9b", "T3_10")),
+], ids=["n3", "n3-all-witnesses", "n4-pairs"])
+def test_orbit_counts_match_the_labeled_sweep(scope, keys):
+    # the counts over class representatives, weighted by orbit size, and the
+    # witnesses of the walk equal those of the sweep of every labeled binding
+    spaces = spaces_up_to(scope.max_points)
+    position = {s: i for i, s in enumerate(spaces)}
+    reports = T.verify_all(scope, claims=keys)
+    for key, r, count, bindings in zip(keys, reports, *_labeled_sweep(keys, scope)):
+        assert r.failures == count, key
+        assert [(tuple(position[s] for s in w.spaces),
+                 tuple(map_index(f) for f in w.maps)) for w in r.witnesses] == bindings, key
+
+
+def test_orbit_weights_are_reconciled(monkeypatch):
+    # one orbit a table too large: its weights no longer sum to the labeled
+    # count, and the sweep refuses to report
+    classes = enumeration._classes
+
+    def one_too_many(n):
+        *rest, (rep, orbit) = classes(n)
+        return (*rest, (rep, orbit | {(-1,) * n}))
+
+    monkeypatch.setattr(enumeration, "_classes", one_too_many)
+    with pytest.raises(InternalCheckError):
+        T.verify_all(verifier.Scope(max_points=3))
+
+
+def test_alpha_m_lemmas_on_every_space_up_to_5():
+    # on each of the 7,332 labeled spaces with at most 5 points: closed sets
+    # are alpha_m-closed, the space is T_alpha_m iff no other set is, and
+    # the alpha_m-open sets are the complements of the alpha_m-closed ones
+    tables = verifier._space_tables(spaces_up_to(5))
+    assert len(tables["n"]) == 7332
+    for n, t_alpha_m, closed, amc, amo in zip(*(tables[name] for name in (
+            "n", "T_alpha_m", "closed", "alpha_m_closed", "alpha_m_open"))):
+        full = (1 << n) - 1
+        assert closed & ~amc == 0
+        assert t_alpha_m == (amc == closed)
+        assert amo == sum(1 << (full ^ a) for a in points_of(amc))
+
+
+@pytest.mark.slow
+def test_pair_claims_at_5_points_follow_the_lemmas():
+    # beyond the labeled sweep's reach the lemmas above are the oracle.  Out
+    # of a T_alpha_m space X, alpha_m-closed is closed; in any Y, closed is
+    # alpha_m-closed.  So an alpha_m-continuous map (P3_3) and an
+    # alpha_m-irresolute one (T3_4b) pull closed sets back to closed sets;
+    # and under a surjective closed alpha_m-irresolute f, an alpha_m-closed
+    # B of Y is f(f^-1(B)), the image of a closed set, so closed (T3_10).
+    # T3_9b has no such proof, and fails.
+    claims = ("P3_3", "T3_4b", "T3_9b", "T3_10")
+    reports = T.verify_all(verifier.Scope(max_points=5), claims=claims)
+    assert [(r.instances, r.failures) for r in reports] == [
+        (154_771_368_636, 0), (154_771_368_636, 0),
+        (154_771_368_636, 1_368_541_630), (154_771_368_636, 0)]
+    t3_9b = reports[2]
+    assert len(t3_9b.witnesses) == 5 and T.validate_witness(t3_9b)
+    assert t3_9b.to_record()["witnesses"] == \
+        T.verify("T3_9b", verifier.Scope(max_points=3)).to_record()["witnesses"]
 
 
 def test_jobs_are_capped_at_the_cpu_count(monkeypatch):
@@ -393,13 +469,13 @@ def test_jobs_are_capped_at_the_cpu_count(monkeypatch):
 
     monkeypatch.setattr(verifier, "ProcessPoolExecutor", SerialPool)
     monkeypatch.setattr(verifier.os, "cpu_count", lambda: 3)
-    # each share is a stride of the stream, and the witnesses merged from
-    # the three shares are those of one serial walk, whatever the limit
+    # each share is a stride of the 14 class representatives, and the
+    # reports equal those of a serial run, whatever the limit
     for limit in (1, 5, None):
         scope = verifier.Scope(max_points=3, witness_limit=limit)
         del sweeps[:]
         capped = verifier.reports_to_json(T.verify_all(scope, jobs=100_000))
-        assert sweeps == [[range(i, 35, 3) for i in range(3)]], limit
+        assert sweeps == [[range(i, 14, 3) for i in range(3)]], limit
         assert capped == verifier.reports_to_json(T.verify_all(scope)), limit
     assert pools == [3, 3, 3]
     monkeypatch.setattr(verifier.os, "cpu_count", lambda: None)
