@@ -15,10 +15,12 @@ it visits just the bindings whose class tuple failed, in stream order, and
 stops at the witness limit.  The witnesses are the least failing labeled
 bindings, as a sweep of every labeled binding would list them.
 
-Instances are counted analytically from the binding product, and checked
-against the orbit-weighted bindings, so serial and parallel runs of the
-same scope produce identical reports; bindings whose hypotheses fail count
-as (vacuously true) checked instances.
+Instances are counted analytically from the binding product over the
+labeled stream's point counts, so serial and parallel runs of the same
+scope produce identical reports; bindings whose hypotheses fail count as
+(vacuously true) checked instances.  Before it reports, the sweep checks
+that the orbit sizes sum to the stream's point counts and to OEIS A000798,
+and that the walk found as many witnesses as the counted failures allow.
 """
 
 from __future__ import annotations
@@ -391,16 +393,11 @@ def _space_tables(spaces, weights=None, classes=None) -> dict:
     table.
 
     Over class representatives, ``weights`` holds the orbit sizes, and a
-    space is its own class.  Over the labeled stream every weight is 1, and
+    space is its own class.  Over labeled spaces every weight is 1, and
     ``classes`` holds the position of each space's class representative.
-    A None in ``spaces`` keeps its position, with None in its other columns.
     """
     columns = {name: [] for name in ("n", *_AXIOMS, *_MAP_SIDE)}
     for s in spaces:
-        if s is None:
-            for column in columns.values():
-                column.append(None)
-            continue
         columns["n"].append(s.n)
         for name, holds in _AXIOMS.items():
             columns[name].append(holds(s))
@@ -633,17 +630,19 @@ def _run_sweep(encs, scope: Scope, spaces, jobs: int, pool):
     so the failures are counted over one representative per homeomorphism
     class (Stong 1966): a tuple of representatives counts for the product
     of its orbit sizes.  The count is split into one share per worker:
-    share i is every jobs-th representative from i.  The orbit sizes of
-    each point count must sum to the number of labeled spaces, and the
-    bindings they stand for to the instances; otherwise the sweep raises
+    share i is every jobs-th representative from i.  The instances are
+    counted from the stream's point counts.  The orbit sizes of each point
+    count must sum to the stream's count of spaces with that many points,
+    and to the labeled count of OEIS A000798; otherwise the sweep raises
     InternalCheckError.
 
     The witnesses are the least failing bindings of the labeled stream,
     since a binding's tuple order, ((positions), (ranks)), is the sweep
-    order.  One serial walk of the stream visits only the bindings whose
-    class tuple failed, and stops once every encoding has its witnesses.
-    With no witness limit it finds every failing binding, and their number
-    must equal the count.
+    order.  One serial walk visits only the labeled spaces of classes in a
+    failing class tuple, in stream order, and only the bindings whose class
+    tuple failed; it stops once every encoding has its witnesses.  It must
+    find as many as the witness limit allows of the counted failures, all of
+    them with no limit; otherwise the sweep raises InternalCheckError.
     """
     classes = [c for n in range(scope.max_points + 1) for c in enumeration._classes(n)]
     reps = [s for s, _ in classes]
@@ -651,12 +650,12 @@ def _run_sweep(encs, scope: Scope, spaces, jobs: int, pool):
     labeled, weighted = Counter(s.n for s in spaces), Counter()
     for s, w in zip(reps, weights):
         weighted[s.n] += w
-    if any(weighted[n] != _LABELED_COUNTS[n] for n in range(scope.max_points + 1)):
-        raise InternalCheckError(f"orbit sizes per point count {dict(weighted)} "
-                                 f"are not the labeled counts {_LABELED_COUNTS}")
+    known = _LABELED_COUNTS[:scope.max_points + 1]
+    if weighted != labeled or tuple(weighted[n] for n in range(len(known))) != known:
+        raise InternalCheckError(
+            f"orbit sizes per point count {dict(weighted)} are not the labeled "
+            f"counts {dict(labeled)} (OEIS A000798: {known})")
     instances = [_count_instances(enc, labeled) for enc in encs]
-    if instances != [_count_instances(enc, weighted) for enc in encs]:
-        raise InternalCheckError("orbit-weighted bindings differ from the instances")
 
     count = partial(_sweep_chunk, encs, _space_tables(reps, weights))
     results = list((pool.map if pool else map)(
@@ -667,15 +666,19 @@ def _run_sweep(encs, scope: Scope, spaces, jobs: int, pool):
         keep = [set().union(*(r[1][k] for r in results)) for k in range(len(encs))]
         where = {t: c for c, (_, orbit) in enumerate(classes) for t in orbit}
         cls = [where[s.min_nbhd] for s in spaces]
-        # only the spaces of failing classes are tabulated
+        # the stream positions of the labeled spaces of failing classes
         hit = {c for tuples in keep for t in tuples for c in t}
-        walk = _space_tables([s if c in hit else None for s, c in zip(spaces, cls)],
-                             classes=cls)
-        _, _, found = _sweep_chunk(encs, walk, range(len(spaces)), scope.witness_limit, keep)
-        if scope.witness_limit is None and list(map(len, found)) != failures:
-            raise InternalCheckError(
-                f"the witness walk found {list(map(len, found))} failing bindings, "
-                f"the orbit-weighted count {failures}")
+        stream = [i for i, c in enumerate(cls) if c in hit]
+        walk = _space_tables([spaces[i] for i in stream], classes=[cls[i] for i in stream])
+        _, _, found = _sweep_chunk(encs, walk, range(len(stream)), scope.witness_limit, keep)
+        found = [[(tuple(stream[i] for i in positions), ranks)
+                  for positions, ranks in bindings] for bindings in found]
+    limit = scope.witness_limit
+    wanted = [f if limit is None else min(f, limit) for f in failures]
+    if list(map(len, found)) != wanted:
+        raise InternalCheckError(
+            f"the witness walk found {list(map(len, found))} failing bindings, "
+            f"the orbit-weighted count allows {wanted}")
     return list(zip(instances, failures, found))
 
 
@@ -718,10 +721,6 @@ def _verify_claims(claim_scopes: dict, jobs: int) -> dict:
                     by_encoding.items(), results):
                 for claim_id in claim_ids:
                     witnesses = tuple(_witness(claim_id, spaces, *b) for b in bindings)
-                    if bool(failures) != bool(witnesses):
-                        raise InternalCheckError(
-                            f"claim {claim_id}: {failures} failures but "
-                            f"{len(witnesses)} witnesses")
                     reports[claim_id] = TheoremReport(
                         claim=claim_id, statement=_STATEMENTS[key], scope=scope,
                         instances=instances, failures=failures,

@@ -413,6 +413,23 @@ def test_orbit_weights_are_reconciled(monkeypatch):
         T.verify_all(verifier.Scope(max_points=3))
 
 
+@pytest.mark.parametrize("limit", [5, None])
+def test_witness_walk_is_reconciled(monkeypatch, limit):
+    # a walk that loses one failing binding no longer matches the count, at
+    # the default witness limit as with none
+    sweep = verifier._sweep_chunk
+
+    def one_lost(encs, tables, outer, limit=0, keep=None):
+        failures, failing, found = sweep(encs, tables, outer, limit, keep)
+        if keep is not None:
+            found = [bindings[:-1] for bindings in found]
+        return failures, failing, found
+
+    monkeypatch.setattr(verifier, "_sweep_chunk", one_lost)
+    with pytest.raises(InternalCheckError):
+        T.verify_all(verifier.Scope(max_points=3, witness_limit=limit), claims=("T3_9b",))
+
+
 def test_alpha_m_lemmas_on_every_space_up_to_5():
     # on each of the 7,332 labeled spaces with at most 5 points: closed sets
     # are alpha_m-closed, the space is T_alpha_m iff no other set is, and
@@ -427,7 +444,6 @@ def test_alpha_m_lemmas_on_every_space_up_to_5():
         assert amo == sum(1 << (full ^ a) for a in points_of(amc))
 
 
-@pytest.mark.slow
 def test_pair_claims_at_5_points_follow_the_lemmas():
     # beyond the labeled sweep's reach the lemmas above are the oracle.  Out
     # of a T_alpha_m space X, alpha_m-closed is closed; in any Y, closed is
