@@ -20,7 +20,6 @@ from functools import cache
 from itertools import product
 from typing import NamedTuple
 
-from .maps import MAP_PREDICATES, assignment_from_index
 from .space import _interior, _maximal
 
 # the one kernel implementation; the benchmark prints topolab.BACKEND
@@ -28,8 +27,12 @@ BACKEND = "pure"
 
 # order of the tuple returned by map_masks: the one-map properties in
 # topolab.maps.MAP_PREDICATES order, less open_map, which no claim reads, then
-# the two that the claims derive from them
-MAP_PROP_ORDER = tuple(name for name in MAP_PREDICATES if name != "open_map") + (
+# the two that the claims derive from them.  Spelled out, not derived from
+# MAP_PREDICATES, so that the enumeration, which loads this module, does not
+# load the map and class layers; tests/test_kernels.py checks the order.
+MAP_PROP_ORDER = (
+    "continuous", "closed_map", "surjective", "bijective", "alpha_m_continuous",
+    "alpha_m_irresolute", "alpha_m_closed_map", "alpha_m_open_map",
     "open_preimages_alpha_m_open", "inverse_alpha_m_continuous")
 
 
@@ -253,6 +256,8 @@ def composition_failures(nx, ny, nz, f_indices, g_indices, target_bits, limit):
     brute-force reference that tests check that fold against, and because
     the benchmark's tracer wraps it by name.
     """
+    from .maps import assignment_from_index     # here, not at the top: see MAP_PROP_ORDER
+
     if not f_indices or not g_indices:
         return 0, []
     count = 0

@@ -32,10 +32,9 @@ contradicts A being alpha_m-closed, so A is closed.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from . import classes
-from .space import FiniteSpace, PointSet, _interior, canonical_subsets, check_space, points_of
+from .space import (FiniteSpace, PointSet, _Frozen, _interior, canonical_subsets, check_space,
+                    points_of)
 
 AXIOM_IDS = ("T0", "T1", "T_half", "T_alpha_m", "singleton_dichotomy")
 
@@ -127,16 +126,15 @@ def _dichotomy_witness(space: FiniteSpace):
     return None
 
 
-@dataclass(frozen=True)
-class AxiomReport:
+class AxiomReport(_Frozen):
     """Axiom flags plus one offending witness subset per failed axiom."""
 
-    T0: bool
-    T1: bool
-    T_half: bool
-    T_alpha_m: bool
-    singleton_dichotomy: bool
-    witnesses: tuple  # ordered (axiom_id, subset-bitmask) pairs
+    _fields = (*AXIOM_IDS, "witnesses")
+
+    def __init__(self, T0: bool, T1: bool, T_half: bool, T_alpha_m: bool,
+                 singleton_dichotomy: bool, witnesses: tuple) -> None:
+        # witnesses: ordered (axiom_id, subset-bitmask) pairs
+        self._set(T0, T1, T_half, T_alpha_m, singleton_dichotomy, witnesses)
 
     def to_record(self) -> dict:
         rec = {name: getattr(self, name) for name in AXIOM_IDS}

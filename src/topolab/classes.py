@@ -68,10 +68,8 @@ nothing; no query of the library calls them.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .errors import BadParams, ScopeTooLarge
-from .space import (FiniteSpace, PointSet, _interior, canonical_subsets, check_space,
+from .space import (FiniteSpace, PointSet, _Frozen, _interior, canonical_subsets, check_space,
                     points_of)
 
 CLASS_IDS = (
@@ -192,25 +190,18 @@ _PREDICATES = (
 )
 
 
-@dataclass(frozen=True)
-class ClassificationReport:
+class ClassificationReport(_Frozen):
     """Flags for one subset, in fixed field order."""
 
-    open: bool
-    closed: bool
-    clopen: bool
-    preopen: bool
-    preclosed: bool
-    semiopen: bool
-    semiclosed: bool
-    alpha_open: bool
-    alpha_closed: bool
-    beta_open: bool
-    beta_closed: bool
-    g_closed: bool
-    g_open: bool
-    alpha_m_closed: bool
-    alpha_m_open: bool
+    _fields = CLASS_IDS
+
+    def __init__(self, open: bool, closed: bool, clopen: bool, preopen: bool,
+                 preclosed: bool, semiopen: bool, semiclosed: bool, alpha_open: bool,
+                 alpha_closed: bool, beta_open: bool, beta_closed: bool, g_closed: bool,
+                 g_open: bool, alpha_m_closed: bool, alpha_m_open: bool) -> None:
+        self._set(open, closed, clopen, preopen, preclosed, semiopen, semiclosed,
+                  alpha_open, alpha_closed, beta_open, beta_closed, g_closed, g_open,
+                  alpha_m_closed, alpha_m_open)
 
     def to_record(self) -> dict:
         return {name: getattr(self, name) for name in CLASS_IDS}

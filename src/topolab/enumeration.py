@@ -9,12 +9,14 @@ from __future__ import annotations
 
 from functools import cache
 from itertools import permutations, product
-from typing import Iterator
+from typing import TYPE_CHECKING, Iterator
 
 from . import _kernels
 from .errors import BadParams, ScopeTooLarge
-from .maps import SpaceMap
 from .space import FiniteSpace, _opens, check_space, points_of
+
+if TYPE_CHECKING:
+    from .maps import SpaceMap
 
 ENUMERATION_CAP = 5
 # canonical_form tries n! relabelings and expands each distinct table to its
@@ -144,6 +146,9 @@ def spaces_up_to(max_points: int) -> tuple:
 
 def enumerate_maps(domain: FiniteSpace, codomain: FiniteSpace) -> Iterator[SpaceMap]:
     """All maps domain -> codomain in rank order."""
+    # imported on first call, so that enumerating spaces loads no map layer
+    from .maps import SpaceMap
+
     check_space(domain, "domain")
     check_space(codomain, "codomain")
     if domain.n > ENUMERATION_CAP or codomain.n > ENUMERATION_CAP:

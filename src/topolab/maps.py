@@ -9,38 +9,35 @@ assignment convert with :func:`map_index` / :func:`assignment_from_index`.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 
 from .classes import _alpha_m_closed, _union, alpha_m_closed_meet_irreducibles
 from .errors import BadParams, SpaceMismatch
-from .space import (FiniteSpace, PointSet, _interior, check_space, load_json, points_of,
-                    space_from_record)
+from .space import (FiniteSpace, PointSet, _Frozen, _interior, check_space, load_json,
+                    points_of, space_from_record)
 
-@dataclass(frozen=True)
-class SpaceMap:
+
+class SpaceMap(_Frozen):
     """A total map ``domain  -> codomain``, point x to assignment[x]."""
 
-    domain: FiniteSpace
-    codomain: FiniteSpace
-    assignment: tuple
+    _fields = ("domain", "codomain", "assignment")
 
-    def __post_init__(self):
-        check_space(self.domain, "domain")
-        check_space(self.codomain, "codomain")
-        if not isinstance(self.assignment, tuple):
+    def __init__(self, domain: FiniteSpace, codomain: FiniteSpace, assignment: tuple) -> None:
+        check_space(domain, "domain")
+        check_space(codomain, "codomain")
+        if not isinstance(assignment, tuple):
             try:
-                assignment = tuple(self.assignment)
+                assignment = tuple(assignment)
             except TypeError:
-                raise BadParams(f"assignment {self.assignment!r} is not a sequence "
+                raise BadParams(f"assignment {assignment!r} is not a sequence "
                                 "of codomain points") from None
-            object.__setattr__(self, "assignment", assignment)
-        if len(self.assignment) != self.domain.n:
+        if len(assignment) != domain.n:
             raise BadParams(
-                f"assignment length {len(self.assignment)} != domain size {self.domain.n}")
-        for x, y in enumerate(self.assignment):
-            if not isinstance(y, int) or isinstance(y, bool) or not 0 <= y < self.codomain.n:
+                f"assignment length {len(assignment)} != domain size {domain.n}")
+        for x, y in enumerate(assignment):
+            if not isinstance(y, int) or isinstance(y, bool) or not 0 <= y < codomain.n:
                 raise BadParams(f"assignment[{x}] = {y!r} outside codomain of "
-                                f"{self.codomain.n} points")
+                                f"{codomain.n} points")
+        self._set(domain, codomain, assignment)
 
     def image(self, a: PointSet) -> PointSet:
         self.domain.check_subset(a)
@@ -260,19 +257,18 @@ MAP_PREDICATES = {
 MAP_PROPERTY_IDS = tuple(MAP_PREDICATES)
 
 
-@dataclass(frozen=True)
-class MapClassification:
+class MapClassification(_Frozen):
     """Flags for one map, in fixed field order."""
 
-    continuous: bool
-    open_map: bool
-    closed_map: bool
-    surjective: bool
-    bijective: bool
-    alpha_m_continuous: bool
-    alpha_m_irresolute: bool
-    alpha_m_closed_map: bool
-    alpha_m_open_map: bool
+    _fields = MAP_PROPERTY_IDS
+
+    def __init__(self, continuous: bool, open_map: bool, closed_map: bool,
+                 surjective: bool, bijective: bool, alpha_m_continuous: bool,
+                 alpha_m_irresolute: bool, alpha_m_closed_map: bool,
+                 alpha_m_open_map: bool) -> None:
+        self._set(continuous, open_map, closed_map, surjective, bijective,
+                  alpha_m_continuous, alpha_m_irresolute, alpha_m_closed_map,
+                  alpha_m_open_map)
 
     def to_record(self) -> dict:
         return {name: getattr(self, name) for name in MAP_PROPERTY_IDS}

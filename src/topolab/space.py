@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import json
 from collections.abc import Iterable
-from dataclasses import dataclass
 from functools import cached_property, reduce
 from operator import and_
 
@@ -69,8 +68,46 @@ def format_subset(mask: PointSet) -> str:
     return "{" + ",".join(str(p) for p in points_of(mask)) + "}"
 
 
-@dataclass(frozen=True)
-class FiniteSpace:
+class _Frozen:
+    """Base of topolab's immutable value classes.
+
+    A subclass names its fields, in order, in ``_fields``, and its
+    ``__init__`` sets each of them once, through :meth:`_set`.  Two
+    instances are equal iff they are of one class with equal fields; the
+    hash is that of the tuple of fields, and the repr reads
+    ``Name(field=value, ...)``.  Assigning or deleting an attribute raises
+    AttributeError.  Fields live in the instance ``__dict__``, so instances
+    pickle as plain objects do, without calling ``__init__``.
+    """
+
+    _fields: tuple[str, ...] = ()
+
+    def _set(self, *values) -> None:
+        self.__dict__.update(zip(self._fields, values, strict=True))
+
+    def _values(self) -> tuple:
+        return tuple([getattr(self, name) for name in self._fields])
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._values() == other._values()
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(self._values())
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{type(self).__qualname__}({fields})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
+class FiniteSpace(_Frozen):
     """An immutable topology on points 0..n-1, stored as its neighbourhood
     table.
 
@@ -90,11 +127,10 @@ class FiniteSpace:
     one from its open sets.
     """
 
-    n: int
-    min_nbhd: tuple[PointSet, ...]
+    _fields = ("n", "min_nbhd")
 
-    def __post_init__(self):
-        n, minn = self.n, self.min_nbhd
+    def __init__(self, n: int, min_nbhd: tuple[PointSet, ...]) -> None:
+        minn = min_nbhd
         _check_n(n)
         if not isinstance(minn, tuple) or len(minn) != n:
             raise BadParams(f"neighbourhood table {minn!r} is not a tuple of {n} subsets")
@@ -110,14 +146,16 @@ class FiniteSpace:
                     raise NotATopology(
                         f"point {z} is in the neighbourhood {format_subset(u)} of point {x},"
                         f" but its own, {format_subset(minn[z])}, is not inside it")
+        self._set(n, min_nbhd)
 
     @classmethod
     def _unchecked(cls, n: int, min_nbhd: tuple) -> FiniteSpace:
         """A space from a table already known to be a topology's, without
         the constructor's check; for the enumeration's streams only."""
         space = cls.__new__(cls)
-        # attribute by attribute, as the constructor does, so that every
-        # instance's dict shares its keys with the others'
+        # object.__setattr__, not _set: fields set this way stay in the
+        # instance's inline values, with no dict object of its own, and the
+        # streams hold thousands of spaces
         object.__setattr__(space, "n", n)
         object.__setattr__(space, "min_nbhd", min_nbhd)
         return space

@@ -31,7 +31,6 @@ import time
 from collections import Counter
 from collections.abc import Iterable
 from contextlib import nullcontext
-from dataclasses import dataclass
 from functools import cache, lru_cache, partial, reduce
 from itertools import islice, product
 from math import prod
@@ -42,7 +41,7 @@ from . import _kernels, axioms, enumeration, maps
 from .enumeration import spaces_up_to
 from .errors import ArityMismatch, BadParams, InternalCheckError, ScopeTooLarge
 from .maps import SpaceMap, assignment_from_index, check_map, compose, map_from_record
-from .space import check_space, points_of, space_from_record
+from .space import _Frozen, check_space, points_of, space_from_record
 
 MAX_SCOPE_POINTS = 5
 
@@ -75,25 +74,32 @@ _AXIOMS = {
 # Each claim kind binds ``arity`` spaces X, Y, Z, ... and the arity - 1 maps
 # along them, X -> Y -> Z.
 
-@dataclass(frozen=True)
-class _SpaceClaim:
+class _SpaceClaim(_Frozen):
     arity = 1
-    hyp: str    # axiom name in _AXIOMS
-    concl: str
+    _fields = ("hyp", "concl")
+
+    def __init__(self, hyp: str, concl: str) -> None:
+        # axiom names in _AXIOMS
+        self._set(hyp, concl)
 
 
-@dataclass(frozen=True)
-class _PairClaim:
+class _PairClaim(_Frozen):
     arity = 2
-    map_hyp: tuple
-    space_hyp_x: bool = False       # additional hypothesis: T_alpha_m(X)
-    concl_map: str = ""             # empty iff the conclusion is T_alpha_m(Y)
+    _fields = ("map_hyp", "space_hyp_x", "concl_map")
+
+    def __init__(self, map_hyp: tuple, space_hyp_x: bool = False, concl_map: str = "") -> None:
+        # space_hyp_x adds the hypothesis T_alpha_m(X); concl_map is empty
+        # iff the conclusion is T_alpha_m(Y)
+        self._set(map_hyp, space_hyp_x, concl_map)
 
 
-@dataclass(frozen=True)
-class _TripleClaim:
+class _TripleClaim(_Frozen):
     arity = 3
-    map_prop: str   # hypothesis property of f and g; conclusion property of g after f
+    _fields = ("map_prop",)
+
+    def __init__(self, map_prop: str) -> None:
+        # hypothesis property of f and g; conclusion property of g after f
+        self._set(map_prop)
 
 
 _ENCODINGS = {
@@ -158,8 +164,7 @@ _CLAIMS = {
 CLAIM_IDS = tuple(_CLAIMS)
 
 
-@dataclass(frozen=True)
-class Scope:
+class Scope(_Frozen):
     """Bounds of a sweep: all labeled spaces with 0..max_points points, and
     every map between them.
 
@@ -167,20 +172,19 @@ class Scope:
     instance).
     """
 
-    max_points: int
-    witness_limit: int = 5
+    _fields = ("max_points", "witness_limit")
 
-    def __post_init__(self):
-        if not isinstance(self.max_points, int) or isinstance(self.max_points, bool) \
-                or self.max_points < 0:
-            raise BadParams(f"max_points {self.max_points!r} must be a non-negative integer")
-        if self.max_points > MAX_SCOPE_POINTS:
+    def __init__(self, max_points: int, witness_limit: int = 5) -> None:
+        if not isinstance(max_points, int) or isinstance(max_points, bool) or max_points < 0:
+            raise BadParams(f"max_points {max_points!r} must be a non-negative integer")
+        if max_points > MAX_SCOPE_POINTS:
             raise ScopeTooLarge(
-                f"sweeps are capped at {MAX_SCOPE_POINTS} points, got {self.max_points}")
-        limit = self.witness_limit
+                f"sweeps are capped at {MAX_SCOPE_POINTS} points, got {max_points}")
+        limit = witness_limit
         if limit is not None and (not isinstance(limit, int)
                                   or isinstance(limit, bool) or limit < 1):
             raise BadParams("witness_limit must be None or a positive integer")
+        self._set(max_points, witness_limit)
 
     def to_record(self) -> dict:
         # "map_cap" stays, always null, so that saved reports keep their bytes
@@ -188,15 +192,15 @@ class Scope:
                 "witness_limit": self.witness_limit}
 
 
-@dataclass(frozen=True)
-class Witness:
+class Witness(_Frozen):
     """One failing binding: all hypotheses hold, the conclusion does not."""
 
-    claim: str
-    spaces: tuple
-    maps: tuple
-    hypotheses: tuple   # ((label, bool), ...)
-    conclusion: tuple   # (label, bool)
+    _fields = ("claim", "spaces", "maps", "hypotheses", "conclusion")
+
+    def __init__(self, claim: str, spaces: tuple, maps: tuple, hypotheses: tuple,
+                 conclusion: tuple) -> None:
+        # hypotheses: ((label, bool), ...); conclusion: (label, bool)
+        self._set(claim, spaces, maps, hypotheses, conclusion)
 
     def to_record(self) -> dict:
         return {
@@ -235,18 +239,18 @@ def witness_from_record(obj) -> Witness:
                    hypotheses=hyps, conclusion=(c_label, bool(c_value)))
 
 
-@dataclass(frozen=True)
-class TheoremReport:
+class TheoremReport(_Frozen):
     """Outcome of one claim sweep over one scope."""
 
-    claim: str
-    statement: str
-    scope: Scope
-    instances: int
-    failures: int
-    outcome: str        # "holds-on-scope" | "refuted"
-    witnesses: tuple
-    wall_time: float    # informational; excluded from to_record()
+    _fields = ("claim", "statement", "scope", "instances", "failures", "outcome",
+               "witnesses", "wall_time")
+
+    def __init__(self, claim: str, statement: str, scope: Scope, instances: int,
+                 failures: int, outcome: str, witnesses: tuple, wall_time: float) -> None:
+        # outcome: "holds-on-scope" | "refuted"; wall_time is informational,
+        # and excluded from to_record()
+        self._set(claim, statement, scope, instances, failures, outcome, witnesses,
+                  wall_time)
 
     def to_record(self) -> dict:
         return {

@@ -384,6 +384,35 @@ def test_import_loads_no_process_pool():
     assert out.stdout == "[]\n"
 
 
+_ENUMERATION_CHAIN = ["topolab", "topolab._kernels", "topolab.enumeration",
+                      "topolab.errors", "topolab.space"]
+_LIBRARY = ["topolab", "topolab.axioms", "topolab.classes", "topolab.errors",
+            "topolab.maps", "topolab.space"]
+_EVERY_MODULE = sorted({*_ENUMERATION_CHAIN, *_LIBRARY, "topolab.cli",
+                        "topolab.verifier"})
+
+
+@pytest.mark.parametrize("code, loaded", [
+    ("import topolab", ["topolab"]),
+    ("import topolab; topolab.spaces_up_to(4); topolab.BACKEND", _ENUMERATION_CHAIN),
+    ("from topolab import axioms, classes, maps, space", _LIBRARY),
+    ("import topolab.cli; topolab.cli.main(['verify', '--max-points', '1', '--jobs', '1'])",
+     _EVERY_MODULE),
+], ids=["package", "enumeration", "library", "cli-verify"])
+def test_entry_points_load_only_what_they_use(code, loaded):
+    # exports load on first use, so each entry point loads exactly its own
+    # layers; and no module builds its classes with dataclasses, which
+    # would load inspect too.  ``-S`` keeps site's preloads from hiding an
+    # import.
+    check = (f"{code}\nimport sys\n"
+             "print([m for m in sorted(sys.modules) if m.split('.')[0] == 'topolab'],"
+             " [m for m in ('dataclasses', 'inspect') if m in sys.modules])")
+    out = subprocess.run([sys.executable, "-S", "-c", check], capture_output=True,
+                         text=True, timeout=60, env=_child_env())
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.splitlines()[-1] == f"{loaded} []"
+
+
 def test_closed_stdout_exits_quietly():
     # a reader that stops early, like `topolab enumerate -n 5 | head -1`
     child = subprocess.Popen([sys.executable, "-m", "topolab", "enumerate", "-n", "5"],

@@ -10,7 +10,7 @@ yields against the naive oracles here and in ``test_enumeration.py``.
 import random
 
 import topolab as T
-from topolab import _kernels, classes, verifier
+from topolab import _kernels, classes, maps, verifier
 from topolab.maps import SpaceMap, assignment_from_index, compose, map_index
 
 from _oracles import (naive_alpha_m_closed, naive_closure, naive_interior, naive_maximal,
@@ -64,7 +64,11 @@ def test_tuple_orders_exported_once():
     assert len(classes.CLASS_IDS) == len(set(classes.CLASS_IDS)) == 15
     # class_masks returns the masks that map_masks reads, in its order
     assert verifier._MAP_SIDE == ("open", "closed", "alpha_m_closed", "alpha_m_open")
-    assert len(_kernels.MAP_PROP_ORDER) == 10
+    # map_masks's columns: the map properties less open_map, then the two
+    # the claims derive from them
+    assert _kernels.MAP_PROP_ORDER == (
+        *(name for name in maps.MAP_PREDICATES if name != "open_map"),
+        "open_preimages_alpha_m_open", "inverse_alpha_m_continuous")
 
 
 def test_kernels_run_the_full_pipeline():
