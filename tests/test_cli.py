@@ -245,6 +245,14 @@ REFERENCE_RUNS = {
                          "sha256:1008fce944debeb13acf2be9f93036447bbe05c6d9bda856d77058fe5f5c875a"),
     "witness-limit-j2": (("verify", "--jobs", "2", "--max-points", "2", "--witness-limit", "1"),
                          "sha256:2db71a2800c9371d3814d62429c4b3bf5bf8370e12c08d4ebfa365fe1f7c03a6"),
+    # the labeled streams, as the sort by opens tuples printed them
+    **{f"labeled-n{k}": (("enumerate", "-n", str(k)), "sha256:" + digest) for k, digest in (
+        (0, "24ca00ef79b4c5d1d6cda5708744ad7b4f5cd214d9dac0a8af6dfe9bc53515b8"),
+        (1, "8b01405c9d5736f0944eb799dbd58e8e3647419d2e56754e6759d0b6762d22e3"),
+        (2, "381c6e1ecd2fe3bbdf12e92f3074808c1d96481b0d74bad3f29cbd37e34557d2"),
+        (3, "129524ae67d6d1a6b2b0ad1191575ee9c8e6927a5a7ce66a1e1a20ca5c718518"),
+        (4, "87807d7cfb73bf9af6064f9ca5c37f71708f22cdc3b1eec93153ae03df183b03"),
+        (5, "14ad6364d1b36e59f41c15e38159cfe1ff247c1fdd758111455d1b61ae5d237d"))},
 }
 
 
@@ -396,21 +404,54 @@ _EVERY_MODULE = sorted({*_ENUMERATION_CHAIN, *_LIBRARY, "topolab.cli",
     ("import topolab", ["topolab"]),
     ("import topolab; topolab.spaces_up_to(4); topolab.BACKEND", _ENUMERATION_CHAIN),
     ("from topolab import axioms, classes, maps, space", _LIBRARY),
+    ("import topolab.cli; topolab.cli.main(['enumerate', '-n', '3', '--upto-homeo'])",
+     sorted([*_ENUMERATION_CHAIN, "topolab.cli"])),
+    ("import topolab.cli; topolab.cli.main(['generate', 'sierpinski', '-o', SPACE]);"
+     " topolab.cli.main(['axioms', '-s', SPACE])",
+     sorted({*_ENUMERATION_CHAIN, "topolab.axioms", "topolab.classes", "topolab.cli"})),
     ("import topolab.cli; topolab.cli.main(['verify', '--max-points', '1', '--jobs', '1'])",
      _EVERY_MODULE),
-], ids=["package", "enumeration", "library", "cli-verify"])
-def test_entry_points_load_only_what_they_use(code, loaded):
+], ids=["package", "enumeration", "library", "cli-enumerate", "cli-axioms", "cli-verify"])
+def test_entry_points_load_only_what_they_use(code, loaded, tmp_path):
     # exports load on first use, so each entry point loads exactly its own
-    # layers; and no module builds its classes with dataclasses, which
-    # would load inspect too.  ``-S`` keeps site's preloads from hiding an
-    # import.
-    check = (f"{code}\nimport sys\n"
+    # layers; the CLI loads a subcommand's layers when it runs, so only the
+    # verify subcommand loads the verifier.  No module builds its classes
+    # with dataclasses, which would load inspect too.  ``-S`` keeps site's
+    # preloads from hiding an import.
+    check = (f"SPACE = {str(tmp_path / 'space.json')!r}\n{code}\nimport sys\n"
              "print([m for m in sorted(sys.modules) if m.split('.')[0] == 'topolab'],"
              " [m for m in ('dataclasses', 'inspect') if m in sys.modules])")
     out = subprocess.run([sys.executable, "-S", "-c", check], capture_output=True,
                          text=True, timeout=60, env=_child_env())
     assert out.returncode == 0, out.stderr
     assert out.stdout.splitlines()[-1] == f"{loaded} []"
+
+
+def test_claim_ids_are_the_verifiers():
+    # the parser lists the claim ids without loading the verifier
+    from topolab import cli, verifier
+    assert cli._CLAIM_IDS == verifier.CLAIM_IDS
+
+
+def test_verify_help_and_claim_choices_load_no_verifier():
+    # ``--help`` lists every claim id, and a bad ``--claim`` is refused by
+    # argparse, before any verifier code is loaded
+    check = ("import sys, topolab.cli\n"
+             "code = topolab.cli.main(sys.argv[1:])\n"
+             "print(code, 'topolab.verifier' in sys.modules)")
+    run = [sys.executable, "-S", "-c", check, "verify"]
+    out = subprocess.run(run + ["--help"], capture_output=True, text=True,
+                         timeout=60, env=_child_env())
+    assert out.returncode == 0, out.stderr
+    listed = " ".join(out.stdout.split()).replace(", ", ",")
+    from topolab import verifier
+    assert ",".join(verifier.CLAIM_IDS) in listed
+    assert out.stdout.splitlines()[-1] == "0 False"
+    out = subprocess.run(run + ["--claim", "BOGUS"], capture_output=True, text=True,
+                         timeout=60, env=_child_env())
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.splitlines()[-1] == "1 False"
+    assert "invalid choice: 'BOGUS'" in out.stderr
 
 
 def test_closed_stdout_exits_quietly():

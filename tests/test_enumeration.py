@@ -3,6 +3,7 @@ from itertools import permutations
 import pytest
 
 import topolab as T
+from topolab import _kernels
 from topolab import enumeration as en
 from topolab.errors import BadParams, NotATopology, ScopeTooLarge
 
@@ -64,6 +65,23 @@ def test_emitted_spaces_validate_and_are_unique():
             assert T.new_space(s.n, s.opens) == s
             assert s.opens not in seen
             seen.add(s.opens)
+
+
+def test_labeled_stream_is_sorted_by_opens_tuples():
+    # the stream sorts by bytes keys; the documented order sorts spaces by
+    # their opens tuples
+    for n in range(6):
+        spaces = [T.FiniteSpace(n, t) for t in _kernels.enumerate_masks(n)]
+        assert en._labeled(n) == tuple(sorted(spaces, key=lambda s: s.opens)), n
+
+
+def test_class_orbits_are_the_relabelings():
+    # the orbits read off the image tables, against relabel on every
+    # permutation of every class representative
+    for n in range(6):
+        perms = list(permutations(range(n)))
+        for rep, orbit in en._classes(n):
+            assert orbit == {en.relabel(rep, p).min_nbhd for p in perms}, rep
 
 
 def test_stream_order_deterministic_and_sorted():

@@ -46,16 +46,30 @@ def test_pair_cache_figures_are_readable():
     assert set(tracer.Tracer("contract").pair_cache()) == {"hits", "misses"}
 
 
+def _traced_cli(spans, *args):
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    return subprocess.run(
+        [sys.executable, str(PERFBENCH / "child.py"), "--trace", str(spans), "cli", *args],
+        capture_output=True, text=True, timeout=120, env=env)
+
+
 def test_traced_cli_run_writes_its_counter_line(tmp_path):
     spans = tmp_path / "spans.jsonl"
-    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
-    out = subprocess.run(
-        [sys.executable, str(PERFBENCH / "child.py"), "--trace", str(spans),
-         "cli", "enumerate", "-n", "3", "--upto-homeo"],
-        capture_output=True, text=True, timeout=120, env=env)
+    out = _traced_cli(spans, "enumerate", "-n", "3", "--upto-homeo")
     assert out.returncode == 0, out.stderr
     assert len(out.stdout.splitlines()) == 9     # A001930: classes on 3 points
     _, recorded, _, pair_cache = tracer.read_trace(spans)
     assert {s["name"] for s in recorded} >= {
         "cli.main", "enumeration.enumerate_topologies_up_to_homeo"}
     assert set(pair_cache) == {"hits", "misses"}
+
+
+def test_traced_verify_runs_the_wrapped_verifier(tmp_path):
+    # the CLI imports the verifier only when ``verify`` runs; the module it
+    # gets must be the one whose names the tracer replaced
+    spans = tmp_path / "spans.jsonl"
+    out = _traced_cli(spans, "verify", "--max-points", "2", "--claim", "T3_2_ab",
+                      "--jobs", "1")
+    assert out.returncode == 0, out.stderr
+    _, recorded, _, _ = tracer.read_trace(spans)
+    assert {s["name"] for s in recorded} >= {"cli.main", "enumeration.spaces_up_to"}
