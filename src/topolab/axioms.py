@@ -7,9 +7,13 @@ that every g-closed set be closed, T_alpha_m that every alpha_m-closed set
 be closed, and the singleton dichotomy that every singleton be alpha-closed
 or clopen.
 
-T_half and T_alpha_m are each decided by a test on the singletons, and a
-failing space's witness is the first class member that is not closed, in
-canonical order; only that search walks the subsets.  T_half holds iff
+The finders read the table, the mask M of maximal points, and cl({x})
+for every x, the transpose of the table, built once per query.  T_half and
+T_alpha_m are each decided by a test on the singletons, and a failing
+space's witness is the first class member that is not closed, in canonical
+order; only that search walks the subsets, taking each one's closure once,
+as a union of cl({x})'s.  It can visit all but the full set (2^n - 1
+subsets; see the tests for such spaces).  T_half holds iff
 every singleton is open or closed (Dunham 1977, *T_{1/2}-spaces*, Kyungpook
 Math. J. 17).  T_alpha_m holds iff every singleton is closed, or is open
 with an open closure.
@@ -32,9 +36,8 @@ contradicts A being alpha_m-closed, so A is closed.
 
 from __future__ import annotations
 
-from . import classes
-from .space import (FiniteSpace, PointSet, _Frozen, _interior, canonical_subsets, check_space,
-                    points_of)
+from .classes import _union
+from .space import FiniteSpace, _Frozen, _interior, canonical_subsets, check_space, points_of
 
 AXIOM_IDS = ("T0", "T1", "T_half", "T_alpha_m", "singleton_dichotomy")
 
@@ -51,17 +54,31 @@ def is_T1(space: FiniteSpace) -> bool:
 
 def is_T_half(space: FiniteSpace) -> bool:
     """Every g-closed set is closed."""
-    return _all_singletons(check_space(space), _open_or_closed)
+    return _t_half_witness(check_space(space), _closures(space.min_nbhd)) is None
 
 
 def is_T_alpha_m(space: FiniteSpace) -> bool:
     """Every alpha_m-closed set is closed."""
-    return _all_singletons(check_space(space), _closed_or_open_with_open_closure)
+    return _t_alpha_m_witness(check_space(space), _closures(space.min_nbhd)) is None
 
 
 def singleton_dichotomy(space: FiniteSpace) -> bool:
     """Every singleton is alpha-closed or clopen."""
-    return _dichotomy_witness(check_space(space)) is None
+    return _dichotomy_witness(check_space(space), _closures(space.min_nbhd)) is None
+
+
+def _closures(minn) -> list:
+    """cl({x}) for every x, the points z with x in U_z: the transpose of
+    the table, in O(sum of |U_x|)."""
+    cl = [0] * len(minn)
+    for z, u in enumerate(minn):
+        bz = 1 << z
+        t = u
+        while t:
+            b = t & -t
+            t ^= b
+            cl[b.bit_length() - 1] |= bz
+    return cl
 
 
 def _t0_witness(space: FiniteSpace):
@@ -74,55 +91,53 @@ def _t0_witness(space: FiniteSpace):
 
 
 def _t1_witness(space: FiniteSpace):
-    minn = space.min_nbhd
-    for x in range(space.n):
-        for y in range(space.n):
-            if y != x and minn[x] >> y & 1:
-                return (1 << x) | (1 << y)
+    # the first U_x holding another point, with the lowest such point
+    for x, u in enumerate(space.min_nbhd):
+        other = u & ~(1 << x)
+        if other:
+            return (1 << x) | (other & -other)
     return None
 
 
-def _open_or_closed(space: FiniteSpace, s: PointSet) -> bool:
-    return space.is_open(s) or space.is_closed(s)
-
-
-def _closed_or_open_with_open_closure(space: FiniteSpace, s: PointSet) -> bool:
-    return space.is_closed(s) or (space.is_open(s) and space.is_open(space.closure(s)))
-
-
-def _all_singletons(space: FiniteSpace, test) -> bool:
-    return all(test(space, 1 << x) for x in range(space.n))
-
-
-def _gap_witness(space: FiniteSpace, singleton_test, member):
-    """First member of the class that is not closed, in canonical order, or
-    None.  ``singleton_test`` holds on every singleton iff there is none
-    (see the module docstring), so the subsets are walked only when it fails.
-    ``member`` takes the space and a subset, and checks neither."""
-    if _all_singletons(space, singleton_test):
-        return None
-    minn, full = space.min_nbhd, space.full
-    for a in canonical_subsets(space.n):
-        c = full ^ a
-        if _interior(minn, c) != c and member(space, a):
+def _first_not_closed(n: int, cl, member):
+    """The first subset A, in canonical order, that is not closed and has
+    ``member(A, cl(A))``, or None."""
+    for a in canonical_subsets(n):
+        c = _union(cl, a)
+        if c != a and member(a, c):
             return a
     return None
 
 
-def _t_half_witness(space: FiniteSpace):
-    return _gap_witness(space, _open_or_closed, classes._g_closed)
+def _t_half_witness(space: FiniteSpace, cl):
+    # g-closed: cl(A) <= ker(A), the union of the U_x over A
+    minn = space.min_nbhd
+    if all(minn[x] == 1 << x or cl[x] == 1 << x for x in range(space.n)):
+        return None
+    return _first_not_closed(space.n, cl, lambda a, c: c & _union(minn, a) == c)
 
 
-def _t_alpha_m_witness(space: FiniteSpace):
-    return _gap_witness(space, _closed_or_open_with_open_closure,
-                        classes._alpha_m_closed)
+def _t_alpha_m_witness(space: FiniteSpace, cl):
+    # alpha_m-closed: int(cl(A)) - A <= M
+    minn, maximal = space.min_nbhd, space.maximal
+    if all(cl[x] == 1 << x or (minn[x] == 1 << x and _interior(minn, cl[x]) == cl[x])
+           for x in range(space.n)):
+        return None
+
+    def member(a, c):
+        i = _interior(minn, c)
+        return i & (a | maximal) == i
+    return _first_not_closed(space.n, cl, member)
 
 
-def _dichotomy_witness(space: FiniteSpace):
+def _dichotomy_witness(space: FiniteSpace, cl):
+    """{x} is alpha-closed iff cl(int(cl({x}))) <= {x}.  Outside M,
+    int(cl({x})) is empty; in M, U_x <= cl({x}) puts x in it, so {x} passes
+    iff cl({x}) == {x}, which a clopen {x} also has."""
+    maximal = space.maximal
     for x in range(space.n):
-        s = 1 << x
-        if not (classes.is_alpha_closed(space, s) or space.is_clopen(s)):
-            return s
+        if maximal >> x & 1 and cl[x] != 1 << x:
+            return 1 << x
     return None
 
 
@@ -146,15 +161,14 @@ def axiom_report(space: FiniteSpace) -> AxiomReport:
     """Evaluate all five axioms with diagnostics for the failures.
 
     Each axiom is defined by its witness finder: it holds iff no witness."""
-    check_space(space)
-    finders = {
-        "T0": _t0_witness,
-        "T1": _t1_witness,
-        "T_half": _t_half_witness,
-        "T_alpha_m": _t_alpha_m_witness,
-        "singleton_dichotomy": _dichotomy_witness,
+    cl = _closures(check_space(space).min_nbhd)
+    found = {
+        "T0": _t0_witness(space),
+        "T1": _t1_witness(space),
+        "T_half": _t_half_witness(space, cl),
+        "T_alpha_m": _t_alpha_m_witness(space, cl),
+        "singleton_dichotomy": _dichotomy_witness(space, cl),
     }
-    found = {axiom: finders[axiom](space) for axiom in AXIOM_IDS}
     return AxiomReport(
         witnesses=tuple((axiom, mask) for axiom, mask in found.items() if mask is not None),
         **{axiom: mask is None for axiom, mask in found.items()})

@@ -10,8 +10,7 @@ from __future__ import annotations
 
 import json
 from collections.abc import Iterable
-from functools import cached_property, reduce
-from operator import and_
+from functools import cached_property
 
 from .errors import BadParams, NotATopology
 
@@ -151,7 +150,8 @@ class FiniteSpace(_Frozen):
     @classmethod
     def _unchecked(cls, n: int, min_nbhd: tuple) -> FiniteSpace:
         """A space from a table already known to be a topology's, without
-        the constructor's check; for the enumeration's streams only."""
+        the constructor's check: for the enumeration's streams, and for
+        :func:`new_space`, whose validation derives the table."""
         space = cls.__new__(cls)
         # object.__setattr__, not _set: fields set this way stay in the
         # instance's inline values, with no dict object of its own, and the
@@ -232,12 +232,6 @@ def _opens(minn) -> tuple[PointSet, ...]:
     return tuple(sorted(sorted(opens), key=int.bit_count))
 
 
-def _min_nbhds(n: int, opens) -> tuple[PointSet, ...]:
-    # per point, the intersection of the opens that contain it
-    return tuple(reduce(and_, (u for u in opens if u >> x & 1), (1 << n) - 1)
-                 for x in range(n))
-
-
 def _maximal(minn) -> PointSet:
     # the points whose neighbourhood is the neighbourhood of each of its points
     return sum(1 << x for x, u in enumerate(minn)
@@ -258,8 +252,9 @@ def _interior(minn, a: PointSet) -> PointSet:
     return s
 
 
-def _diagnose_family(n: int, members: set) -> None:
-    """Raise NotATopology naming one offending pair of an invalid family."""
+def _diagnose_family(n: int, members: set, minn) -> None:
+    """Raise NotATopology naming one offending pair of an invalid family;
+    ``minn`` holds, per point, the intersection of the members holding it."""
     ordered = sorted(members)
     # some pairwise intersection missing?
     for x in range(n):
@@ -277,7 +272,6 @@ def _diagnose_family(n: int, members: set) -> None:
                     f" = {format_subset(cur & u)} is not in the family")
             cur &= u
     # all minimal neighbourhoods are members; some union must be missing
-    minn = _min_nbhds(n, members)
     for u in ordered:
         for m in minn:
             if u | m not in members:
@@ -297,14 +291,25 @@ def _validate_family(n: int, members: set) -> tuple[PointSet, ...]:
         raise NotATopology(f"the full set {format_subset(full)} is missing from the family")
     if len(members) == full + 1:
         return tuple(1 << x for x in range(n))  # power set: always a topology
-    # U_x, the intersection of the members holding x, lies in each of them.
-    # So if adding any U_x to a member gives a member, the family is exactly
-    # the unions of U_x's (reached from {}), the opens of the topology the
-    # U_x generate (y in U_x gives U_y <= U_x, as U_x is then a member).
-    minn = _min_nbhds(n, members)
-    if any(u | m not in members for u in members for m in minn):
-        _diagnose_family(n, members)
-    return minn
+    # U_x, the intersection of the members holding x, in one pass
+    minn = [full] * n
+    for u in members:
+        t = u
+        while t:
+            b = t & -t
+            t ^= b
+            minn[b.bit_length() - 1] &= u
+    # each member u is the union of the U_x over its points, so the members
+    # are among the unions of U_x's; they are all of them, the opens of the
+    # topology the U_x generate (y in U_x gives U_y <= U_x), iff the unions
+    # number no more than the members
+    unions = {0}
+    for u in minn:
+        if u not in unions:
+            unions |= {o | u for o in unions}
+            if len(unions) > len(members):
+                _diagnose_family(n, members, minn)
+    return tuple(minn)
 
 
 def new_space(n: int, opens: Iterable[PointSet]) -> FiniteSpace:
@@ -323,7 +328,9 @@ def new_space(n: int, opens: Iterable[PointSet]) -> FiniteSpace:
         if not isinstance(u, int) or isinstance(u, bool) or not 0 <= u <= full:
             raise BadParams(f"subset {u!r} does not fit in {n} points")
         members.add(u)
-    return FiniteSpace(n, _validate_family(n, members))
+    # the table of a topology passes the constructor's check: x is in U_x,
+    # and z in U_x gives U_z <= U_x
+    return FiniteSpace._unchecked(n, _validate_family(n, members))
 
 
 def _check_n(n, low: int = 0):
@@ -424,7 +431,17 @@ def space_from_record(obj) -> FiniteSpace:
         raise BadParams("space record field 'opens' must be a list of point lists")
     if not 0 <= n <= MAX_POINTS:
         raise BadParams(f"point count {n!r} outside 0..{MAX_POINTS}")
-    return new_space(n, [subset_of_points(u, n) for u in raw])
+    masks = []
+    for u in raw:
+        mask = 0
+        for p in u:
+            if p.__class__ is not int or not 0 <= p < n:
+                # BadParams naming p, or the mask of int subclasses
+                mask = subset_of_points(u, n)
+                break
+            mask |= 1 << p
+        masks.append(mask)
+    return new_space(n, masks)
 
 
 def space_from_json(text: str) -> FiniteSpace:

@@ -40,6 +40,16 @@ def naive_labeled_families(n):
     return sorted(out)
 
 
+def naive_is_topology(n, members):
+    """Whether a family of subsets of n points is a topology: it holds the
+    empty and the full set, and every pair of members has its union and
+    intersection in the family."""
+    fam = set(members)
+    if 0 not in fam or (1 << n) - 1 not in fam:
+        return False
+    return all(a | b in fam and a & b in fam for a in fam for b in fam)
+
+
 def relabel_family(fm, n, perm):
     """Push a family bitmask through the point relabeling x -> perm[x]."""
     out = 0

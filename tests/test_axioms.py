@@ -1,9 +1,12 @@
+import random
+
 import pytest
 
 import topolab as T
 from topolab import axioms
 from topolab.enumeration import spaces_up_to
 from topolab.errors import BadParams
+from topolab.space import FiniteSpace
 
 SIERP = T.sierpinski()
 IND2 = T.indiscrete(2)
@@ -61,15 +64,55 @@ def test_T_half_is_family_equality():
             T.family_set(s, "g_closed") == T.family_set(s, "closed"))
 
 
+def _seeded_preorders(seed, sizes):
+    rng = random.Random(seed)
+    out = []
+    for n in sizes:
+        reach = [1 << x | rng.getrandbits(n) & rng.getrandbits(n) & rng.getrandbits(n)
+                 for x in range(n)]
+        for k in range(n):          # Warshall
+            for x in range(n):
+                if reach[x] >> k & 1:
+                    reach[x] |= reach[k]
+        out.append(FiniteSpace(n, tuple(reach)))
+    return out
+
+
+# 8-point spaces whose witnesses come late in canonical order: X - {1} is
+# the (2^n - 2)-th subset, X - {0} the (2^n - 1)-th, and only X follows
+LONG_WALKS = {
+    # the star: U_0 = U_1 = {0, 1}, and U_x = {0, 1, x} beyond
+    (3, 3, 7, 11, 19, 35, 67, 131): {"T_half": 253, "T_alpha_m": 253},
+    # the tree: U_0 = {0}, U_1 = {0, 1}, U_2 = {0, 2}, and U_x = {0, 1, x} beyond
+    (1, 3, 5, 11, 19, 35, 67, 131): {"T_half": 253},
+    # U_1 = {1}, U_0 = {0, 1}, and U_x = {0, 1, x} beyond
+    (3, 2, 7, 11, 19, 35, 67, 131): {"T_half": 254},
+}
+
+
 def test_gap_witness_is_first_family_member_not_closed():
-    # the canonical-order walk finds what comparing whole families finds
-    spaces = spaces_up_to(5) + tuple(T.khalimsky_interval(n) for n in range(7, 11))
+    # the canonical-order walk finds what comparing whole families finds;
+    # on n <= 5 points, the T0 and T1 witnesses are the first offending
+    # pairs under the pointwise definitions
+    long_walks = tuple(FiniteSpace(8, t) for t in LONG_WALKS)
+    spaces = (spaces_up_to(5) + tuple(T.khalimsky_interval(n) for n in range(7, 11))
+              + long_walks + tuple(_seeded_preorders(23, [6, 7, 8, 9, 10] * 4)))
     for s in spaces:
         found = dict(T.axiom_report(s).witnesses)
         closed = T.family_set(s, "closed")
         for axiom, cid in (("T_half", "g_closed"), ("T_alpha_m", "alpha_m_closed")):
             first = next((a for a in T.family(s, cid) if a not in closed), None)
             assert found.get(axiom) == first, (s, axiom)
+        if s.n <= 5:
+            pairs = [(x, y) for x in range(s.n) for y in range(s.n) if x != y]
+            t0 = next(((1 << x) | (1 << y) for x, y in pairs
+                       if x < y and all(u >> x & 1 == u >> y & 1 for u in s.opens)), None)
+            t1 = next(((1 << x) | (1 << y) for x, y in pairs
+                       if all(u >> y & 1 for u in s.opens if u >> x & 1)), None)
+            assert (found.get("T0"), found.get("T1")) == (t0, t1), s
+    for s, pins in zip(long_walks, LONG_WALKS.values()):
+        found = dict(T.axiom_report(s).witnesses)
+        assert {axiom: found.get(axiom) for axiom in pins} == pins, s
 
 
 def test_T_half_iff_singletons_open_or_closed():

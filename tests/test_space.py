@@ -1,5 +1,6 @@
 import json
 import pickle
+import re
 import signal
 
 import pytest
@@ -7,11 +8,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import topolab as T
-from topolab import space
 from topolab.enumeration import spaces_up_to
 from topolab.errors import BadParams, NotATopology
 
-from _oracles import (naive_closure, naive_interior, naive_labeled_families,
+from _oracles import (naive_closure, naive_interior, naive_is_topology, naive_labeled_families,
                       naive_maximal, naive_min_nbhd, naive_up_sets)
 from test_maps import preorder_spaces
 
@@ -83,6 +83,49 @@ def test_validator_matches_naive_oracle_exhaustively():
             else:
                 with pytest.raises(NotATopology):
                     T.new_space(n, members)
+
+
+def _names_a_real_gap(msg, n, members):
+    # a NotATopology message names a missing empty or full set, or two
+    # members whose union or intersection is missing
+    full = (1 << n) - 1
+    if msg == "the empty set is missing from the family":
+        return 0 not in members
+    if msg.startswith("the full set "):
+        return full not in members
+    m = re.fullmatch(r"(union|intersection) of \{([\d,]*)\} and \{([\d,]*)\}"
+                     r" = \{([\d,]*)\} is not in the family", msg)
+    if m is None:
+        return False
+    a, b, c = (T.subset_of_points([int(p) for p in g.split(",") if p], n)
+               for g in m.group(2, 3, 4))
+    return (a in members and b in members and c not in members
+            and c == (a | b if m[1] == "union" else a & b))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_validator_matches_naive_oracle_on_4_to_8_points(data):
+    # the opens of a random preorder, as they are, with one member dropped
+    # (the empty or full set only where there is no other), or with one
+    # subset that is not open added
+    s = data.draw(preorder_spaces(min_n=4, max_n=8))
+    n, members = s.n, set(s.opens)
+    edit = data.draw(st.sampled_from(("keep", "drop", "add")))
+    if edit == "drop":
+        members.discard(data.draw(st.sampled_from(s.opens[1:-1] or s.opens)))
+    elif edit == "add" and len(members) < 1 << n:
+        members.add(data.draw(st.sampled_from([a for a in range(1 << n) if a not in members])))
+    if naive_is_topology(n, members):
+        got = T.new_space(n, members)
+        # the checked constructor accepts the table new_space builds unchecked
+        assert T.FiniteSpace(n, got.min_nbhd) == got
+        assert got.min_nbhd == tuple(naive_min_nbhd(n, members, x) for x in range(n))
+        assert set(got.opens) == members
+    else:
+        with pytest.raises(NotATopology) as e:
+            T.new_space(n, members)
+        assert _names_a_real_gap(str(e.value), n, members), str(e.value)
 
 
 def test_large_space_validation_uses_reconstruction_path():
@@ -210,7 +253,7 @@ def test_constructors_seed_the_exact_neighbourhood_table():
     # new_space, the generators and the enumeration store a table, from
     # which the opens are derived; it must be the one the opens give back
     def check(s):
-        assert s.min_nbhd == space._min_nbhds(s.n, s.opens), s
+        assert s.min_nbhd == tuple(naive_min_nbhd(s.n, s.opens, x) for x in range(s.n)), s
 
     for s in spaces_up_to(5):
         check(s)
