@@ -8,17 +8,64 @@ be closed, and the singleton dichotomy that every singleton be alpha-closed
 or clopen.
 
 The finders read the table, the mask M of maximal points, and cl({x})
-for every x, the transpose of the table, built once per query.  T_half and
-T_alpha_m are each decided by a test on the singletons, and a failing
-space's witness is the first class member that is not closed, in canonical
-order; only that search walks the subsets, taking each one's closure once,
-as a union of cl({x})'s.  It can visit all but the full set (2^n - 1
-subsets; see the tests for such spaces).  T_half holds iff
-every singleton is open or closed (Dunham 1977, *T_{1/2}-spaces*, Kyungpook
-Math. J. 17).  T_alpha_m holds iff every singleton is closed, or is open
-with an open closure.
+for every x, the transpose of the table, built once per query.  A failing
+space's T_half or T_alpha_m witness is the first class member that is not
+closed, in canonical order (cardinality, then value).  Both are built in
+O(n^2) from the rules below, without walking the subsets; each rule also
+decides its axiom, which holds iff it yields no witness.
 
-Proof, with M the maximal points and A alpha_m-closed iff
+T_half.  A is g-closed iff cl(A) <= ker(A), the union of the U_a over a in
+A.  The witness is {x} for the least x with cl({x}) <= U_x and
+cl({x}) != {x}, if there is one.  Otherwise, with C the closed points
+(cl({x}) == {x}), it is the least by (cardinality, value) of the sets
+A_y = {y} | (cl({y}) & C) with A_y != cl({y}).
+
+Proof.  {x} is g-closed iff cl({x}) <= U_x, which gives the first case.
+Call x top if cl({x}) <= U_x: each z in cl({x}) then has
+U_x <= U_z <= U_x, so cl({x}) is the block {z : U_z == U_x} of x.  A is
+g-closed iff it meets the block of every top point in cl(A).  If: for y in
+cl(A), take z in cl({y}), and so in cl(A), with cl({z}) minimal; each w in
+cl({z}) has cl({w}) == cl({z}), so w is in U_z and z is top.  A meets
+cl({z}) at some a, so y is in U_z <= U_a.  Only if: a top z in cl(A) is in
+U_a for some a in A, so a is in cl({z}), z's block.  With no singleton
+witness, every top point is alone in its block, so the top points are C,
+and A is g-closed iff cl(A) & C <= A.  Each A_y has closure cl({y}), which
+meets C inside A_y, so A_y is g-closed, and a witness iff
+A_y != cl({y}).  A witness A is not closed, so some y in A has cl({y}) not
+inside A; as cl({y}) & C <= A, A holds A_y, and A_y != cl({y}).  So the
+first witness holds a witness A_y, no larger than itself, and equals it.
+
+T_alpha_m.  The minimal nonempty open sets are the blocks U_m for m in M.
+For such a block B, let R(B) be the y outside M with U_y & M == B (B is
+the only one inside U_y), and D(B) the y outside M whose U_y meets B.  The
+witness is {a} for the least a with cl({a}) != {a} and either a outside M
+or R(U_a) empty, if there is one.  Otherwise it is the least by
+(cardinality, value) of the sets {b} | R(B), for b the least point of a
+block B with |B| >= 2 or D(B) != R(B).
+
+Proof.  A is alpha_m-closed iff each y outside A | M has a block inside
+U_y that misses A (see :mod:`topolab.classes`).  A point a outside M is in
+no block, so {a} is alpha_m-closed.  For a in M, {a} meets only the block
+U_a, so it is alpha_m-closed iff R(U_a) is empty.  With no singleton
+witness, every point outside M is closed.  For a block B with least point
+b, cl({b}) = B | D(B): z in M has b in U_z iff U_z == B, and z outside M
+iff U_z meets B, as U_z then holds the block.  A_B = {b} | R(B) meets only
+the block B, and each y outside A_B | M has another block inside U_y, so
+A_B is alpha_m-closed.  Its closure is cl({b}) | R(B) = B | D(B), so it is
+a witness iff |B| >= 2 or D(B) != R(B).  A witness A is not closed, and
+its points outside M are, so some a in A & M has cl({a}) not inside A.
+Let B = U_a.  Each y in R(B) is in A, or else the one block inside U_y,
+B, meets A at a.  So A holds {a} | R(B), and cl({a}) == B | D(B) is not
+inside it, so A_B is a witness (B == {a} gives a == b).  It is smaller
+than A, or it is {b} | R(B) beside A == {a} | R(B) with b <= a, so the
+first witness is some A_B.
+
+Both axioms also have tests on the singletons.  T_half holds iff every
+singleton is open or closed (Dunham 1977, *T_{1/2}-spaces*, Kyungpook
+Math. J. 17), and T_alpha_m iff every singleton is closed, or is open with
+an open closure.
+
+Proof of the second, with A alpha_m-closed iff
 int(cl(A)) - A <= M (see :mod:`topolab.classes`).  Suppose T_alpha_m.  For
 x outside M, int(cl({x})) is empty: a w in it has U_w <= cl({x}), so x is
 in U_z, and U_x <= U_z, for every z in U_w.  As x is in U_w, U_x <= U_w,
@@ -36,8 +83,7 @@ contradicts A being alpha_m-closed, so A is closed.
 
 from __future__ import annotations
 
-from .classes import _union
-from .space import FiniteSpace, _Frozen, _interior, canonical_subsets, check_space, points_of
+from .space import FiniteSpace, _Frozen, check_space, points_of
 
 AXIOM_IDS = ("T0", "T1", "T_half", "T_alpha_m", "singleton_dichotomy")
 
@@ -99,35 +145,37 @@ def _t1_witness(space: FiniteSpace):
     return None
 
 
-def _first_not_closed(n: int, cl, member):
-    """The first subset A, in canonical order, that is not closed and has
-    ``member(A, cl(A))``, or None."""
-    for a in canonical_subsets(n):
-        c = _union(cl, a)
-        if c != a and member(a, c):
-            return a
-    return None
+def _first(sets):
+    """The least of ``sets`` by (cardinality, value), or None."""
+    return min(sets, key=lambda a: (a.bit_count(), a), default=None)
 
 
 def _t_half_witness(space: FiniteSpace, cl):
-    # g-closed: cl(A) <= ker(A), the union of the U_x over A
-    minn = space.min_nbhd
-    if all(minn[x] == 1 << x or cl[x] == 1 << x for x in range(space.n)):
-        return None
-    return _first_not_closed(space.n, cl, lambda a, c: c & _union(minn, a) == c)
+    # the rule and its proof are in the module docstring
+    minn, n = space.min_nbhd, space.n
+    for x in range(n):
+        if cl[x] != 1 << x and cl[x] & minn[x] == cl[x]:
+            return 1 << x
+    closed = sum(1 << x for x in range(n) if cl[x] == 1 << x)
+    spans = [1 << y | (cl[y] & closed) for y in range(n)]     # the sets A_y
+    return _first(a for a, c in zip(spans, cl) if a != c)
 
 
 def _t_alpha_m_witness(space: FiniteSpace, cl):
-    # alpha_m-closed: int(cl(A)) - A <= M
-    minn, maximal = space.min_nbhd, space.maximal
-    if all(cl[x] == 1 << x or (minn[x] == 1 << x and _interior(minn, cl[x]) == cl[x])
-           for x in range(space.n)):
-        return None
-
-    def member(a, c):
-        i = _interior(minn, c)
-        return i & (a | maximal) == i
-    return _first_not_closed(space.n, cl, member)
+    # the rule and its proof are in the module docstring
+    minn, maximal, n = space.min_nbhd, space.maximal, space.n
+    only = {}                   # R(B) for each block B with one
+    for y in range(n):
+        if not maximal >> y & 1:
+            b = minn[y] & maximal
+            only[b] = only.get(b, 0) | 1 << y
+    for a in range(n):
+        if cl[a] != 1 << a and (not maximal >> a & 1 or minn[a] not in only):
+            return 1 << a
+    # {b} | R(B) for each b in M and its block B = U_b; it is closed iff it
+    # equals cl({b}) = B | D(B), and the least b of a block gives the least
+    spans = {b: 1 << b | only.get(minn[b], 0) for b in points_of(maximal)}
+    return _first(a for b, a in spans.items() if a != cl[b])
 
 
 def _dichotomy_witness(space: FiniteSpace, cl):

@@ -151,7 +151,8 @@ class FiniteSpace(_Frozen):
     def _unchecked(cls, n: int, min_nbhd: tuple) -> FiniteSpace:
         """A space from a table already known to be a topology's, without
         the constructor's check: for the enumeration's streams, and for
-        :func:`new_space`, whose validation derives the table."""
+        :func:`new_space` and :func:`space_from_record`, whose validation
+        derives the table."""
         space = cls.__new__(cls)
         # object.__setattr__, not _set: fields set this way stay in the
         # instance's inline values, with no dict object of its own, and the
@@ -234,8 +235,17 @@ def _opens(minn) -> tuple[PointSet, ...]:
 
 def _maximal(minn) -> PointSet:
     # the points whose neighbourhood is the neighbourhood of each of its points
-    return sum(1 << x for x, u in enumerate(minn)
-               if all(minn[z] == u for z in points_of(u)))
+    out = 0
+    for x, u in enumerate(minn):
+        t = u
+        while t:
+            b = t & -t
+            if minn[b.bit_length() - 1] != u:
+                break
+            t ^= b
+        else:
+            out |= 1 << x
+    return out
 
 
 def _interior(minn, a: PointSet) -> PointSet:
@@ -431,7 +441,7 @@ def space_from_record(obj) -> FiniteSpace:
         raise BadParams("space record field 'opens' must be a list of point lists")
     if not 0 <= n <= MAX_POINTS:
         raise BadParams(f"point count {n!r} outside 0..{MAX_POINTS}")
-    masks = []
+    members = set()
     for u in raw:
         mask = 0
         for p in u:
@@ -440,8 +450,10 @@ def space_from_record(obj) -> FiniteSpace:
                 mask = subset_of_points(u, n)
                 break
             mask |= 1 << p
-        masks.append(mask)
-    return new_space(n, masks)
+        members.add(mask)
+    # n and every mask are in range, as new_space would check them; the
+    # family check is the rest of new_space's, and proves the table
+    return FiniteSpace._unchecked(n, _validate_family(n, members))
 
 
 def space_from_json(text: str) -> FiniteSpace:

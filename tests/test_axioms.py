@@ -1,9 +1,9 @@
 import random
+import sys
 
 import pytest
 
 import topolab as T
-from topolab import axioms
 from topolab.enumeration import spaces_up_to
 from topolab.errors import BadParams
 from topolab.space import FiniteSpace
@@ -78,25 +78,35 @@ def _seeded_preorders(seed, sizes):
     return out
 
 
-# 8-point spaces whose witnesses come late in canonical order: X - {1} is
-# the (2^n - 2)-th subset, X - {0} the (2^n - 1)-th, and only X follows
+def _long_walk(n, head):
+    """The table ``head`` on points 0-2, then U_x = {0, 1, x} for each x
+    beyond."""
+    return head + tuple(3 | 1 << x for x in range(3, n))
+
+
+# spaces whose witnesses come late in canonical order: X - {1} is the
+# (2^n - 2)-th subset, X - {0} the (2^n - 1)-th, and only X follows
 LONG_WALKS = {
     # the star: U_0 = U_1 = {0, 1}, and U_x = {0, 1, x} beyond
-    (3, 3, 7, 11, 19, 35, 67, 131): {"T_half": 253, "T_alpha_m": 253},
+    _long_walk(8, (3, 3, 7)): {"T_half": 253, "T_alpha_m": 253},
+    _long_walk(16, (3, 3, 7)): {"T_half": 65533, "T_alpha_m": 65533},
     # the tree: U_0 = {0}, U_1 = {0, 1}, U_2 = {0, 2}, and U_x = {0, 1, x} beyond
-    (1, 3, 5, 11, 19, 35, 67, 131): {"T_half": 253},
+    _long_walk(8, (1, 3, 5)): {"T_half": 253},
+    _long_walk(16, (1, 3, 5)): {"T_half": 65533},
     # U_1 = {1}, U_0 = {0, 1}, and U_x = {0, 1, x} beyond
-    (3, 2, 7, 11, 19, 35, 67, 131): {"T_half": 254},
+    _long_walk(8, (3, 2, 7)): {"T_half": 254},
+    _long_walk(16, (3, 2, 7)): {"T_half": 65534},
 }
 
 
 def test_gap_witness_is_first_family_member_not_closed():
-    # the canonical-order walk finds what comparing whole families finds;
-    # on n <= 5 points, the T0 and T1 witnesses are the first offending
-    # pairs under the pointwise definitions
-    long_walks = tuple(FiniteSpace(8, t) for t in LONG_WALKS)
+    # the witnesses built from the tables are what comparing whole families
+    # finds; on n <= 5 points, the T0 and T1 witnesses are the first
+    # offending pairs under the pointwise definitions
+    long_walks = tuple(FiniteSpace(len(t), t) for t in LONG_WALKS)
     spaces = (spaces_up_to(5) + tuple(T.khalimsky_interval(n) for n in range(7, 11))
-              + long_walks + tuple(_seeded_preorders(23, [6, 7, 8, 9, 10] * 4)))
+              + long_walks + tuple(_seeded_preorders(23, [6, 7, 8, 9, 10] * 4))
+              + tuple(_seeded_preorders(29, [11, 12] * 4)))
     for s in spaces:
         found = dict(T.axiom_report(s).witnesses)
         closed = T.family_set(s, "closed")
@@ -123,8 +133,8 @@ def test_T_half_iff_singletons_open_or_closed():
 
 
 def test_T_alpha_m_iff_singletons_closed_or_open_with_clopen_closure():
-    """Proved in topolab.axioms, and decided that way: T_alpha_m iff every
-    singleton is closed, or is open with a clopen closure.  Pinned here to
+    """Proved in topolab.axioms: T_alpha_m iff every singleton is closed,
+    or is open with a clopen closure.  Pinned here to
     the families on every labeled space with at most 5 points (252 of the
     7,332 are T_alpha_m)."""
     holds = 0
@@ -139,19 +149,36 @@ def test_T_alpha_m_iff_singletons_closed_or_open_with_clopen_closure():
     assert holds == 252
 
 
-def test_holding_gap_axioms_walk_no_subsets(monkeypatch):
-    # T_half and T_alpha_m are decided from the singletons; the canonical
-    # walk runs only to find the witness of a failing space
-    spaces = [s for s in spaces_up_to(5) if T.is_T_alpha_m(s)] + [T.discrete(16)]
+def _lines_run(fn, *args):
+    """The number of lines of topolab code that ``fn(*args)`` runs."""
+    count = 0
 
-    def refuse(n):
-        raise AssertionError("a holding axiom walked the subsets")
+    def local(frame, event, arg):
+        nonlocal count
+        if event == "line":
+            count += 1
+        return local
 
-    monkeypatch.setattr(axioms, "canonical_subsets", refuse)
+    def enter(frame, event, arg):
+        return local if "topolab" in frame.f_code.co_filename else None
+
+    old = sys.gettrace()
+    sys.settrace(enter)
+    try:
+        fn(*args)
+    finally:
+        sys.settrace(old)
+    return count
+
+
+def test_axiom_report_walks_no_subsets():
+    # every witness is built from the tables in O(n^2): at most 9 n^2 lines
+    # run on these 16-point spaces, where the canonical-order walk ran
+    # about 50,000 n^2 on the star
+    spaces = ([FiniteSpace(len(t), t) for t in LONG_WALKS if len(t) == 16]
+              + [T.discrete(16), T.indiscrete(16)] + _seeded_preorders(3, [16] * 10))
     for s in spaces:
-        r = T.axiom_report(s)
-        assert r.T_alpha_m and r.T_half, s
-    assert len(spaces) == 253
+        assert _lines_run(T.axiom_report, s) <= 16 * s.n ** 2, s
 
 
 def test_singleton_dichotomy_examples():

@@ -408,7 +408,7 @@ _EVERY_MODULE = sorted({*_ENUMERATION_CHAIN, *_LIBRARY, "topolab.cli",
      sorted([*_ENUMERATION_CHAIN, "topolab.cli"])),
     ("import topolab.cli; topolab.cli.main(['generate', 'sierpinski', '-o', SPACE]);"
      " topolab.cli.main(['axioms', '-s', SPACE])",
-     sorted({*_ENUMERATION_CHAIN, "topolab.axioms", "topolab.classes", "topolab.cli"})),
+     sorted({*_ENUMERATION_CHAIN, "topolab.axioms", "topolab.cli"})),
     ("import topolab.cli; topolab.cli.main(['verify', '--max-points', '1', '--jobs', '1'])",
      _EVERY_MODULE),
 ], ids=["package", "enumeration", "library", "cli-enumerate", "cli-axioms", "cli-verify"])

@@ -13,6 +13,7 @@ from topolab.errors import BadParams, NotATopology
 
 from _oracles import (naive_closure, naive_interior, naive_is_topology, naive_labeled_families,
                       naive_maximal, naive_min_nbhd, naive_up_sets)
+from test_axioms import _seeded_preorders
 from test_maps import preorder_spaces
 
 SIERP = T.sierpinski()
@@ -190,6 +191,11 @@ def test_interior_closure_match_naive_oracle():
             assert s.interior(a) == naive_interior(n, opens, a)
             assert s.closure(a) == naive_closure(n, opens, a)
             assert s.is_open(a) == (a in opens)
+
+
+def test_maximal_matches_naive_oracle_on_larger_preorders():
+    for s in _seeded_preorders(31, [6, 7, 8, 9, 10] * 6):
+        assert s.maximal == naive_maximal(s.n, s.opens), s
 
 
 def test_membership_flags():
