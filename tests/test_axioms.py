@@ -171,6 +171,18 @@ def _lines_run(fn, *args):
     return count
 
 
+def test_holding_gap_axioms_walk_no_subsets():
+    # T_half and T_alpha_m hold on these 253 spaces, and are reported so
+    # without a walk over the subsets: at most 16 (n + 2)^2 lines run, where
+    # walking discrete(16)'s 65,536 subsets runs more than that on its own
+    spaces = [s for s in spaces_up_to(5) if T.is_T_alpha_m(s)] + [T.discrete(16)]
+    for s in spaces:
+        r = T.axiom_report(s)
+        assert r.T_alpha_m and r.T_half, s
+        assert _lines_run(T.axiom_report, s) <= 16 * (s.n + 2) ** 2, s
+    assert len(spaces) == 253
+
+
 def test_axiom_report_walks_no_subsets():
     # every witness is built from the tables in O(n^2): at most 9 n^2 lines
     # run on these 16-point spaces, where the canonical-order walk ran
