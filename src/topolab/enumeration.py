@@ -32,31 +32,60 @@ def _check_scope(n: int) -> None:
         raise ScopeTooLarge(f"enumeration is capped at {ENUMERATION_CAP} points, got {n}")
 
 
+@cache
+def _lanes(n: int) -> tuple:
+    """(values, words) for the stream's sort key on n <= 5 points.
+
+    Lane r of a word is its byte r, and stands for the r-th subset A in
+    canonical order.  ``values`` holds A itself in lane r.  ``words[x][u]``
+    has 0xFF in the lanes of the A that are up-closed at x for U_x = u: x
+    not in A, or u inside A.  The opens of a table are exactly its up-sets,
+    the A up-closed at each point (every open holding x holds U_x, and an
+    up-set is the union of the U_x over its points), so ``values`` ANDed
+    with the n words of a table holds each open in its lane and 0 in every
+    other.  Every open of n <= 5 points is below 256, so it fits its byte,
+    and only the empty set reads 0 among the opens.
+    """
+    subsets = list(canonical_subsets(n))
+    values = int.from_bytes(bytes(subsets), "little")
+    words = tuple([int.from_bytes(bytes([0xFF if not a >> x & 1 or a & u == u else 0
+                                         for a in subsets]), "little")
+                   for u in range(1 << n)] for x in range(n))
+    return values, words
+
+
+# one sorted table stream per point count, kept for the process
+@cache
+def _tables(n: int) -> tuple:
+    """The neighbourhood tables of the labeled topologies on n points,
+    sorted by their opens tuples.
+
+    Each table's key is the AND of ``_lanes(n)``: ``values`` and one word
+    per point.  Its bytes with the zero lanes deleted are the opens in
+    canonical order, less the empty set that begins every opens tuple, so
+    comparing the keys compares the opens tuples, element by element with a
+    proper prefix first.  No union is formed and no space is built.
+    """
+    values, words = _lanes(n)
+    size = 1 << n
+
+    def key(minn):
+        w = values
+        for lane, u in zip(words, minn):
+            w &= lane[u]
+        return w.to_bytes(size, "little").translate(None, b"\0")
+
+    return tuple(sorted(_kernels.enumerate_masks(n), key=key))
+
+
 # one stream per point count, kept for the process: stream positions refer to it
 @cache
 def _labeled(n: int) -> tuple:
-    """The labeled topologies on n points as spaces, sorted by opens.
-
-    The tables are sorted before any space is built, each by one key: its
-    opens in canonical order, as ``bytes``.  Every open of n <= 5 points is
-    below 256, so comparing the keys compares the opens tuples, element by
-    element with a proper prefix first.  Nothing is cached on the spaces.
+    """The labeled topologies on n points as spaces, sorted by opens: one
+    space per table of ``_tables(n)``, in its order.  Nothing is cached on
+    the spaces.
     """
-    rank = [0] * (1 << n)
-    for i, a in enumerate(canonical_subsets(n)):
-        rank[a] = i
-
-    def key(minn):
-        # the unions of the table's entries, as in space._opens, put in
-        # canonical order by one sort on their ranks
-        opens = {0}
-        for u in minn:
-            if u not in opens:
-                opens |= {o | u for o in opens}
-        return bytes(sorted(opens, key=rank.__getitem__))
-
-    return tuple(FiniteSpace._unchecked(n, minn)
-                 for minn in sorted(_kernels.enumerate_masks(n), key=key))
+    return tuple([FiniteSpace._unchecked(n, minn) for minn in _tables(n)])
 
 
 def enumerate_topologies(n: int) -> Iterator[FiniteSpace]:
@@ -147,22 +176,22 @@ def _classes(n: int) -> tuple:
     neighbourhood tables, so its size is n!/|Aut|.
 
     The stream is sorted by opens, so a class's first member in it is its
-    least relabeling.  The stream is walked once: a space starts a new
-    class unless an earlier orbit holds it.  Its orbit is read off the
-    image tables, built once per call: the relabeling by p gives p[x] the
-    image of U_x, so its table is n lookups.  The tables hold n!·2^n
-    entries, which pays at n <= 5 across the classes; ``_orbit`` walks the
-    points of a single space instead.
+    least relabeling.  The sorted tables, ``_tables(n)``, are walked once:
+    a table starts a new class unless an earlier orbit holds it, and only
+    these tables are built into spaces.  Its orbit is read off the image
+    tables, built once per call: the relabeling by p gives p[x] the image
+    of U_x, so its table is n lookups.  The tables hold n!·2^n entries,
+    which pays at n <= 5 across the classes; ``_orbit`` walks the points of
+    a single space instead.
     """
     images = _image_tables(n)
     seen, classes = set(), []
-    for s in _labeled(n):
-        minn = s.min_nbhd
+    for minn in _tables(n):
         if minn not in seen:
             orbit = frozenset(tuple([image[minn[x]] for x in inverse])
                               for inverse, image in images)
             seen |= orbit
-            classes.append((s, orbit))
+            classes.append((FiniteSpace._unchecked(n, minn), orbit))
     return tuple(classes)
 
 

@@ -429,6 +429,13 @@ def load_json(text):
         raise BadParams(f"invalid JSON: {exc}") from None
 
 
+def _check_point_lists(raw) -> None:
+    # the record's first error, if 'opens' is no list of lists; the parse
+    # walks the whole list for it only once it has found some error
+    if not isinstance(raw, list) or not all(isinstance(u, list) for u in raw):
+        raise BadParams("space record field 'opens' must be a list of point lists")
+
+
 def space_from_record(obj) -> FiniteSpace:
     """Parse and fully validate the dict form ``{"n": ..., "opens": [[...]]}``."""
     if not isinstance(obj, dict) or set(obj) != {"n", "opens"}:
@@ -437,16 +444,19 @@ def space_from_record(obj) -> FiniteSpace:
     if not isinstance(n, int) or isinstance(n, bool):
         raise BadParams("space record field 'n' must be an integer")
     raw = obj["opens"]
-    if not isinstance(raw, list) or not all(isinstance(u, list) for u in raw):
-        raise BadParams("space record field 'opens' must be a list of point lists")
-    if not 0 <= n <= MAX_POINTS:
+    if not isinstance(raw, list) or not 0 <= n <= MAX_POINTS:
+        _check_point_lists(raw)
         raise BadParams(f"point count {n!r} outside 0..{MAX_POINTS}")
     members = set()
     for u in raw:
+        if not isinstance(u, list):
+            _check_point_lists(raw)
         mask = 0
         for p in u:
             if p.__class__ is not int or not 0 <= p < n:
+                # a later entry that is no list is reported first; then
                 # BadParams naming p, or the mask of int subclasses
+                _check_point_lists(raw)
                 mask = subset_of_points(u, n)
                 break
             mask |= 1 << p

@@ -6,6 +6,7 @@ import topolab as T
 from topolab import _kernels
 from topolab import enumeration as en
 from topolab.errors import BadParams, NotATopology, ScopeTooLarge
+from topolab.space import _opens, canonical_subsets
 
 from _oracles import (naive_canonical_opens, naive_labeled_families, orbit_count,
                       relabel_opens)
@@ -73,6 +74,53 @@ def test_labeled_stream_is_sorted_by_opens_tuples():
     for n in range(6):
         spaces = [T.FiniteSpace(n, t) for t in _kernels.enumerate_masks(n)]
         assert en._labeled(n) == tuple(sorted(spaces, key=lambda s: s.opens)), n
+
+
+def _lane_opens(n, minn):
+    # the stream key's lanes for one table: (lane index, byte) where nonzero
+    values, words = en._lanes(n)
+    w = values
+    for x, u in enumerate(minn):
+        w &= words[x][u]
+    return [(r, v) for r, v in enumerate(w.to_bytes(1 << n, "little")) if v]
+
+
+def test_lane_words_hold_exactly_the_opens():
+    # each nonzero lane is an open in its own canonical position, and every
+    # nonempty open has one: against the brute-force families at n <= 4,
+    # and against the union closure the lanes replace at n = 5
+    for n in range(6):
+        order = list(canonical_subsets(n))
+        families = []
+        for minn in _kernels.enumerate_masks(n):
+            lanes = _lane_opens(n, minn)
+            assert all(order[r] == v for r, v in lanes), minn
+            if n == 5:
+                assert [v for _, v in lanes] == list(_opens(minn)[1:]), minn
+            families.append(1 + sum(1 << v for _, v in lanes))
+        if n <= 4:
+            assert sorted(families) == naive_labeled_families(n), n
+
+
+def test_homeo_classes_build_one_space_per_class(monkeypatch):
+    # with every stream cache cleared, the class walk builds its
+    # representatives only (A001930), not the labeled stream (A000798)
+    built = []
+    unchecked = T.FiniteSpace._unchecked
+
+    def counting(cls, n, minn):
+        built.append(n)
+        return unchecked(n, minn)
+
+    monkeypatch.setattr(T.FiniteSpace, "_unchecked", classmethod(counting))
+    for cached in (en._lanes, en._tables, en._labeled, en._classes):
+        cached.cache_clear()
+    for n, k in enumerate((1, 1, 3, 9, 33, 139)):
+        built.clear()
+        assert sum(1 for _ in en.enumerate_topologies_up_to_homeo(n)) == k
+        assert len(built) == k, n
+    for n in range(6):
+        assert tuple(s.min_nbhd for s in en._labeled(n)) == en._tables(n), n
 
 
 def test_class_orbits_are_the_relabelings():

@@ -347,6 +347,35 @@ def test_bad_json_is_input_error():
         T.space_from_json('{"n":2,"opens":[[],[0]]}')
 
 
+def test_record_errors_keep_their_precedence():
+    # the parse checks each entry's type as it goes; an entry that is no
+    # list must still be reported before a bad point count or an earlier
+    # bad point
+    lists = "space record field 'opens' must be a list of point lists"
+    cases = (
+        ({"n": True, "opens": 5}, "space record field 'n' must be an integer"),
+        ({"n": 2, "opens": "ab"}, lists),
+        ({"n": 2, "opens": [[], [0], 5]}, lists),
+        ({"n": 2, "opens": [[9], 5]}, lists),
+        ({"n": 20, "opens": [[0], 5]}, lists),
+        ({"n": 20, "opens": [[0]]}, "point count 20 outside 0..16"),
+        ({"n": 2, "opens": [[9], [0]]}, "point 9 outside ground set of 2 points"),
+        ({"n": 2, "opens": [[], [True]]}, "point True outside ground set of 2 points"),
+    )
+    for record, message in cases:
+        with pytest.raises(BadParams) as err:
+            T.space_from_record(record)
+        assert str(err.value) == message, record
+
+    class Point(int):
+        pass
+
+    class Points(list):
+        pass
+
+    assert T.space_from_record({"n": 2, "opens": Points([[], Points([Point(0)]), [0, 1]])}) == SIERP
+
+
 def test_subset_helpers():
     assert T.subset_of_points([0, 2], 3) == 0b101
     assert T.subset_of_points([], 3) == 0
