@@ -78,20 +78,12 @@ def _tables(n: int) -> tuple:
     return tuple(sorted(_kernels.enumerate_masks(n), key=key))
 
 
-# one stream per point count, kept for the process: stream positions refer to it
-@cache
-def _labeled(n: int) -> tuple:
-    """The labeled topologies on n points as spaces, sorted by opens: one
-    space per table of ``_tables(n)``, in its order.  Nothing is cached on
-    the spaces.
-    """
-    return tuple([FiniteSpace._unchecked(n, minn) for minn in _tables(n)])
-
-
 def enumerate_topologies(n: int) -> Iterator[FiniteSpace]:
-    """All labeled topologies on n points, in canonical stream order."""
+    """All labeled topologies on n points, in canonical stream order: one
+    space per table of ``_tables(n)``, built as it is yielded."""
     _check_scope(n)
-    yield from _labeled(n)
+    for minn in _tables(n):
+        yield FiniteSpace._unchecked(n, minn)
 
 
 def relabel(space: FiniteSpace, perm) -> FiniteSpace:
@@ -168,7 +160,7 @@ def _image_tables(n: int) -> list:
     return tables
 
 
-# one class walk per point count, kept for the process like the stream
+# one class walk per point count, kept for the process like the sorted tables
 @cache
 def _classes(n: int) -> tuple:
     """Each homeomorphism class on n points as (first stream member, orbit),
@@ -209,10 +201,8 @@ def enumerate_topologies_up_to_homeo(n: int) -> Iterator[FiniteSpace]:
 def spaces_up_to(max_points: int) -> tuple:
     """All labeled topologies with 0..max_points points, stream-ordered."""
     _check_scope(max_points)
-    out = []
-    for n in range(max_points + 1):
-        out.extend(_labeled(n))
-    return tuple(out)
+    return tuple(FiniteSpace._unchecked(n, minn)
+                 for n in range(max_points + 1) for minn in _tables(n))
 
 
 def enumerate_maps(domain: FiniteSpace, codomain: FiniteSpace) -> Iterator[SpaceMap]:

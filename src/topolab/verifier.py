@@ -10,17 +10,19 @@ scope and is not a proof beyond it.
 Every claim is invariant under relabelling each bound space on its own.
 So the sweep counts failures over one representative per homeomorphism
 class, each tuple of representatives weighted by the product of its orbit
-sizes, and then walks the labeled stream only to collect the witnesses:
-it visits just the bindings whose class tuple failed, in stream order, and
-stops at the witness limit.  The witnesses are the least failing labeled
-bindings, as a sweep of every labeled binding would list them.
+sizes.  Only to collect the witnesses does it walk labeled spaces: it
+reads the sorted neighbourhood tables in stream order, builds spaces for
+the members of the failing classes alone, visits just the bindings whose
+class tuple failed, and stops at the witness limit.  The witnesses are the
+least failing labeled bindings, as a sweep of every labeled binding would
+list them.
 
 Instances are counted analytically from the binding product over the
-labeled stream's point counts, so serial and parallel runs of the same
-scope produce identical reports; bindings whose hypotheses fail count as
-(vacuously true) checked instances.  Before it reports, the sweep checks
-that the orbit sizes sum to the stream's point counts and to OEIS A000798,
-and that the walk found as many witnesses as the counted failures allow.
+number of labeled tables per point count, so serial and parallel runs of
+the same scope produce identical reports; bindings whose hypotheses fail
+count as (vacuously true) checked instances.  Before it reports, the sweep
+checks that the orbit sizes sum to those numbers and to OEIS A000798, and
+that the walk found as many witnesses as the counted failures allow.
 """
 
 from __future__ import annotations
@@ -38,10 +40,11 @@ from operator import or_
 from typing import NamedTuple
 
 from . import _kernels, axioms, enumeration, maps
+# not called here; kept because perfbench/tracer.py replaces it by this name
 from .enumeration import spaces_up_to
 from .errors import ArityMismatch, BadParams, InternalCheckError, ScopeTooLarge
 from .maps import SpaceMap, assignment_from_index, check_map, compose, map_from_record
-from .space import _Frozen, check_space, points_of, space_from_record
+from .space import FiniteSpace, _Frozen, check_space, points_of, space_from_record
 
 MAX_SCOPE_POINTS = 5
 
@@ -424,9 +427,9 @@ def _count_instances(enc, sizes: Counter) -> int:
                for chain in product(sizes, repeat=enc.arity))
 
 
-def _witness(claim_id: str, spaces, positions, ranks) -> Witness:
-    """Rebuild one failing binding and re-check it with the direct predicates."""
-    bound = tuple(spaces[i] for i in positions)
+def _witness(claim_id: str, bound, ranks) -> Witness:
+    """Rebuild one failing binding from its spaces and the ranks of its
+    maps, and re-check it with the direct predicates."""
     bound_maps = tuple(SpaceMap(a, b, assignment_from_index(rank, a.n, b.n))
                        for a, b, rank in zip(bound, bound[1:], ranks))
     hyps, concl, holds = evaluate_instance(claim_id, bound, bound_maps)
@@ -626,32 +629,36 @@ def _sweep_chunk(encs, tables: dict, outer, limit=0, keep=None):
     return failures, failing, found
 
 
-def _run_sweep(encs, scope: Scope, spaces, jobs: int, pool):
+def _run_sweep(encs, scope: Scope, jobs: int, pool):
     """(instances, failures, witness bindings) of each encoding in ``encs``
-    over the labeled stream ``spaces`` of the scope.
+    over the labeled spaces of the scope.
 
     Every claim is invariant under relabelling each bound space on its own,
     so the failures are counted over one representative per homeomorphism
     class (Stong 1966): a tuple of representatives counts for the product
     of its orbit sizes.  The count is split into one share per worker:
     share i is every jobs-th representative from i.  The instances are
-    counted from the stream's point counts.  The orbit sizes of each point
-    count must sum to the stream's count of spaces with that many points,
-    and to the labeled count of OEIS A000798; otherwise the sweep raises
-    InternalCheckError.
+    counted from the number of labeled tables per point count, the lengths
+    of the sorted tables ``enumeration._tables``.  The orbit sizes of each
+    point count must sum to that number, and to the labeled count of OEIS
+    A000798; otherwise the sweep raises InternalCheckError.
 
-    The witnesses are the least failing bindings of the labeled stream,
-    since a binding's tuple order, ((positions), (ranks)), is the sweep
-    order.  One serial walk visits only the labeled spaces of classes in a
-    failing class tuple, in stream order, and only the bindings whose class
-    tuple failed; it stops once every encoding has its witnesses.  It must
-    find as many as the witness limit allows of the counted failures, all of
-    them with no limit; otherwise the sweep raises InternalCheckError.
+    The witnesses are the least failing labeled bindings, since a binding's
+    tuple order, ((positions), (ranks)), is the sweep order.  One serial
+    walk reads the sorted tables in stream order and keeps those in the
+    orbit of a class in some failing class tuple; only these tables are
+    built into spaces.  It visits only the bindings whose class tuple
+    failed, and stops once every encoding has its witnesses.  It must find
+    as many as the witness limit allows of the counted failures, all of
+    them with no limit; otherwise the sweep raises InternalCheckError.  A
+    witness binding is (its spaces, its map ranks).
     """
-    classes = [c for n in range(scope.max_points + 1) for c in enumeration._classes(n)]
+    points = range(scope.max_points + 1)
+    classes = [c for n in points for c in enumeration._classes(n)]
     reps = [s for s, _ in classes]
     weights = [len(orbit) for _, orbit in classes]
-    labeled, weighted = Counter(s.n for s in spaces), Counter()
+    labeled = Counter({n: len(enumeration._tables(n)) for n in points})
+    weighted = Counter()
     for s, w in zip(reps, weights):
         weighted[s.n] += w
     known = _LABELED_COUNTS[:scope.max_points + 1]
@@ -668,14 +675,14 @@ def _run_sweep(encs, scope: Scope, spaces, jobs: int, pool):
     found = [[] for _ in encs]
     if any(failures):
         keep = [set().union(*(r[1][k] for r in results)) for k in range(len(encs))]
-        where = {t: c for c, (_, orbit) in enumerate(classes) for t in orbit}
-        cls = [where[s.min_nbhd] for s in spaces]
-        # the stream positions of the labeled spaces of failing classes
+        # the class of each labeled table in the orbit of a failing class
         hit = {c for tuples in keep for t in tuples for c in t}
-        stream = [i for i, c in enumerate(cls) if c in hit]
-        walk = _space_tables([spaces[i] for i in stream], classes=[cls[i] for i in stream])
-        _, _, found = _sweep_chunk(encs, walk, range(len(stream)), scope.witness_limit, keep)
-        found = [[(tuple(stream[i] for i in positions), ranks)
+        where = {t: c for c in hit for t in classes[c][1]}
+        spaces = [FiniteSpace._unchecked(n, t)
+                  for n in points for t in enumeration._tables(n) if t in where]
+        walk = _space_tables(spaces, classes=[where[s.min_nbhd] for s in spaces])
+        _, _, found = _sweep_chunk(encs, walk, range(len(spaces)), scope.witness_limit, keep)
+        found = [[(tuple(spaces[i] for i in positions), ranks)
                   for positions, ranks in bindings] for bindings in found]
     limit = scope.witness_limit
     wanted = [f if limit is None else min(f, limit) for f in failures]
@@ -716,15 +723,14 @@ def _verify_claims(claim_scopes: dict, jobs: int) -> dict:
     reports = {}
     with ProcessPoolExecutor(jobs) if jobs > 1 else nullcontext() as pool:
         for scope, by_encoding in groups.items():
-            spaces = spaces_up_to(scope.max_points)
             started = time.perf_counter()
             results = _run_sweep([_ENCODINGS[key] for key in by_encoding],
-                                 scope, spaces, jobs, pool)
+                                 scope, jobs, pool)
             wall = time.perf_counter() - started
             for (key, claim_ids), (instances, failures, bindings) in zip(
                     by_encoding.items(), results):
                 for claim_id in claim_ids:
-                    witnesses = tuple(_witness(claim_id, spaces, *b) for b in bindings)
+                    witnesses = tuple(_witness(claim_id, *b) for b in bindings)
                     reports[claim_id] = TheoremReport(
                         claim=claim_id, statement=_STATEMENTS[key], scope=scope,
                         instances=instances, failures=failures,

@@ -73,7 +73,7 @@ def test_labeled_stream_is_sorted_by_opens_tuples():
     # their opens tuples
     for n in range(6):
         spaces = [T.FiniteSpace(n, t) for t in _kernels.enumerate_masks(n)]
-        assert en._labeled(n) == tuple(sorted(spaces, key=lambda s: s.opens)), n
+        assert tuple(en.enumerate_topologies(n)) == tuple(sorted(spaces, key=lambda s: s.opens)), n
 
 
 def _lane_opens(n, minn):
@@ -113,14 +113,14 @@ def test_homeo_classes_build_one_space_per_class(monkeypatch):
         return unchecked(n, minn)
 
     monkeypatch.setattr(T.FiniteSpace, "_unchecked", classmethod(counting))
-    for cached in (en._lanes, en._tables, en._labeled, en._classes):
+    for cached in (en._lanes, en._tables, en._classes):
         cached.cache_clear()
     for n, k in enumerate((1, 1, 3, 9, 33, 139)):
         built.clear()
         assert sum(1 for _ in en.enumerate_topologies_up_to_homeo(n)) == k
         assert len(built) == k, n
     for n in range(6):
-        assert tuple(s.min_nbhd for s in en._labeled(n)) == en._tables(n), n
+        assert tuple(s.min_nbhd for s in en.enumerate_topologies(n)) == en._tables(n), n
 
 
 def test_class_orbits_are_the_relabelings():

@@ -66,10 +66,11 @@ def test_traced_cli_run_writes_its_counter_line(tmp_path):
 
 def test_traced_verify_runs_the_wrapped_verifier(tmp_path):
     # the CLI imports the verifier only when ``verify`` runs; the module it
-    # gets must be the one whose names the tracer replaced
+    # gets must be the one whose names the tracer replaced: the witness of
+    # T3_2_ab is re-checked through the wrapped evaluate_instance
     spans = tmp_path / "spans.jsonl"
     out = _traced_cli(spans, "verify", "--max-points", "2", "--claim", "T3_2_ab",
                       "--jobs", "1")
     assert out.returncode == 0, out.stderr
     _, recorded, _, _ = tracer.read_trace(spans)
-    assert {s["name"] for s in recorded} >= {"cli.main", "enumeration.spaces_up_to"}
+    assert {s["name"] for s in recorded} >= {"cli.main", "verifier.evaluate_instance"}

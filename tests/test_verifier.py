@@ -323,11 +323,12 @@ def test_sweep_tables_match_direct_predicates(stream_tables, data):
             assert swept == direct, (key, ix, iy, j)
 
 
-def _brute_composition(encs, scope, tables):
+def _brute_composition(encs, spaces, tables):
     """The composition fold of ``_sweep_chunk`` over every (f, g) pair, via
-    the composition kernel and the composite's own pair mask."""
+    the composition kernel and the composite's own pair mask: each triple's
+    failures count the product of its spaces' weights times."""
     from topolab import _kernels
-    spaces = spaces_up_to(scope.max_points)
+    weight = tables["weight"]
     rows = [[verifier._pair_masks(tables, ix, iz) for iz in range(len(spaces))]
             for ix in range(len(spaces))]
     middles = [iy for iy, t in enumerate(tables["T_alpha_m"]) if t]
@@ -350,7 +351,7 @@ def _brute_composition(encs, scope, tables):
                     n, bad = _kernels.composition_failures(
                         spaces[ix].n, spaces[iy].n, spaces[iz].n, f_ranks, g_ranks,
                         rows[ix][iz][p], -1)
-                    count += n
+                    count += weight[ix] * weight[iy] * weight[iz] * n
                     bindings.extend(((ix, iy, iz), pair) for pair in bad)
         failures.append(count)
         found.append(bindings)
@@ -358,16 +359,19 @@ def _brute_composition(encs, scope, tables):
 
 
 def test_composition_fold_matches_every_pair():
-    # every space as the middle: the T_alpha_m hypothesis on Y dropped, so
-    # that the composition claims fail often
-    spaces = spaces_up_to(3)
-    tables = dict(verifier._space_tables(spaces), T_alpha_m=(True,) * len(spaces))
+    # every class representative with n <= 3 as the middle: the T_alpha_m
+    # hypothesis on Y dropped, so that the composition claims fail often.
+    # Weighted by orbit size, as the sweep counts, the failures are those of
+    # all 35**3 labeled triples
+    classes = [c for n in range(4) for c in enumeration._classes(n)]
+    reps = [rep for rep, _ in classes]
+    tables = dict(verifier._space_tables(reps, [len(orbit) for _, orbit in classes]),
+                  T_alpha_m=(True,) * len(reps))
     encs = [verifier._ENCODINGS["P3_6"], verifier._ENCODINGS["T3_8b"]]
-    every = verifier.Scope(max_points=3, witness_limit=None)
-    brute_failures, brute_found = _brute_composition(encs, every, tables)
+    brute_failures, brute_found = _brute_composition(encs, reps, tables)
     assert brute_failures == [480232, 298976]
     for limit in (5, None):
-        failures, _, found = verifier._sweep_chunk(encs, tables, range(len(spaces)), limit)
+        failures, _, found = verifier._sweep_chunk(encs, tables, range(len(reps)), limit)
         assert failures == brute_failures
         assert found == [bindings[:limit] for bindings in brute_found]
 
@@ -411,6 +415,35 @@ def test_orbit_weights_are_reconciled(monkeypatch):
     monkeypatch.setattr(enumeration, "_classes", one_too_many)
     with pytest.raises(InternalCheckError):
         T.verify_all(verifier.Scope(max_points=3))
+
+
+def test_stream_counts_are_reconciled(monkeypatch):
+    # the orbits as they are, but one Sierpinski table missing from the
+    # sorted tables: the labeled count at n = 2 no longer matches them
+    for n in range(3):
+        enumeration._classes(n)
+    tables = enumeration._tables
+    monkeypatch.setattr(enumeration, "_tables",
+                        lambda n: tuple(t for t in tables(n) if t != (0b01, 0b11)))
+    assert len(enumeration._tables(2)) == 3
+    with pytest.raises(InternalCheckError):
+        T.verify_all(verifier.Scope(max_points=2), claims=("T3_2_ab",))
+
+
+@pytest.mark.parametrize("limit", [5, None])
+def test_sweep_reads_no_labeled_stream(monkeypatch, limit):
+    # the counts come from the class orbits and the witnesses from the
+    # sorted tables, so a sweep whose stream of spaces raises reports the
+    # same bytes
+    scope = verifier.Scope(max_points=3, witness_limit=limit)
+    expected = [r.to_record() for r in T.verify_all(scope)]
+
+    def no_stream(max_points):
+        raise AssertionError("the sweep read the labeled stream")
+
+    monkeypatch.setattr(verifier, "spaces_up_to", no_stream)
+    monkeypatch.setattr(enumeration, "spaces_up_to", no_stream)
+    assert [r.to_record() for r in T.verify_all(scope)] == expected
 
 
 @pytest.mark.parametrize("limit", [5, None])
