@@ -12,10 +12,10 @@ So the sweep counts failures over one representative per homeomorphism
 class, each tuple of representatives weighted by the product of its orbit
 sizes.  Only to collect the witnesses does it walk labeled spaces: it
 reads the sorted neighbourhood tables in stream order, builds spaces for
-the members of the failing classes alone, visits just the bindings whose
-class tuple failed, and stops at the witness limit.  The witnesses are the
-least failing labeled bindings, as a sweep of every labeled binding would
-list them.
+the members of the failing classes alone, evaluates just the bindings
+whose class tuple failed with the direct predicates, and stops at the
+witness limit.  The witnesses are the least failing labeled bindings, as a
+sweep of every labeled binding would list them.
 
 Instances are counted analytically from the binding product over the
 number of labeled tables per point count, so serial and parallel runs of
@@ -34,7 +34,7 @@ from collections import Counter
 from collections.abc import Iterable
 from contextlib import nullcontext
 from functools import cache, lru_cache, partial, reduce
-from itertools import islice, product
+from itertools import product
 from math import prod
 from operator import or_
 from typing import NamedTuple
@@ -43,7 +43,7 @@ from . import _kernels, axioms, enumeration, maps
 # not called here; kept because perfbench/tracer.py replaces it by this name
 from .enumeration import spaces_up_to
 from .errors import ArityMismatch, BadParams, InternalCheckError, ScopeTooLarge
-from .maps import SpaceMap, assignment_from_index, check_map, compose, map_from_record
+from .maps import SpaceMap, check_map, compose, map_from_record
 from .space import FiniteSpace, _Frozen, check_space, points_of, space_from_record
 
 MAX_SCOPE_POINTS = 5
@@ -337,16 +337,9 @@ class InstanceEvaluation(NamedTuple):
     holds: bool
 
 
-def evaluate_instance(claim_id: str, spaces, bound_maps=()) -> InstanceEvaluation:
-    """Hypothesis flags, conclusion flag, and truth of one bound instance.
-
-    Hypotheses evaluate in declared order and stop at the first failure;
-    the conclusion is evaluated only when every hypothesis holds (so the
-    returned conclusion flag is None for vacuously true instances).
-    """
-    _bind(claim_id, spaces, bound_maps)
-    *hyp_terms, (label, conclusion) = _terms(_ENCODINGS[_CLAIMS[claim_id]],
-                                             spaces, bound_maps)
+def _evaluate(enc, spaces, bound_maps) -> InstanceEvaluation:
+    # evaluate_instance on a binding known to fit the encoding
+    *hyp_terms, (label, conclusion) = _terms(enc, spaces, bound_maps)
     hyps = []
     for name, test in hyp_terms:
         value = bool(test())
@@ -355,6 +348,17 @@ def evaluate_instance(claim_id: str, spaces, bound_maps=()) -> InstanceEvaluatio
             return InstanceEvaluation(tuple(hyps), (label, None), True)
     value = bool(conclusion())
     return InstanceEvaluation(tuple(hyps), (label, value), value)
+
+
+def evaluate_instance(claim_id: str, spaces, bound_maps=()) -> InstanceEvaluation:
+    """Hypothesis flags, conclusion flag, and truth of one bound instance.
+
+    Hypotheses evaluate in declared order and stop at the first failure;
+    the conclusion is evaluated only when every hypothesis holds (so the
+    returned conclusion flag is None for vacuously true instances).
+    """
+    _bind(claim_id, spaces, bound_maps)
+    return _evaluate(_ENCODINGS[_CLAIMS[claim_id]], spaces, bound_maps)
 
 
 def check_instance(claim_id: str, spaces, bound_maps=()) -> bool:
@@ -392,16 +396,12 @@ def _pair_masks(tables: dict, ix: int, iy: int):
                               tables["n"][iy], *(tables[name][iy] for name in _MAP_SIDE))
 
 
-def _space_tables(spaces, weights=None, classes=None) -> dict:
+def _space_tables(spaces, weights=None) -> dict:
     """The sweep's per-space tables, each a tuple indexed by position in
     ``spaces``: point count, the flag of each axiom in ``_AXIOMS``, the class
     masks that map_masks and the composition fold read, and the space's
-    weight and class.  One class_masks call per space, on its neighbourhood
-    table.
-
-    Over class representatives, ``weights`` holds the orbit sizes, and a
-    space is its own class.  Over labeled spaces every weight is 1, and
-    ``classes`` holds the position of each space's class representative.
+    weight, its orbit size over class representatives (1 if ``weights`` is
+    None).  One class_masks call per space, on its neighbourhood table.
     """
     columns = {name: [] for name in ("n", *_AXIOMS, *_MAP_SIDE)}
     for s in spaces:
@@ -411,7 +411,6 @@ def _space_tables(spaces, weights=None, classes=None) -> dict:
         for name, mask in zip(_MAP_SIDE, _kernels.class_masks(s.n, s.min_nbhd)):
             columns[name].append(mask)
     columns["weight"] = [1] * len(spaces) if weights is None else weights
-    columns["class"] = range(len(spaces)) if classes is None else classes
     return {name: tuple(column) for name, column in columns.items()}
 
 
@@ -425,19 +424,6 @@ def _count_instances(enc, sizes: Counter) -> int:
     return sum(prod(sizes[n] for n in chain)
                * prod(b ** a for a, b in zip(chain, chain[1:]))
                for chain in product(sizes, repeat=enc.arity))
-
-
-def _witness(claim_id: str, bound, ranks) -> Witness:
-    """Rebuild one failing binding from its spaces and the ranks of its
-    maps, and re-check it with the direct predicates."""
-    bound_maps = tuple(SpaceMap(a, b, assignment_from_index(rank, a.n, b.n))
-                       for a, b, rank in zip(bound, bound[1:], ranks))
-    hyps, concl, holds = evaluate_instance(claim_id, bound, bound_maps)
-    if holds:
-        raise InternalCheckError(
-            f"sweep marked a passing instance of {claim_id} as failing")
-    return Witness(claim=claim_id, spaces=bound, maps=bound_maps,
-                   hypotheses=hyps, conclusion=concl)
 
 
 def _map_sides(prop: str, as_f: bool, dom: int, cod: int, ranks, tables: dict) -> list:
@@ -479,57 +465,33 @@ def _map_sides(prop: str, as_f: bool, dom: int, cod: int, ranks, tables: dict) -
     return sides
 
 
-def _failing_pairs(f_ranks, f_sides, g_ranks, g_sides):
-    """(f rank, g rank) of each failing composite, f-outer and g-inner."""
-    bad = cache(lambda a: [rg for rg, b in zip(g_ranks, g_sides) if a & b])
-    for rf, a in zip(f_ranks, f_sides):
-        for rg in bad(a):
-            yield rf, rg
+def _sweep_chunk(encs, tables: dict, outer):
+    """Weighted failure counts and failing tuples of space positions of each
+    encoding in ``encs``, over the outer-space positions ``outer``.
 
+    Every space is read through its position in ``tables``, the sweep's
+    :func:`_space_tables`.  A binding's failures count the product of its
+    spaces' weights times.  Each pair of spaces fetches its pair masks once;
+    the rows of the T_alpha_m middle spaces are kept for the composition
+    claims, and every other row goes with its X.
 
-def _sweep_chunk(encs, tables: dict, outer, limit=0, keep=None):
-    """Weighted failure counts, failing class tuples and first ``limit``
-    failing bindings (all of them if None) of each encoding in ``encs``, over
-    the outer-space positions ``outer``, in ascending order.
-
-    A binding is (space positions, map ranks).  Every space is read through
-    its position in ``tables``, the sweep's :func:`_space_tables`.  A
-    binding's failures count the product of its spaces' weights times, and
-    its class tuple holds its spaces' classes.  Each pair of spaces fetches
-    its pair masks once; the rows of the T_alpha_m middle spaces are kept
-    for the composition claims, and every other row goes with its X.
-
-    A composition claim never tests an (f, g) pair for its count.  Each f
-    from X to a T_alpha_m middle Y is reduced to its side A_f, and each g
-    out of Y to its side B_g (see :func:`_map_sides`).  The failures of
-    (X, Y) are the sum over f of the number of g, over every Z and weighted
-    by Z, with A_f & B_g.  Y's row and B_g counts are built once per call,
-    that is once per worker, since a worker sweeps one share.  Some f and g
-    into and out of Y fail together iff the union of the A_f meets that of
-    the B_g, so a Z's class tuple fails iff the two unions meet.  Only an
-    (X, Y) with failures, and room for witnesses, is scanned pair by pair:
-    Z, then f rank, then g rank.
-
-    With ``keep`` None every binding is visited.  Otherwise the call is a
-    witness walk: ``keep[k]`` holds the failing class tuples of encoding k,
-    only the bindings in them are visited, and the walk stops once every
-    encoding with failures has its witnesses.  A walk's counts are not
-    read: they stop with it, and leave out the composition claims.
+    A composition claim never tests an (f, g) pair.  Each f from X to a
+    T_alpha_m middle Y is reduced to its side A_f, and each g out of Y to
+    its side B_g (see :func:`_map_sides`).  The failures of (X, Y) are the
+    sum over f of the number of g, over every Z and weighted by Z, with
+    A_f & B_g.  Y's row and B_g counts are built once per call, that is
+    once per worker, since a worker sweeps one share.  Some f and g into
+    and out of Y fail together iff the union of the A_f meets that of the
+    B_g, so (X, Y, Z) fails iff the two unions meet.
     """
-    sizes, t_alpha_m, weight, cls = (tables[name]
-                                     for name in ("n", "T_alpha_m", "weight", "class"))
-    counting = keep is None
+    sizes, t_alpha_m, weight = (tables[name] for name in ("n", "T_alpha_m", "weight"))
     failures = [0] * len(encs)
     failing = [set() for _ in encs]
-    found = [[] for _ in encs]
     singles = [(k, enc) for k, enc in enumerate(encs) if isinstance(enc, _SpaceClaim)]
     doubles = [(k, enc) for k, enc in enumerate(encs) if isinstance(enc, _PairClaim)]
     triples = [(k, enc.map_prop) for k, enc in enumerate(encs)
                if isinstance(enc, _TripleClaim)]
     middles = [iy for iy, t in enumerate(t_alpha_m) if t] if triples else []
-    # every leading part of a failing class tuple
-    starts = [] if counting else [{t[:j] for t in tuples for j in range(1, len(t) + 1)}
-                                  for tuples in keep]
     rows = {}   # X -> {Y: pair masks of X and Y}
 
     def masks(ix, iy):
@@ -538,19 +500,6 @@ def _sweep_chunk(encs, tables: dict, outer, limit=0, keep=None):
             row[iy] = _pair_masks(tables, ix, iy)
         return row[iy]
 
-    def room(k):
-        return None if limit is None else max(0, limit - len(found[k]))
-
-    def visits(k, *positions):
-        # a walk visits what starts a failing class tuple while k wants witnesses
-        return counting or (room(k) != 0
-                            and tuple(cls[i] for i in positions) in starts[k])
-
-    def g_sides(prop, iy, iz):
-        # ranks and sides of the maps g: Y -> Z that satisfy prop
-        ranks = points_of(masks(iy, iz)[_PROP_IDX[prop]])
-        return ranks, _map_sides(prop, False, iy, iz, ranks, tables)
-
     @cache
     def failing_g(prop, iy):
         # A_f -> how many maps g out of Y, to every Z and weighted by Z, make
@@ -558,34 +507,22 @@ def _sweep_chunk(encs, tables: dict, outer, limit=0, keep=None):
         # and the union of the B_g of each Z
         counts, unions = Counter(), []
         for iz in range(len(sizes)):
-            sides = g_sides(prop, iy, iz)[1]
+            ranks = points_of(masks(iy, iz)[_PROP_IDX[prop]])
+            sides = _map_sides(prop, False, iy, iz, ranks, tables)
             for b in sides:
                 counts[b] += weight[iz]
             unions.append(reduce(or_, sides, 0))
         return cache(lambda a: sum(c for b, c in counts.items() if a & b)), unions
 
-    def failing_triples(k, prop, ix, iy, f_ranks, f_sides):
-        for iz in range(len(sizes)):
-            if counting or (cls[ix], cls[iy], cls[iz]) in keep[k]:
-                for pair in _failing_pairs(f_ranks, f_sides, *g_sides(prop, iy, iz)):
-                    yield (ix, iy, iz), pair
-
     for ix in outer:
-        if not counting and not any(room(k) != 0 for k, tuples in enumerate(keep)
-                                    if tuples):
-            break
         for k, enc in singles:
-            if visits(k, ix) and tables[enc.hyp][ix] and not tables[enc.concl][ix]:
+            if tables[enc.hyp][ix] and not tables[enc.concl][ix]:
                 failures[k] += weight[ix]
-                failing[k].add((cls[ix],))
-                found[k].extend([((ix,), ())][:room(k)])
-        pairs = [(k, enc) for k, enc in doubles
-                 if (t_alpha_m[ix] or not enc.space_hyp_x) and visits(k, ix)]
+                failing[k].add((ix,))
+        pairs = [(k, enc) for k, enc in doubles if t_alpha_m[ix] or not enc.space_hyp_x]
         for iy in range(len(sizes)) if pairs else ():
+            m = masks(ix, iy)
             for k, enc in pairs:
-                if not visits(k, ix, iy):
-                    continue
-                m = masks(ix, iy)
                 first, *rest = enc.map_hyp
                 hyp_bits = m[_PROP_IDX[first]]
                 for name in rest:
@@ -594,44 +531,73 @@ def _sweep_chunk(encs, tables: dict, outer, limit=0, keep=None):
                     fail_bits = hyp_bits & ~m[_PROP_IDX[enc.concl_map]]
                 else:
                     fail_bits = 0 if t_alpha_m[iy] else hyp_bits
-                if not fail_bits:
-                    continue
-                failures[k] += weight[ix] * weight[iy] * fail_bits.bit_count()
-                failing[k].add((cls[ix], cls[iy]))
-                want = room(k)
-                if want != 0:
-                    found[k].extend(((ix, iy), (rank,))
-                                    for rank in points_of(fail_bits)[:want])
+                if fail_bits:
+                    failures[k] += weight[ix] * weight[iy] * fail_bits.bit_count()
+                    failing[k].add((ix, iy))
 
         # f: X -> Y and g: Y -> Z with Y T_alpha_m
         for iy in middles:
             for k, prop in triples:
-                if not visits(k, ix, iy):
-                    continue
                 f_ranks = points_of(masks(ix, iy)[_PROP_IDX[prop]])
                 if not f_ranks:
                     continue
                 f_sides = _map_sides(prop, True, ix, iy, f_ranks, tables)
-                if counting:
-                    fold, unions = failing_g(prop, iy)
-                    count = sum(map(fold, f_sides))
-                    if not count:
-                        continue
+                fold, unions = failing_g(prop, iy)
+                count = sum(map(fold, f_sides))
+                if count:
                     failures[k] += weight[ix] * weight[iy] * count
                     reach = reduce(or_, f_sides)
-                    failing[k].update((cls[ix], cls[iy], cls[iz])
+                    failing[k].update((ix, iy, iz)
                                       for iz, union in enumerate(unions) if reach & union)
-                if room(k) != 0:
-                    found[k].extend(islice(
-                        failing_triples(k, prop, ix, iy, f_ranks, f_sides), room(k)))
         if not (triples and t_alpha_m[ix]):
             rows.pop(ix, None)
-    return failures, failing, found
+    return failures, failing
 
 
-def _run_sweep(encs, scope: Scope, jobs: int, pool):
-    """(instances, failures, witness bindings) of each encoding in ``encs``
-    over the labeled spaces of the scope.
+def _first_failures(key: str, tuples, members, limit) -> list:
+    """The first ``limit`` failing labeled bindings of encoding ``key`` (all
+    of them if None), in sweep order, each as (spaces, maps, evaluation).
+
+    ``tuples`` holds the failing tuples of class positions, and ``members``
+    the (space, class position) of each labeled space in the orbit of a
+    class in one of them, in stream order.  The walk visits the chains of
+    members whose class tuple fails, and the maps along each chain in rank
+    order, f outer and g inner, and evaluates each binding with the direct
+    predicates.  Relabelling each space maps every binding of a class tuple
+    onto one of each of its labeled chains, so every chain holds a failure;
+    a finished chain without one raises InternalCheckError.
+    """
+    enc = _ENCODINGS[key]
+    # every leading part of a failing class tuple
+    starts = {t[:j] for t in tuples for j in range(1, len(t) + 1)}
+    found = []
+
+    def chains(spaces, classes):
+        if len(spaces) == enc.arity:
+            yield spaces
+            return
+        for s, c in members:
+            if classes + (c,) in starts:
+                yield from chains(spaces + (s,), classes + (c,))
+
+    for spaces in chains((), ()):
+        failed = False
+        for bound in product(*map(enumeration.enumerate_maps, spaces, spaces[1:])):
+            evaluation = _evaluate(enc, spaces, bound)
+            if not evaluation.holds:
+                found.append((spaces, bound, evaluation))
+                failed = True
+                if len(found) == limit:
+                    return found
+        if not failed:
+            raise InternalCheckError(
+                f"the count marked {key} failing on {spaces}, which holds on every map")
+    return found
+
+
+def _run_sweep(keys, scope: Scope, jobs: int, pool):
+    """(instances, failures, failing bindings) of each encoding key in
+    ``keys`` over the labeled spaces of the scope.
 
     Every claim is invariant under relabelling each bound space on its own,
     so the failures are counted over one representative per homeomorphism
@@ -643,15 +609,12 @@ def _run_sweep(encs, scope: Scope, jobs: int, pool):
     point count must sum to that number, and to the labeled count of OEIS
     A000798; otherwise the sweep raises InternalCheckError.
 
-    The witnesses are the least failing labeled bindings, since a binding's
-    tuple order, ((positions), (ranks)), is the sweep order.  One serial
-    walk reads the sorted tables in stream order and keeps those in the
-    orbit of a class in some failing class tuple; only these tables are
-    built into spaces.  It visits only the bindings whose class tuple
-    failed, and stops once every encoding has its witnesses.  It must find
-    as many as the witness limit allows of the counted failures, all of
-    them with no limit; otherwise the sweep raises InternalCheckError.  A
-    witness binding is (its spaces, its map ranks).
+    The failing bindings are the least ones of the labeled sweep, as
+    :func:`_first_failures` walks them with the direct predicates, one walk
+    per encoding with failures.  Only the tables in the orbit of a class in
+    some failing class tuple are built into spaces.  Each walk must find as
+    many bindings as the witness limit allows of the counted failures, all
+    of them with no limit; otherwise the sweep raises InternalCheckError.
     """
     points = range(scope.max_points + 1)
     classes = [c for n in points for c in enumeration._classes(n)]
@@ -666,24 +629,21 @@ def _run_sweep(encs, scope: Scope, jobs: int, pool):
         raise InternalCheckError(
             f"orbit sizes per point count {dict(weighted)} are not the labeled "
             f"counts {dict(labeled)} (OEIS A000798: {known})")
+    encs = [_ENCODINGS[key] for key in keys]
     instances = [_count_instances(enc, labeled) for enc in encs]
 
     count = partial(_sweep_chunk, encs, _space_tables(reps, weights))
     results = list((pool.map if pool else map)(
         count, [range(i, len(reps), jobs) for i in range(jobs)]))
     failures = [sum(r[0][k] for r in results) for k in range(len(encs))]
-    found = [[] for _ in encs]
-    if any(failures):
-        keep = [set().union(*(r[1][k] for r in results)) for k in range(len(encs))]
-        # the class of each labeled table in the orbit of a failing class
-        hit = {c for tuples in keep for t in tuples for c in t}
-        where = {t: c for c in hit for t in classes[c][1]}
-        spaces = [FiniteSpace._unchecked(n, t)
-                  for n in points for t in enumeration._tables(n) if t in where]
-        walk = _space_tables(spaces, classes=[where[s.min_nbhd] for s in spaces])
-        _, _, found = _sweep_chunk(encs, walk, range(len(spaces)), scope.witness_limit, keep)
-        found = [[(tuple(spaces[i] for i in positions), ranks)
-                  for positions, ranks in bindings] for bindings in found]
+    failing = [set().union(*(r[1][k] for r in results)) for k in range(len(encs))]
+    # the class of each labeled table in the orbit of a failing class
+    where = {t: c for c in {c for tuples in failing for t in tuples for c in t}
+             for t in classes[c][1]}
+    members = [(FiniteSpace._unchecked(n, t), where[t])
+               for n in points for t in enumeration._tables(n) if t in where]
+    found = [_first_failures(key, tuples, members, scope.witness_limit) if tuples else []
+             for key, tuples in zip(keys, failing)]
     limit = scope.witness_limit
     wanted = [f if limit is None else min(f, limit) for f in failures]
     if list(map(len, found)) != wanted:
@@ -724,13 +684,15 @@ def _verify_claims(claim_scopes: dict, jobs: int) -> dict:
     with ProcessPoolExecutor(jobs) if jobs > 1 else nullcontext() as pool:
         for scope, by_encoding in groups.items():
             started = time.perf_counter()
-            results = _run_sweep([_ENCODINGS[key] for key in by_encoding],
-                                 scope, jobs, pool)
+            results = _run_sweep(list(by_encoding), scope, jobs, pool)
             wall = time.perf_counter() - started
-            for (key, claim_ids), (instances, failures, bindings) in zip(
+            for (key, claim_ids), (instances, failures, found) in zip(
                     by_encoding.items(), results):
                 for claim_id in claim_ids:
-                    witnesses = tuple(_witness(claim_id, *b) for b in bindings)
+                    witnesses = tuple(
+                        Witness(claim=claim_id, spaces=spaces, maps=bound_maps,
+                                hypotheses=hyps, conclusion=concl)
+                        for spaces, bound_maps, (hyps, concl, _) in found)
                     reports[claim_id] = TheoremReport(
                         claim=claim_id, statement=_STATEMENTS[key], scope=scope,
                         instances=instances, failures=failures,

@@ -1,11 +1,12 @@
 import json
+from itertools import product
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import topolab as T
-from topolab import enumeration, verifier
+from topolab import _kernels, enumeration, verifier
 from topolab.enumeration import spaces_up_to
 from topolab.errors import ArityMismatch, BadParams, InternalCheckError, ScopeTooLarge
 from topolab.maps import assignment_from_index, map_index
@@ -278,14 +279,14 @@ def test_verify_is_verify_all_for_one_claim():
 def test_pair_sweep_requests_each_pair_once():
     # one count per scope: the composition claims reuse the rows the pair
     # claims fetched instead of asking for them again, so each pair of the
-    # 14 class representatives is requested once; the witness walk adds the
-    # 3 labeled pairs that hold T3_9b's first 5 witnesses, and stops there;
-    # and no pair masks outlive the sweep
+    # 14 class representatives is requested once; the witness walk reads
+    # the direct predicates, and requests none; and no pair masks outlive
+    # the sweep
     for claims in (PAIR_IDS, T.CLAIM_IDS):
         verifier._pair_masks.cache_clear()
         T.verify_all(scope=verifier.Scope(max_points=3), claims=claims)
         info = verifier._pair_masks.cache_info()
-        assert (info.misses, info.hits, info.currsize) == (14 * 14 + 3, 0, 0), claims
+        assert (info.misses, info.hits, info.currsize) == (14 * 14, 0, 0), claims
     # and nothing else in the verifier keeps state between calls
     assert [name for name, obj in vars(verifier).items()
             if hasattr(obj, "cache_info")] == ["_pair_masks"]
@@ -304,30 +305,29 @@ PAIR_KEYS = [key for key, enc in verifier._ENCODINGS.items()
 @given(data=st.data())
 def test_sweep_tables_match_direct_predicates(stream_tables, data):
     # two spaces of the n<=4 stream, cut out of the sweep's tables as a
-    # two-space stream: every pair claim's failing maps X -> X and X -> Y
-    # equal those evaluate_instance finds among all maps
+    # two-space stream: every pair claim's failure count over the maps
+    # X -> X and X -> Y, and the pairs with failures, equal those
+    # evaluate_instance finds among all maps
     spaces = spaces_up_to(4)
     ix, iy = (data.draw(st.integers(0, len(spaces) - 1)) for _ in range(2))
     tables = {name: (column[ix], column[iy]) for name, column in stream_tables.items()}
     encs = [verifier._ENCODINGS[key] for key in PAIR_KEYS]
-    scope = verifier.Scope(max_points=4, witness_limit=None)
-    failures, _, found = verifier._sweep_chunk(encs, tables, range(1), scope.witness_limit)
+    failures, failing = verifier._sweep_chunk(encs, tables, range(1))
     x = spaces[ix]
-    for key, count, bindings in zip(PAIR_KEYS, failures, found):
-        assert count == len(bindings), key
-        for j, y in enumerate((x, spaces[iy])):
-            swept = [rank for (_, pos), (rank,) in bindings if pos == j]
-            direct = [rank for rank in range(y.n ** x.n)
-                      if not T.evaluate_instance(key, (x, y), (T.SpaceMap(
-                          x, y, assignment_from_index(rank, x.n, y.n)),)).holds]
-            assert swept == direct, (key, ix, iy, j)
+    for key, count, tuples in zip(PAIR_KEYS, failures, failing):
+        direct = [sum(not T.evaluate_instance(key, (x, y), (T.SpaceMap(
+                          x, y, assignment_from_index(rank, x.n, y.n)),)).holds
+                      for rank in range(y.n ** x.n))
+                  for y in (x, spaces[iy])]
+        assert count == sum(direct), (key, ix, iy)
+        assert tuples == {(0, j) for j, n in enumerate(direct) if n}, (key, ix, iy)
 
 
 def _brute_composition(encs, spaces, tables):
     """The composition fold of ``_sweep_chunk`` over every (f, g) pair, via
     the composition kernel and the composite's own pair mask: each triple's
-    failures count the product of its spaces' weights times."""
-    from topolab import _kernels
+    failures count the product of its spaces' weights times.  Returns the
+    failures and the triples with failures of each encoding."""
     weight = tables["weight"]
     rows = [[verifier._pair_masks(tables, ix, iz) for iz in range(len(spaces))]
             for ix in range(len(spaces))]
@@ -337,10 +337,10 @@ def _brute_composition(encs, spaces, tables):
         count = spaces[j].n ** spaces[i].n
         return points_of(rows[i][j][p] & ((1 << count) - 1))
 
-    failures, found = [], []
+    failures, failing = [], []
     for enc in encs:
         p = verifier._PROP_IDX[enc.map_prop]
-        count, bindings = 0, []
+        count, triples = 0, set()
         for ix in range(len(spaces)):
             for iy in middles:
                 f_ranks = ranks(ix, iy, p)
@@ -348,14 +348,15 @@ def _brute_composition(encs, spaces, tables):
                     g_ranks = ranks(iy, iz, p)
                     if not f_ranks or not g_ranks:
                         continue
-                    n, bad = _kernels.composition_failures(
+                    n, _ = _kernels.composition_failures(
                         spaces[ix].n, spaces[iy].n, spaces[iz].n, f_ranks, g_ranks,
-                        rows[ix][iz][p], -1)
+                        rows[ix][iz][p], 0)
                     count += weight[ix] * weight[iy] * weight[iz] * n
-                    bindings.extend(((ix, iy, iz), pair) for pair in bad)
+                    if n:
+                        triples.add((ix, iy, iz))
         failures.append(count)
-        found.append(bindings)
-    return failures, found
+        failing.append(triples)
+    return failures, failing
 
 
 def test_composition_fold_matches_every_pair():
@@ -368,21 +369,22 @@ def test_composition_fold_matches_every_pair():
     tables = dict(verifier._space_tables(reps, [len(orbit) for _, orbit in classes]),
                   T_alpha_m=(True,) * len(reps))
     encs = [verifier._ENCODINGS["P3_6"], verifier._ENCODINGS["T3_8b"]]
-    brute_failures, brute_found = _brute_composition(encs, reps, tables)
-    assert brute_failures == [480232, 298976]
-    for limit in (5, None):
-        failures, _, found = verifier._sweep_chunk(encs, tables, range(len(reps)), limit)
-        assert failures == brute_failures
-        assert found == [bindings[:limit] for bindings in brute_found]
+    brute = _brute_composition(encs, reps, tables)
+    assert brute[0] == [480232, 298976]
+    assert verifier._sweep_chunk(encs, tables, range(len(reps))) == brute
 
 
 def _labeled_sweep(keys, scope):
     """Failures and witness bindings of each encoding from one sweep of
-    every labeled binding, each of weight 1."""
+    every labeled binding, each of weight 1 and its own class: the count
+    over the labeled tables, then the walk of its failing tuples."""
     spaces = spaces_up_to(scope.max_points)
     encs = [verifier._ENCODINGS[key] for key in keys]
-    failures, _, found = verifier._sweep_chunk(
-        encs, verifier._space_tables(spaces), range(len(spaces)), scope.witness_limit)
+    failures, failing = verifier._sweep_chunk(
+        encs, verifier._space_tables(spaces), range(len(spaces)))
+    members = [(s, i) for i, s in enumerate(spaces)]
+    found = [verifier._first_failures(key, tuples, members, scope.witness_limit)
+             for key, tuples in zip(keys, failing)]
     return failures, found
 
 
@@ -394,13 +396,33 @@ def _labeled_sweep(keys, scope):
 def test_orbit_counts_match_the_labeled_sweep(scope, keys):
     # the counts over class representatives, weighted by orbit size, and the
     # witnesses of the walk equal those of the sweep of every labeled binding
-    spaces = spaces_up_to(scope.max_points)
-    position = {s: i for i, s in enumerate(spaces)}
     reports = T.verify_all(scope, claims=keys)
     for key, r, count, bindings in zip(keys, reports, *_labeled_sweep(keys, scope)):
         assert r.failures == count, key
-        assert [(tuple(position[s] for s in w.spaces),
-                 tuple(map_index(f) for f in w.maps)) for w in r.witnesses] == bindings, key
+        assert [(w.spaces, w.maps, w.hypotheses, w.conclusion) for w in r.witnesses] == \
+            [(spaces, maps, *evaluation[:2]) for spaces, maps, evaluation in bindings], key
+
+
+def test_composition_walk_runs_chains_then_maps_in_order(monkeypatch):
+    # composition claims never fail in a real sweep, so every binding is
+    # made to fail: the walk lists the bindings of exactly the given class
+    # triples, by space positions, then f rank, then g rank
+    monkeypatch.setattr(verifier, "_evaluate", lambda enc, spaces, bound_maps:
+                        verifier.InstanceEvaluation((), ("fails", False), False))
+    spaces = spaces_up_to(2)
+    members = [(s, i) for i, s in enumerate(spaces)]
+    # every third triple along which maps exist, so that the walk prunes
+    tuples = {t for t in product(range(len(spaces)), repeat=3)
+              if sum(t) % 3 == 0 and all(spaces[j].n or not spaces[i].n
+                                         for i, j in zip(t, t[1:]))}
+    found = verifier._first_failures("P3_6", tuples, members, None)
+    keys = [(tuple(map(spaces.index, bound)), tuple(map(map_index, bound_maps)))
+            for bound, bound_maps, _ in found]
+    assert keys == sorted(keys)
+    assert {positions for positions, _ in keys} == tuples
+    x_y_z = [tuple(spaces[i] for i in t) for t in tuples]
+    assert len(found) == sum(y.n ** x.n * z.n ** y.n for x, y, z in x_y_z) > len(tuples)
+    assert verifier._first_failures("P3_6", tuples, members, 5) == found[:5]
 
 
 def test_orbit_weights_are_reconciled(monkeypatch):
@@ -450,17 +472,55 @@ def test_sweep_reads_no_labeled_stream(monkeypatch, limit):
 def test_witness_walk_is_reconciled(monkeypatch, limit):
     # a walk that loses one failing binding no longer matches the count, at
     # the default witness limit as with none
-    sweep = verifier._sweep_chunk
+    walk = verifier._first_failures
 
-    def one_lost(encs, tables, outer, limit=0, keep=None):
-        failures, failing, found = sweep(encs, tables, outer, limit, keep)
-        if keep is not None:
-            found = [bindings[:-1] for bindings in found]
-        return failures, failing, found
+    def one_lost(key, tuples, members, limit):
+        return walk(key, tuples, members, limit)[:-1]
 
-    monkeypatch.setattr(verifier, "_sweep_chunk", one_lost)
+    monkeypatch.setattr(verifier, "_first_failures", one_lost)
     with pytest.raises(InternalCheckError):
         T.verify_all(verifier.Scope(max_points=3, witness_limit=limit), claims=("T3_9b",))
+
+
+@pytest.mark.parametrize("limit", [5, None])
+def test_count_marking_a_holding_pair_is_caught(monkeypatch, limit):
+    # the count marks one more T3_9b class pair failing, one that holds on
+    # every map: the walk finishes its chains without a failure.  The least
+    # such pair, the empty space's, comes before every witness
+    sweep = verifier._sweep_chunk
+
+    def one_more(encs, tables, outer):
+        failures, failing = sweep(encs, tables, outer)
+        k = encs.index(verifier._ENCODINGS["T3_9b"])
+        holding = set(product(outer, range(len(tables["n"])))) - failing[k]
+        failing[k].add(min(holding))
+        return failures, failing
+
+    monkeypatch.setattr(verifier, "_sweep_chunk", one_more)
+    with pytest.raises(InternalCheckError):
+        T.verify_all(verifier.Scope(max_points=3, witness_limit=limit), claims=("T3_9b",))
+
+
+def test_kernel_marking_a_closed_map_failing_is_caught(monkeypatch):
+    # the pair masks lose the closed_map bit of one closed alpha_m-closed
+    # map, out of the one point into the Sierpinski class's representative:
+    # the count gains a failure that the direct predicates do not find
+    (x, _), = enumeration._classes(1)
+    y = next(rep for rep, orbit in enumeration._classes(2) if len(orbit) == 2)
+    rank = next(map_index(f) for f in enumeration.enumerate_maps(x, y)
+                if T.is_alpha_m_closed_map(f) and T.is_closed_map(f))
+    target = [(s.n, _kernels.class_masks(s.n, s.min_nbhd)[0]) for s in (x, y)]
+    masks = verifier._pair_masks
+
+    def cleared(tables, ix, iy):
+        m = list(masks(tables, ix, iy))
+        if [(tables["n"][i], tables["open"][i]) for i in (ix, iy)] == target:
+            m[verifier._PROP_IDX["closed_map"]] &= ~(1 << rank)
+        return tuple(m)
+
+    monkeypatch.setattr(verifier, "_pair_masks", cleared)
+    with pytest.raises(InternalCheckError):
+        T.verify_all(verifier.Scope(max_points=2, witness_limit=None), claims=("T3_9b",))
 
 
 def test_alpha_m_lemmas_on_every_space_up_to_5():
