@@ -15,8 +15,7 @@ import sys
 # only the layers of ``generate`` and ``enumerate`` load with the CLI; the
 # other subcommands import theirs when they run
 from .enumeration import enumerate_topologies, enumerate_topologies_up_to_homeo
-from .errors import (BadParams, InternalCheckError, NotATopology, ScopeTooLarge,
-                     TopolabError)
+from .errors import BadParams, InternalCheckError, ScopeTooLarge, TopolabError
 from .space import generate, space_from_json, subset_of_points
 
 # input files are read up to this size; the largest valid input, a map of
@@ -223,7 +222,7 @@ def main(argv=None) -> int:
     except InternalCheckError as exc:
         print(f"internal error: {exc}", file=sys.stderr)
         return 3
-    except (NotATopology, BadParams, TopolabError) as exc:
+    except TopolabError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

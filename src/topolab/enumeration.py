@@ -13,15 +13,16 @@ from typing import TYPE_CHECKING, Iterator
 
 from . import _kernels
 from .errors import BadParams, ScopeTooLarge
-from .space import FiniteSpace, _opens, canonical_subsets, check_space, points_of
+from .space import FiniteSpace, canonical_subsets, check_space, points_of
 
 if TYPE_CHECKING:
     from .maps import SpaceMap
 
 ENUMERATION_CAP = 5
-# canonical_form tries n! relabelings and expands each distinct table to its
-# opens.  On a 2-vCPU host the symmetric discrete(7), one table, takes 0.01 s,
-# and the rigid 7-point chain, 5,040 tables, 0.06 s; the 8-point chain 0.61 s
+# canonical_form tries n! relabelings and keys each distinct table with
+# _key(n).  On a 2-vCPU host the symmetric discrete(7), one table, takes
+# 0.007 s (0.016 s on the first call, which builds _key(7)), and the rigid
+# 7-point chain, 5,040 tables, 0.02-0.03 s; the 8-point chain 0.2-0.27 s
 CANONICAL_FORM_CAP = 7
 
 
@@ -33,8 +34,8 @@ def _check_scope(n: int) -> None:
 
 
 @cache
-def _lanes(n: int) -> tuple:
-    """(values, words) for the stream's sort key on n <= 5 points.
+def _key(n: int):
+    """The stream's sort key for neighbourhood tables on n <= 8 points.
 
     Lane r of a word is its byte r, and stands for the r-th subset A in
     canonical order.  ``values`` holds A itself in lane r.  ``words[x][u]``
@@ -43,30 +44,18 @@ def _lanes(n: int) -> tuple:
     the A up-closed at each point (every open holding x holds U_x, and an
     up-set is the union of the U_x over its points), so ``values`` ANDed
     with the n words of a table holds each open in its lane and 0 in every
-    other.  Every open of n <= 5 points is below 256, so it fits its byte,
-    and only the empty set reads 0 among the opens.
+    other.  Every open of n <= 8 points is below 256, so it fits its byte,
+    and only the empty set reads 0 among the opens.  The key is that word's
+    bytes with the zero lanes deleted: the opens in canonical order, less
+    the empty set that begins every opens tuple.  So comparing two keys
+    compares the opens tuples, element by element with a proper prefix
+    first.  No union is formed and no space is built.
     """
     subsets = list(canonical_subsets(n))
     values = int.from_bytes(bytes(subsets), "little")
     words = tuple([int.from_bytes(bytes([0xFF if not a >> x & 1 or a & u == u else 0
                                          for a in subsets]), "little")
                    for u in range(1 << n)] for x in range(n))
-    return values, words
-
-
-# one sorted table stream per point count, kept for the process
-@cache
-def _tables(n: int) -> tuple:
-    """The neighbourhood tables of the labeled topologies on n points,
-    sorted by their opens tuples.
-
-    Each table's key is the AND of ``_lanes(n)``: ``values`` and one word
-    per point.  Its bytes with the zero lanes deleted are the opens in
-    canonical order, less the empty set that begins every opens tuple, so
-    comparing the keys compares the opens tuples, element by element with a
-    proper prefix first.  No union is formed and no space is built.
-    """
-    values, words = _lanes(n)
     size = 1 << n
 
     def key(minn):
@@ -75,7 +64,15 @@ def _tables(n: int) -> tuple:
             w &= lane[u]
         return w.to_bytes(size, "little").translate(None, b"\0")
 
-    return tuple(sorted(_kernels.enumerate_masks(n), key=key))
+    return key
+
+
+# one sorted table stream per point count, kept for the process
+@cache
+def _tables(n: int) -> tuple:
+    """The neighbourhood tables of the labeled topologies on n points,
+    sorted by their opens tuples through ``_key(n)``."""
+    return tuple(sorted(_kernels.enumerate_masks(n), key=_key(n)))
 
 
 def enumerate_topologies(n: int) -> Iterator[FiniteSpace]:
@@ -132,15 +129,15 @@ def canonical_form(space: FiniteSpace) -> FiniteSpace:
 
     The least relabeling compares opens tuples, so it is the first member of
     the orbit in the labeled stream order.  It tries all n! relabelings, and
-    expands only the distinct tables to opens, so spaces above
-    ``CANONICAL_FORM_CAP`` points raise ``ScopeTooLarge``.  Only the least
-    table is built into a space.  BadParams if ``space`` is not a
-    FiniteSpace.
+    compares only the distinct tables, by the stream's ``_key(n)``, so
+    spaces above ``CANONICAL_FORM_CAP`` points raise ``ScopeTooLarge``.
+    Only the least table is built into a space.  BadParams if ``space`` is
+    not a FiniteSpace.
     """
     if check_space(space).n > CANONICAL_FORM_CAP:
         raise ScopeTooLarge(
             f"canonical form is capped at {CANONICAL_FORM_CAP} points, got {space.n}")
-    return FiniteSpace(space.n, min(_orbit(space), key=_opens))
+    return FiniteSpace(space.n, min(_orbit(space), key=_key(space.n)))
 
 
 def _image_tables(n: int) -> list:

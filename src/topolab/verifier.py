@@ -396,20 +396,22 @@ def _pair_masks(tables: dict, ix: int, iy: int):
                               tables["n"][iy], *(tables[name][iy] for name in _MAP_SIDE))
 
 
-def _space_tables(spaces, weights=None) -> dict:
+def _space_tables(spaces, weights=None, maps=True) -> dict:
     """The sweep's per-space tables, each a tuple indexed by position in
     ``spaces``: point count, the flag of each axiom in ``_AXIOMS``, the class
     masks that map_masks and the composition fold read, and the space's
     weight, its orbit size over class representatives (1 if ``weights`` is
-    None).  One class_masks call per space, on its neighbourhood table.
+    None).  One class_masks call per space, on its neighbourhood table, if
+    ``maps``: a sweep of claims that bind no map reads no class masks.
     """
-    columns = {name: [] for name in ("n", *_AXIOMS, *_MAP_SIDE)}
+    columns = {name: [] for name in ("n", *_AXIOMS, *(_MAP_SIDE if maps else ()))}
     for s in spaces:
         columns["n"].append(s.n)
         for name, holds in _AXIOMS.items():
             columns[name].append(holds(s))
-        for name, mask in zip(_MAP_SIDE, _kernels.class_masks(s.n, s.min_nbhd)):
-            columns[name].append(mask)
+        if maps:
+            for name, mask in zip(_MAP_SIDE, _kernels.class_masks(s.n, s.min_nbhd)):
+                columns[name].append(mask)
     columns["weight"] = [1] * len(spaces) if weights is None else weights
     return {name: tuple(column) for name, column in columns.items()}
 
@@ -632,7 +634,8 @@ def _run_sweep(keys, scope: Scope, jobs: int, pool):
     encs = [_ENCODINGS[key] for key in keys]
     instances = [_count_instances(enc, labeled) for enc in encs]
 
-    count = partial(_sweep_chunk, encs, _space_tables(reps, weights))
+    tables = _space_tables(reps, weights, maps=any(enc.arity > 1 for enc in encs))
+    count = partial(_sweep_chunk, encs, tables)
     results = list((pool.map if pool else map)(
         count, [range(i, len(reps), jobs) for i in range(jobs)]))
     failures = [sum(r[0][k] for r in results) for k in range(len(encs))]

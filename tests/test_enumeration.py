@@ -1,4 +1,6 @@
+import random
 from itertools import permutations
+from math import factorial
 
 import pytest
 
@@ -6,7 +8,7 @@ import topolab as T
 from topolab import _kernels
 from topolab import enumeration as en
 from topolab.errors import BadParams, NotATopology, ScopeTooLarge
-from topolab.space import _opens, canonical_subsets
+from topolab.space import _opens
 
 from _oracles import (naive_canonical_opens, naive_labeled_families, orbit_count,
                       relabel_opens)
@@ -76,28 +78,17 @@ def test_labeled_stream_is_sorted_by_opens_tuples():
         assert tuple(en.enumerate_topologies(n)) == tuple(sorted(spaces, key=lambda s: s.opens)), n
 
 
-def _lane_opens(n, minn):
-    # the stream key's lanes for one table: (lane index, byte) where nonzero
-    values, words = en._lanes(n)
-    w = values
-    for x, u in enumerate(minn):
-        w &= words[x][u]
-    return [(r, v) for r, v in enumerate(w.to_bytes(1 << n, "little")) if v]
-
-
 def test_lane_words_hold_exactly_the_opens():
-    # each nonzero lane is an open in its own canonical position, and every
-    # nonempty open has one: against the brute-force families at n <= 4,
-    # and against the union closure the lanes replace at n = 5
+    # the stream key's bytes are the opens in canonical order, less the
+    # empty set: against the union closure the key replaces at n <= 5, and
+    # against the brute-force families at n <= 4
     for n in range(6):
-        order = list(canonical_subsets(n))
+        key = en._key(n)
         families = []
         for minn in _kernels.enumerate_masks(n):
-            lanes = _lane_opens(n, minn)
-            assert all(order[r] == v for r, v in lanes), minn
-            if n == 5:
-                assert [v for _, v in lanes] == list(_opens(minn)[1:]), minn
-            families.append(1 + sum(1 << v for _, v in lanes))
+            opens = list(key(minn))
+            assert opens == list(_opens(minn)[1:]), minn
+            families.append(1 + sum(1 << v for v in opens))
         if n <= 4:
             assert sorted(families) == naive_labeled_families(n), n
 
@@ -113,7 +104,7 @@ def test_homeo_classes_build_one_space_per_class(monkeypatch):
         return unchecked(n, minn)
 
     monkeypatch.setattr(T.FiniteSpace, "_unchecked", classmethod(counting))
-    for cached in (en._lanes, en._tables, en._classes):
+    for cached in (en._key, en._tables, en._classes):
         cached.cache_clear()
     for n, k in enumerate((1, 1, 3, 9, 33, 139)):
         built.clear()
@@ -211,6 +202,31 @@ def test_canonical_form_matches_the_naive_oracle():
     chains = [T.FiniteSpace(n, tuple((2 << x) - 1 for x in range(n))) for n in (6, 7)]
     for s in chains + [T.discrete(6)]:
         assert en.canonical_form(s).opens == naive_canonical_opens(s.n, s.opens), s
+
+
+def _random_preorder_space(rng, n):
+    # U_x is every point reachable from x in a random relation: a preorder's
+    # up-sets, so a valid neighbourhood table
+    reach = [1 << x | sum(1 << y for y in range(n) if rng.random() < 0.2) for x in range(n)]
+    for k in range(n):
+        for x in range(n):
+            if reach[x] >> k & 1:
+                reach[x] |= reach[k]
+    return T.FiniteSpace(n, tuple(reach))
+
+
+def test_canonical_form_keys_rigid_spaces_past_the_stream():
+    # the stream's key on 6 and 7 points, which no stream sorts: on rigid
+    # spaces every one of the n! tables is distinct and compared by its key
+    rng = random.Random(2016)
+    for n, count in ((6, 4), (7, 3)):
+        rigid = []
+        while len(rigid) < count:
+            s = _random_preorder_space(rng, n)
+            if len(en._orbit(s)) == factorial(n) and len(s.opens) >= 2 * n:
+                rigid.append(s)
+        for s in rigid:
+            assert en.canonical_form(s).opens == naive_canonical_opens(n, s.opens), s
 
 
 def test_orbit_matches_relabel():

@@ -292,6 +292,19 @@ def test_pair_sweep_requests_each_pair_once():
             if hasattr(obj, "cache_info")] == ["_pair_masks"]
 
 
+def test_space_claims_build_no_class_masks(monkeypatch):
+    # the space claims read only the axiom flags, so a sweep of them alone
+    # must answer without one class_masks call
+    claims, scope = ("T3_2_ab", "T3_2_ba"), verifier.Scope(4)
+    expected = [r.to_record() for r in T.verify_all(scope, claims=claims)]
+
+    def refuse(n, minn):
+        raise AssertionError("class masks built for a sweep of space claims")
+
+    monkeypatch.setattr(_kernels, "class_masks", refuse)
+    assert [r.to_record() for r in T.verify_all(scope, claims=claims)] == expected
+
+
 @pytest.fixture(scope="module")
 def stream_tables():
     return verifier._space_tables(spaces_up_to(4))
