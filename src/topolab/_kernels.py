@@ -77,21 +77,16 @@ def class_masks(n, minn):
 
 
 class SubsetTables(NamedTuple):
-    """How every map of one shape (nX, nY) carries subsets, by rank.
+    """How every map of one shape (nX, nY) carries subsets, as rank bitsets.
 
-    ``preimages[r][D]`` is the preimage of the subset D of Y under the map of
-    rank r, and ``images[r][S]`` the image of the subset S of X.
-
-    ``pre_ranks`` and ``img_ranks`` regroup the same tables into rank
-    bitsets, one column per subset D (resp. S).  A column is a pair
+    ``pre_ranks`` holds one column per subset D of Y, for preimages, and
+    ``img_ranks`` one per subset S of X, for images.  A column is a pair
     ``(reach, nibbles)``: ``reach`` is the family mask of the sets that D is
     carried to by some map, and ``nibbles[k][m]`` is the rank bitset of the
     maps that carry D to one of the sets 4k + i, i a bit of the 4-bit m.
     The maps carrying D into any family G are then one table entry per
     nonzero nibble of G & reach.
     """
-    preimages: list
-    images: list
     pre_ranks: list
     img_ranks: list
 
@@ -136,8 +131,7 @@ def subset_tables(nx, ny):
             img[a] = img[a ^ low] | 1 << assign[low.bit_length() - 1]
         preimages.append(pre)
         images.append(img)
-    return SubsetTables(preimages, images,
-                        _rank_columns(preimages, 1 << ny), _rank_columns(images, 1 << nx))
+    return SubsetTables(_rank_columns(preimages, 1 << ny), _rank_columns(images, 1 << nx))
 
 
 def _carried(columns, members, family, ranks):
@@ -176,7 +170,7 @@ def map_masks(nx, x_open, x_closed, x_amc, x_amo,
     """
     tables = subset_tables(nx, ny)
     pre, img = tables.pre_ranks, tables.img_ranks
-    every = (1 << len(tables.images)) - 1
+    every = (1 << ny ** nx) - 1
     amcm = _carried(img, x_closed, y_amc, every)
     surj = _carried(img, 1 << (1 << nx) - 1, 1 << (1 << ny) - 1, every)
     bij = surj if nx == ny else 0
@@ -243,35 +237,32 @@ def enumerate_masks(n):
     return out
 
 
-def composition_failures(nx, ny, nz, f_indices, g_indices, target_bits, limit):
-    """Count (f, g) pairs whose composite map misses ``target_bits``.
+def composition_failures(nx, ny, nz, f_indices, g_indices, target_bits):
+    """The number of (f, g) pairs, f among the ranks ``f_indices`` of the
+    maps from nX to nY points and g among the ranks ``g_indices`` of those
+    from nY to nZ, whose composite misses ``target_bits``: a bitset over
+    the nZ**nX composite ranks in which a clear bit means the composite
+    fails the conclusion.
 
-    ``target_bits`` is a bitset over the nZ**nX composite ranks; a clear
-    bit means the composite fails the conclusion.  Pairs run f-outer,
-    g-inner in the given list orders; the first ``limit`` failing pairs are
-    returned (limit < 0 collects all).  Returns ``(count, pairs)``.
-
-    The verifier does not call it: it folds the composition claims from
-    subset families of the middle space instead.  It stays as the
-    brute-force reference that tests check that fold against, and because
-    the benchmark's tracer wraps it by name.
+    It is the verifier's exact count of the composition claims' failing
+    pairs, for the f that its one-sided test cannot clear (see
+    ``verifier._sweep_chunk``); no sweep over T_alpha_m middle spaces has
+    any.  The tests count the whole composition fold with it, and the
+    benchmark's tracer wraps it by name.
     """
     from .maps import assignment_from_index     # here, not at the top: see MAP_PROP_ORDER
 
     if not f_indices or not g_indices:
-        return 0, []
+        return 0
     count = 0
-    fails = []
     f_assign = [assignment_from_index(fi, nx, ny) for fi in f_indices]
     g_assign = [assignment_from_index(gi, ny, nz) for gi in g_indices]
     weights = [nz ** (nx - 1 - x) for x in range(nx)]
-    for fa, fi in zip(f_assign, f_indices):
-        for ga, gi in zip(g_assign, g_indices):
+    for fa in f_assign:
+        for ga in g_assign:
             c = 0
             for x in range(nx):
                 c += ga[fa[x]] * weights[x]
             if not target_bits >> c & 1:
                 count += 1
-                if limit < 0 or len(fails) < limit:
-                    fails.append((fi, gi))
-    return count, fails
+    return count

@@ -33,10 +33,9 @@ import time
 from collections import Counter
 from collections.abc import Iterable
 from contextlib import nullcontext
-from functools import cache, lru_cache, partial, reduce
+from functools import lru_cache, partial
 from itertools import product
 from math import prod
-from operator import or_
 from typing import NamedTuple
 
 from . import _kernels, axioms, enumeration, maps
@@ -103,6 +102,12 @@ class _TripleClaim(_Frozen):
     def __init__(self, map_prop: str) -> None:
         # hypothesis property of f and g; conclusion property of g after f
         self._set(map_prop)
+
+
+# per hypothesis of a composition claim, the property of f that makes g
+# after f hold for every g of the hypothesis, whatever the middle space;
+# into a T_alpha_m middle space every f of the hypothesis has it
+_SAFE_F = {"alpha_m_continuous": "alpha_m_irresolute", "alpha_m_closed_map": "closed_map"}
 
 
 _ENCODINGS = {
@@ -399,10 +404,10 @@ def _pair_masks(tables: dict, ix: int, iy: int):
 def _space_tables(spaces, weights=None, maps=True) -> dict:
     """The sweep's per-space tables, each a tuple indexed by position in
     ``spaces``: point count, the flag of each axiom in ``_AXIOMS``, the class
-    masks that map_masks and the composition fold read, and the space's
-    weight, its orbit size over class representatives (1 if ``weights`` is
-    None).  One class_masks call per space, on its neighbourhood table, if
-    ``maps``: a sweep of claims that bind no map reads no class masks.
+    masks that map_masks reads, and the space's weight, its orbit size over
+    class representatives (1 if ``weights`` is None).  One class_masks call
+    per space, on its neighbourhood table, if ``maps``: a sweep of claims
+    that bind no map reads no class masks.
     """
     columns = {name: [] for name in ("n", *_AXIOMS, *(_MAP_SIDE if maps else ()))}
     for s in spaces:
@@ -428,71 +433,31 @@ def _count_instances(enc, sizes: Counter) -> int:
                for chain in product(sizes, repeat=enc.arity))
 
 
-def _map_sides(prop: str, as_f: bool, dom: int, cod: int, ranks, tables: dict) -> list:
-    """Side of each map dom -> cod of the given ranks in the composition
-    claims, as f or as g.  ``dom`` and ``cod`` are positions in the
-    sweep's ``tables``.
-
-    An alpha_m-continuous map pulls every closed set of its codomain back to
-    an alpha_m-closed set; an alpha_m-closed map pushes every closed set of
-    its domain forward to an alpha_m-closed set.  Either way a map carries
-    subsets from a source space to a target space, and g after f (X -> Y ->
-    Z) fails iff some closed set of the first source, carried through both
-    maps, is not alpha_m-closed in the last target.  That is iff A_f & B_g,
-    two bitsets over the subsets of Y:
-
-    - alpha_m-continuity: A_f = {D <= Y : f^-1(D) not alpha_m-closed in X}
-      and B_g = {g^-1(C) : C closed in Z};
-    - alpha_m-closed maps: A_f = {f(S) : S closed in X} and
-      B_g = {B <= Y : g(B) not alpha_m-closed in Z}.
-
-    Both identities are exact, and neither depends on T_alpha_m(Y).
-    """
-    pull = prop == "alpha_m_continuous"
-    carry = _kernels.subset_tables(tables["n"][dom], tables["n"][cod])
-    table, src, dst = (carry.preimages, cod, dom) if pull else (carry.images, dom, cod)
-    if as_f == pull:
-        # the subsets of src whose carried set is not alpha_m-closed in dst
-        family = tables["alpha_m_closed"][dst]
-        return [sum(1 << s for s, t in enumerate(table[r]) if not family >> t & 1)
-                for r in ranks]
-    # the carried closed sets of src
-    closed = points_of(tables["closed"][src])
-    sides = []
-    for r in ranks:
-        row, side = table[r], 0
-        for c in closed:
-            side |= 1 << row[c]
-        sides.append(side)
-    return sides
-
-
 def _sweep_chunk(encs, tables: dict, outer):
     """Weighted failure counts and failing tuples of space positions of each
     encoding in ``encs``, over the outer-space positions ``outer``.
 
     Every space is read through its position in ``tables``, the sweep's
     :func:`_space_tables`.  A binding's failures count the product of its
-    spaces' weights times.  Each pair of spaces fetches its pair masks once;
-    the rows of the T_alpha_m middle spaces are kept for the composition
-    claims, and every other row goes with its X.
+    spaces' weights times.  Each pair of spaces fetches its pair masks once,
+    into a row that goes with its X.
 
-    A composition claim never tests an (f, g) pair.  Each f from X to a
-    T_alpha_m middle Y is reduced to its side A_f, and each g out of Y to
-    its side B_g (see :func:`_map_sides`).  The failures of (X, Y) are the
-    sum over f of the number of g, over every Z and weighted by Z, with
-    A_f & B_g.  Y's row and B_g counts are built once per call, that is
-    once per worker, since a worker sweeps one share.  Some f and g into
-    and out of Y fail together iff the union of the A_f meets that of the
-    B_g, so (X, Y, Z) fails iff the two unions meet.
+    A composition claim is counted from f alone.  An f: X -> Y with the
+    ``_SAFE_F`` property of the hypothesis makes g after f hold for every g
+    out of Y: an alpha_m-irresolute f pulls the alpha_m-closed g^-1(C) back
+    to an alpha_m-closed set, and a closed map f pushes a closed S to the
+    closed f(S), which g pushes to an alpha_m-closed set.  In a T_alpha_m
+    middle Y the alpha_m-closed sets are the closed ones, so every f of the
+    hypothesis is safe, and a real sweep meets no other.  The other f, should
+    there be any, are paired with every g out of Y, and the composite's
+    pair mask decides each pair (``_kernels.composition_failures``).
     """
     sizes, t_alpha_m, weight = (tables[name] for name in ("n", "T_alpha_m", "weight"))
     failures = [0] * len(encs)
     failing = [set() for _ in encs]
     singles = [(k, enc) for k, enc in enumerate(encs) if isinstance(enc, _SpaceClaim)]
     doubles = [(k, enc) for k, enc in enumerate(encs) if isinstance(enc, _PairClaim)]
-    triples = [(k, enc.map_prop) for k, enc in enumerate(encs)
-               if isinstance(enc, _TripleClaim)]
+    triples = [(k, enc) for k, enc in enumerate(encs) if isinstance(enc, _TripleClaim)]
     middles = [iy for iy, t in enumerate(t_alpha_m) if t] if triples else []
     rows = {}   # X -> {Y: pair masks of X and Y}
 
@@ -501,20 +466,6 @@ def _sweep_chunk(encs, tables: dict, outer):
         if iy not in row:
             row[iy] = _pair_masks(tables, ix, iy)
         return row[iy]
-
-    @cache
-    def failing_g(prop, iy):
-        # A_f -> how many maps g out of Y, to every Z and weighted by Z, make
-        # g after f fail, each A_f summed from the B_g counts on first use;
-        # and the union of the B_g of each Z
-        counts, unions = Counter(), []
-        for iz in range(len(sizes)):
-            ranks = points_of(masks(iy, iz)[_PROP_IDX[prop]])
-            sides = _map_sides(prop, False, iy, iz, ranks, tables)
-            for b in sides:
-                counts[b] += weight[iz]
-            unions.append(reduce(or_, sides, 0))
-        return cache(lambda a: sum(c for b, c in counts.items() if a & b)), unions
 
     for ix in outer:
         for k, enc in singles:
@@ -539,20 +490,18 @@ def _sweep_chunk(encs, tables: dict, outer):
 
         # f: X -> Y and g: Y -> Z with Y T_alpha_m
         for iy in middles:
-            for k, prop in triples:
-                f_ranks = points_of(masks(ix, iy)[_PROP_IDX[prop]])
-                if not f_ranks:
-                    continue
-                f_sides = _map_sides(prop, True, ix, iy, f_ranks, tables)
-                fold, unions = failing_g(prop, iy)
-                count = sum(map(fold, f_sides))
-                if count:
-                    failures[k] += weight[ix] * weight[iy] * count
-                    reach = reduce(or_, f_sides)
-                    failing[k].update((ix, iy, iz)
-                                      for iz, union in enumerate(unions) if reach & union)
-        if not (triples and t_alpha_m[ix]):
-            rows.pop(ix, None)
+            m = masks(ix, iy)
+            for k, enc in triples:
+                p = _PROP_IDX[enc.map_prop]
+                unsafe = points_of(m[p] & ~m[_PROP_IDX[_SAFE_F[enc.map_prop]]])
+                for iz in range(len(sizes)) if unsafe else ():
+                    count = _kernels.composition_failures(
+                        sizes[ix], sizes[iy], sizes[iz], unsafe,
+                        points_of(masks(iy, iz)[p]), masks(ix, iz)[p])
+                    if count:
+                        failures[k] += weight[ix] * weight[iy] * weight[iz] * count
+                        failing[k].add((ix, iy, iz))
+        rows.pop(ix, None)
     return failures, failing
 
 

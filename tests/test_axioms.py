@@ -4,6 +4,7 @@ import sys
 import pytest
 
 import topolab as T
+from topolab import enumeration, verifier
 from topolab.enumeration import spaces_up_to
 from topolab.errors import BadParams
 from topolab.space import FiniteSpace
@@ -147,6 +148,39 @@ def test_T_alpha_m_iff_singletons_closed_or_open_with_clopen_closure():
         assert T.is_T_alpha_m(s) == pointwise, s
         holds += pointwise
     assert holds == 252
+
+
+def _star_forest(s):
+    """Every U_y - {y} is empty, or is one point x with U_x = {x}."""
+    for y, u in enumerate(s.min_nbhd):
+        rest = u & ~(1 << y)
+        if rest and (rest & (rest - 1) or s.min_nbhd[rest.bit_length() - 1] != rest):
+            return False
+    return True
+
+
+def test_T_alpha_m_spaces_are_star_forests():
+    # on all 7,332 labeled spaces with at most 5 points: T_alpha_m holds
+    # exactly on the star forests, which number A000248 (idempotent maps of
+    # the points) per n, in A000041 classes (partitions of n by star
+    # size); the singleton dichotomy holds exactly on the discrete spaces,
+    # so T3_2_ab fails A000248(n) - 1 times on n >= 1 points, 246 in all
+    spaces = spaces_up_to(5)
+    assert len(spaces) == 7332
+    labeled, refuted = [0] * 6, [0] * 6
+    for s in spaces:
+        t_alpha_m = T.is_T_alpha_m(s)
+        assert t_alpha_m == _star_forest(s), s
+        assert T.singleton_dichotomy(s) == (s.min_nbhd == tuple(1 << x for x in range(s.n))), s
+        labeled[s.n] += t_alpha_m
+        refuted[s.n] += t_alpha_m and not T.singleton_dichotomy(s)
+    assert labeled == [1, 1, 3, 10, 41, 196]
+    assert [sum(T.is_T_alpha_m(rep) for rep, _ in enumeration._classes(n))
+            for n in range(6)] == [1, 1, 2, 3, 5, 7]
+    assert refuted == [0, 0, 2, 9, 40, 195] == [0] + [a - 1 for a in labeled[1:]]
+    assert [T.verify("T3_2_ab", verifier.Scope(n)).failures for n in range(6)] == \
+        [sum(refuted[:n + 1]) for n in range(6)]
+    assert sum(refuted) == 246
 
 
 def _lines_run(fn, *args):

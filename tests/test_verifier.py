@@ -6,10 +6,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import topolab as T
-from topolab import _kernels, enumeration, verifier
+from topolab import _kernels, enumeration, maps, verifier
 from topolab.enumeration import spaces_up_to
 from topolab.errors import ArityMismatch, BadParams, InternalCheckError, ScopeTooLarge
-from topolab.maps import assignment_from_index, map_index
+from topolab.maps import assignment_from_index, compose, map_index
 from topolab.space import points_of
 
 SIERP = T.sierpinski()
@@ -361,9 +361,9 @@ def _brute_composition(encs, spaces, tables):
                     g_ranks = ranks(iy, iz, p)
                     if not f_ranks or not g_ranks:
                         continue
-                    n, _ = _kernels.composition_failures(
+                    n = _kernels.composition_failures(
                         spaces[ix].n, spaces[iy].n, spaces[iz].n, f_ranks, g_ranks,
-                        rows[ix][iz][p], 0)
+                        rows[ix][iz][p])
                     count += weight[ix] * weight[iy] * weight[iz] * n
                     if n:
                         triples.add((ix, iy, iz))
@@ -385,6 +385,43 @@ def test_composition_fold_matches_every_pair():
     brute = _brute_composition(encs, reps, tables)
     assert brute[0] == [480232, 298976]
     assert verifier._sweep_chunk(encs, tables, range(len(reps))) == brute
+
+
+def test_composition_count_matches_the_map_predicates():
+    # an oracle that shares no code with the count: every (f, g) pair of
+    # the class representatives with n <= 2, with T_alpha_m forced on every
+    # middle space, decided by the map predicates on f, g and g after f and
+    # weighted by orbit size
+    classes = [c for n in range(3) for c in enumeration._classes(n)]
+    reps = [rep for rep, _ in classes]
+    weights = [len(orbit) for _, orbit in classes]
+    tables = dict(verifier._space_tables(reps, weights), T_alpha_m=(True,) * len(reps))
+    for key, want in (("P3_6", 16), ("T3_8b", 36)):
+        enc = verifier._ENCODINGS[key]
+        holds = maps.MAP_PREDICATES[enc.map_prop]
+        failures, failing = 0, set()
+        for (ix, x), (iy, y), (iz, z) in product(enumerate(reps), repeat=3):
+            for f, g in product(enumeration.enumerate_maps(x, y),
+                                enumeration.enumerate_maps(y, z)):
+                if holds(f) and holds(g) and not holds(compose(g, f)):
+                    failures += weights[ix] * weights[iy] * weights[iz]
+                    failing.add((ix, iy, iz))
+        assert failures == want, key
+        assert verifier._sweep_chunk([enc], tables, range(len(reps))) == \
+            ([failures], [failing]), key
+
+
+def test_sweeps_over_T_alpha_m_middles_count_no_pair(monkeypatch):
+    # into a T_alpha_m middle space every f of the hypothesis clears the
+    # one-sided test, so a real sweep never reaches the pair count
+    claims, scope = ("P3_6", "T3_8b"), verifier.Scope(4)
+    expected = [r.to_record() for r in T.verify_all(scope, claims=claims)]
+
+    def refuse(*args):
+        raise AssertionError("a composition pair counted over a T_alpha_m middle")
+
+    monkeypatch.setattr(_kernels, "composition_failures", refuse)
+    assert [r.to_record() for r in T.verify_all(scope, claims=claims)] == expected
 
 
 def _labeled_sweep(keys, scope):
