@@ -25,17 +25,6 @@ from .space import _interior, _maximal
 # the one kernel implementation; the benchmark prints topolab.BACKEND
 BACKEND = "pure"
 
-# order of the tuple returned by map_masks: the one-map properties in
-# topolab.maps.MAP_PREDICATES order, less open_map, which no claim reads, then
-# the two that the claims derive from them.  Spelled out, not derived from
-# MAP_PREDICATES, so that the enumeration, which loads this module, does not
-# load the map and class layers; tests/test_kernels.py checks the order.
-MAP_PROP_ORDER = (
-    "continuous", "closed_map", "surjective", "bijective", "alpha_m_continuous",
-    "alpha_m_irresolute", "alpha_m_closed_map", "alpha_m_open_map",
-    "open_preimages_alpha_m_open", "inverse_alpha_m_continuous")
-
-
 def space_pack(n, minn):
     """Derived tables for the neighbourhood table ``minn`` of an n-point
     space.
@@ -54,8 +43,8 @@ def space_pack(n, minn):
 
 def class_masks(n, minn):
     """The family masks of the open, closed, alpha_m-closed and alpha_m-open
-    sets of the n-point space with neighbourhood table ``minn``: the four
-    that :func:`map_masks` reads on each side, in its argument order.  The
+    sets of the n-point space with neighbourhood table ``minn``, in that
+    order: the families that :func:`map_masks` reads on each side.  The
     alpha_m classes are the semiclosed and semiopen sets up to the maximal
     points (see :mod:`topolab.classes`).  Requires n <= 6."""
     maximal, int_t, cl_t = space_pack(n, minn)
@@ -155,19 +144,22 @@ def _carried(columns, members, family, ranks):
     return ranks
 
 
-def map_masks(nx, x_open, x_closed, x_amc, x_amo,
-              ny, y_open, y_closed, y_amc, y_amo):
-    """Property rank bitsets over all nY**nX maps X -> Y, in MAP_PROP_ORDER.
+def map_masks(nx, x_families, ny, y_families):
+    """Property rank bitsets over all nY**nX maps X -> Y, keyed by the
+    property names of :mod:`topolab.maps`, with the two that the claims
+    derive from them.
 
-    Each argument after the two sizes is a family mask of the named class
-    on that side.  Every property but ``bijective`` and
+    ``x_families`` and ``y_families`` are the :func:`class_masks` of X and
+    of Y.  Every property but ``bijective`` and
     ``inverse_alpha_m_continuous`` says that each member of one family is
     carried (by preimage or image) into another, and is folded from the
     columns of :func:`subset_tables`, all maps at once.
     ``open_preimages_alpha_m_open`` is ``alpha_m_continuous`` by complements
-    (see :mod:`topolab.maps`), so ``x_amo`` is not read; no claim reads
-    ``open_map``, so it has no column.  Requires nX, nY <= 5.
+    (see :mod:`topolab.maps`), so the alpha_m-open sets of X are not read;
+    no claim reads ``open_map``, so it has no key.  Requires nX, nY <= 5.
     """
+    x_open, x_closed, x_amc, _ = x_families
+    y_open, y_closed, y_amc, y_amo = y_families
     tables = subset_tables(nx, ny)
     pre, img = tables.pre_ranks, tables.img_ranks
     every = (1 << ny ** nx) - 1
@@ -175,17 +167,17 @@ def map_masks(nx, x_open, x_closed, x_amc, x_amo,
     surj = _carried(img, 1 << (1 << nx) - 1, 1 << (1 << ny) - 1, every)
     bij = surj if nx == ny else 0
     amc = _carried(pre, y_closed, x_amc, every)
-    return (_carried(pre, y_open, x_open, every),
-            _carried(img, x_closed, y_closed, every),
-            surj,
-            bij,
-            amc,
-            _carried(pre, y_amc, x_amc, every),
-            amcm,
-            _carried(img, x_open, y_amo, every),
-            amc,
+    return {"continuous": _carried(pre, y_open, x_open, every),
+            "closed_map": _carried(img, x_closed, y_closed, every),
+            "surjective": surj,
+            "bijective": bij,
+            "alpha_m_continuous": amc,
+            "alpha_m_irresolute": _carried(pre, y_amc, x_amc, every),
+            "alpha_m_closed_map": amcm,
+            "alpha_m_open_map": _carried(img, x_open, y_amo, every),
+            "open_preimages_alpha_m_open": amc,
             # a bijection's inverse pulls each closed C of X back to f(C)
-            bij & amcm)
+            "inverse_alpha_m_continuous": bij & amcm}
 
 
 def enumerate_masks(n):
@@ -247,10 +239,12 @@ def composition_failures(nx, ny, nz, f_indices, g_indices, target_bits):
     It is the verifier's exact count of the composition claims' failing
     pairs, for the f that its one-sided test cannot clear (see
     ``verifier._sweep_chunk``); no sweep over T_alpha_m middle spaces has
-    any.  The tests count the whole composition fold with it, and the
-    benchmark's tracer wraps it by name.
+    any.  The tests count every pair of the composition claims with it, and
+    the benchmark's tracer wraps it by name.
     """
-    from .maps import assignment_from_index     # here, not at the top: see MAP_PROP_ORDER
+    # here, not at the top: the enumeration loads this module, and must not
+    # load the map and class layers
+    from .maps import assignment_from_index
 
     if not f_indices or not g_indices:
         return 0

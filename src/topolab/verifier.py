@@ -42,15 +42,13 @@ from . import _kernels, axioms, enumeration, maps
 # not called here; kept because perfbench/tracer.py replaces it by this name
 from .enumeration import spaces_up_to
 from .errors import ArityMismatch, BadParams, InternalCheckError, ScopeTooLarge
-from .maps import SpaceMap, check_map, compose, map_from_record
+from .maps import check_map, compose, map_from_record
 from .space import FiniteSpace, _Frozen, check_space, points_of, space_from_record
 
 MAX_SCOPE_POINTS = 5
 
 SCOPE_NOTE = ("exhaustive check of every binding within the bounded scope; "
               "holds-on-scope is not a proof beyond it")
-
-_PROP_IDX = {name: i for i, name in enumerate(_kernels.MAP_PROP_ORDER)}
 
 # the one-map predicates by name, with the two the claims derive from them
 _DIRECT_MAP_PRED = {
@@ -60,10 +58,8 @@ _DIRECT_MAP_PRED = {
         lambda f: maps.is_alpha_m_continuous(maps.inverse(f)),
 }
 
-_LABEL_TEMPLATE = {
-    name: name + "({m})" for name in _DIRECT_MAP_PRED
-}
-_LABEL_TEMPLATE["inverse_alpha_m_continuous"] = "alpha_m_continuous(inverse({m}))"
+# the one label that is not the property name applied to its argument
+_LABEL_TEMPLATE = {"inverse_alpha_m_continuous": "alpha_m_continuous(inverse({m}))"}
 
 
 # the space axioms the claims name, by name; the sweep tabulates each per space
@@ -73,67 +69,44 @@ _AXIOMS = {
 }
 
 
-# Each claim kind binds ``arity`` spaces X, Y, Z, ... and the arity - 1 maps
-# along them, X -> Y -> Z.
-
-class _SpaceClaim(_Frozen):
-    arity = 1
-    _fields = ("hyp", "concl")
-
-    def __init__(self, hyp: str, concl: str) -> None:
-        # axiom names in _AXIOMS
-        self._set(hyp, concl)
-
-
-class _PairClaim(_Frozen):
-    arity = 2
-    _fields = ("map_hyp", "space_hyp_x", "concl_map")
-
-    def __init__(self, map_hyp: tuple, space_hyp_x: bool = False, concl_map: str = "") -> None:
-        # space_hyp_x adds the hypothesis T_alpha_m(X); concl_map is empty
-        # iff the conclusion is T_alpha_m(Y)
-        self._set(map_hyp, space_hyp_x, concl_map)
-
-
-class _TripleClaim(_Frozen):
-    arity = 3
-    _fields = ("map_prop",)
-
-    def __init__(self, map_prop: str) -> None:
-        # hypothesis property of f and g; conclusion property of g after f
-        self._set(map_prop)
-
-
 # per hypothesis of a composition claim, the property of f that makes g
 # after f hold for every g of the hypothesis, whatever the middle space;
 # into a T_alpha_m middle space every f of the hypothesis has it
 _SAFE_F = {"alpha_m_continuous": "alpha_m_irresolute", "alpha_m_closed_map": "closed_map"}
 
 
+# Each claim is its terms, the hypotheses in declared order and then the
+# conclusion.  A term is (property, argument): an axiom of _AXIOMS on a
+# space X or Y, or a property of _DIRECT_MAP_PRED of a map f: X -> Y,
+# g: Y -> Z or compose(g,f).  A composition claim has the form of P3_6.
 _ENCODINGS = {
-    "T3_2_ab": _SpaceClaim(hyp="T_alpha_m", concl="singleton_dichotomy"),
-    "T3_2_ba": _SpaceClaim(hyp="singleton_dichotomy", concl="T_alpha_m"),
-    "P3_3": _PairClaim(map_hyp=("alpha_m_continuous",), space_hyp_x=True,
-                       concl_map="continuous"),
-    "T3_4b": _PairClaim(map_hyp=("alpha_m_irresolute",), space_hyp_x=True,
-                        concl_map="continuous"),
-    "T3_5_fwd": _PairClaim(map_hyp=("alpha_m_continuous",),
-                           concl_map="open_preimages_alpha_m_open"),
-    "T3_5_bwd": _PairClaim(map_hyp=("open_preimages_alpha_m_open",),
-                           concl_map="alpha_m_continuous"),
-    "P3_6": _TripleClaim(map_prop="alpha_m_continuous"),
-    "T3_8b": _TripleClaim(map_prop="alpha_m_closed_map"),
-    "T3_9b": _PairClaim(map_hyp=("alpha_m_closed_map",), space_hyp_x=True,
-                        concl_map="closed_map"),
-    "T3_10": _PairClaim(map_hyp=("surjective", "closed_map", "alpha_m_irresolute"),
-                        space_hyp_x=True, concl_map=""),
-    "P3_12_ab": _PairClaim(map_hyp=("bijective", "inverse_alpha_m_continuous"),
-                           concl_map="alpha_m_open_map"),
-    "P3_12_bc": _PairClaim(map_hyp=("bijective", "alpha_m_open_map"),
-                           concl_map="alpha_m_closed_map"),
-    "P3_12_ca": _PairClaim(map_hyp=("bijective", "alpha_m_closed_map"),
-                           concl_map="inverse_alpha_m_continuous"),
+    "T3_2_ab": (("T_alpha_m", "X"), ("singleton_dichotomy", "X")),
+    "T3_2_ba": (("singleton_dichotomy", "X"), ("T_alpha_m", "X")),
+    "P3_3": (("alpha_m_continuous", "f"), ("T_alpha_m", "X"), ("continuous", "f")),
+    "T3_4b": (("alpha_m_irresolute", "f"), ("T_alpha_m", "X"), ("continuous", "f")),
+    "T3_5_fwd": (("alpha_m_continuous", "f"), ("open_preimages_alpha_m_open", "f")),
+    "T3_5_bwd": (("open_preimages_alpha_m_open", "f"), ("alpha_m_continuous", "f")),
+    "P3_6": (("alpha_m_continuous", "f"), ("alpha_m_continuous", "g"), ("T_alpha_m", "Y"),
+             ("alpha_m_continuous", "compose(g,f)")),
+    "T3_8b": (("alpha_m_closed_map", "f"), ("alpha_m_closed_map", "g"), ("T_alpha_m", "Y"),
+              ("alpha_m_closed_map", "compose(g,f)")),
+    "T3_9b": (("alpha_m_closed_map", "f"), ("T_alpha_m", "X"), ("closed_map", "f")),
+    "T3_10": (("surjective", "f"), ("closed_map", "f"), ("alpha_m_irresolute", "f"),
+              ("T_alpha_m", "X"), ("T_alpha_m", "Y")),
+    "P3_12_ab": (("bijective", "f"), ("inverse_alpha_m_continuous", "f"),
+                 ("alpha_m_open_map", "f")),
+    "P3_12_bc": (("bijective", "f"), ("alpha_m_open_map", "f"), ("alpha_m_closed_map", "f")),
+    "P3_12_ca": (("bijective", "f"), ("alpha_m_closed_map", "f"),
+                 ("inverse_alpha_m_continuous", "f")),
 }
+
+
+def _arity(enc) -> int:
+    """The spaces a claim binds, X, Y, Z, ...; it binds one map fewer,
+    f: X -> Y then g: Y -> Z."""
+    args = {arg for _, arg in enc}
+    return 3 if "g" in args else 2 if "f" in args else 1
+
 
 _STATEMENTS = {
     "T3_2_ab": "if every alpha_m-closed set is closed then every singleton is "
@@ -282,7 +255,7 @@ def _encoding_key(claim_id) -> str:
 
 
 def _bind(claim_id: str, spaces, bound_maps) -> None:
-    arity = _ENCODINGS[_encoding_key(claim_id)].arity
+    arity = _arity(_ENCODINGS[_encoding_key(claim_id)])
     if not isinstance(spaces, (list, tuple)) or not isinstance(bound_maps, (list, tuple)):
         raise BadParams("bound spaces and maps must each be a list or tuple")
     if len(spaces) != arity or len(bound_maps) != arity - 1:
@@ -299,39 +272,26 @@ def _bind(claim_id: str, spaces, bound_maps) -> None:
                 f"map {i} endpoints do not match the bound spaces of claim {claim_id}")
 
 
-def _map_term(name: str, m: str, f: SpaceMap):
-    # (label, thunk) of property ``name`` of the map f, called m in the label
-    return _LABEL_TEMPLATE[name].format(m=m), partial(_DIRECT_MAP_PRED[name], f)
-
-
 def _terms(enc, spaces, bound_maps) -> list:
-    """``(label, thunk)`` of each hypothesis of one binding, in declared
-    order, then of its conclusion; calling a thunk decides its flag.
+    """``(label, thunk)`` of each term of one binding, the hypotheses in
+    declared order and then the conclusion; calling a thunk decides its
+    flag.
 
-    The binding is ``enc.arity`` spaces, named X, Y, Z in the labels, and
-    the ``enc.arity - 1`` maps between consecutive ones, f: X -> Y then
-    g: Y -> Z.  The conclusion of a composition claim is the property of
-    g after f, which is composed only when its thunk is called.
+    The binding is ``_arity(enc)`` spaces, bound to X, Y, Z, and the maps
+    between consecutive ones, bound to f: X -> Y then g: Y -> Z.  A term on
+    compose(g,f) composes the two only when its thunk is called.
     """
-    if isinstance(enc, _SpaceClaim):
-        (x,) = spaces
-        return [(f"{name}(X)", partial(_AXIOMS[name], x)) for name in (enc.hyp, enc.concl)]
-    t_alpha_m = _AXIOMS["T_alpha_m"]
-    if isinstance(enc, _PairClaim):
-        x, y = spaces
-        (f,) = bound_maps
-        terms = [_map_term(name, "f", f) for name in enc.map_hyp]
-        if enc.space_hyp_x:
-            terms.append(("T_alpha_m(X)", partial(t_alpha_m, x)))
-        terms.append(_map_term(enc.concl_map, "f", f) if enc.concl_map
-                     else ("T_alpha_m(Y)", partial(t_alpha_m, y)))
-        return terms
-    f, g = bound_maps
-    pred = _DIRECT_MAP_PRED[enc.map_prop]
-    return [_map_term(enc.map_prop, "f", f), _map_term(enc.map_prop, "g", g),
-            ("T_alpha_m(Y)", partial(t_alpha_m, spaces[1])),
-            (_LABEL_TEMPLATE[enc.map_prop].format(m="compose(g,f)"),
-             lambda: pred(compose(g, f)))]
+    bound = dict(zip("XYZ", spaces))
+    bound.update(zip("fg", bound_maps))
+    terms = []
+    for name, arg in enc:
+        pred = _AXIOMS.get(name) or _DIRECT_MAP_PRED[name]
+        if arg == "compose(g,f)":
+            test = lambda pred=pred, f=bound["f"], g=bound["g"]: pred(compose(g, f))
+        else:
+            test = partial(pred, bound[arg])
+        terms.append((_LABEL_TEMPLATE.get(name, name + "({m})").format(m=arg), test))
+    return terms
 
 
 class InstanceEvaluation(NamedTuple):
@@ -374,10 +334,6 @@ def check_instance(claim_id: str, spaces, bound_maps=()) -> bool:
 
 # ---------------------------------------------------------------- mask path
 
-# the class masks map_masks reads on each side of a pair, in its argument
-# order, which is also the order class_masks returns them in
-_MAP_SIDE = ("open", "closed", "alpha_m_closed", "alpha_m_open")
-
 # labeled topologies on n = 0..5 points (OEIS A000798): the orbit sizes of
 # the classes on n points must sum to the n-th
 _LABELED_COUNTS = (1, 1, 4, 29, 355, 6942)
@@ -395,42 +351,41 @@ def ProcessPoolExecutor(max_workers: int):
 # one miss; the decorator stays because perfbench/tracer.py reads cache_info()
 @lru_cache(maxsize=0)
 def _pair_masks(tables: dict, ix: int, iy: int):
-    """Map-property bitsets of every map between the spaces at positions ix
-    and iy of the sweep's tables."""
-    return _kernels.map_masks(tables["n"][ix], *(tables[name][ix] for name in _MAP_SIDE),
-                              tables["n"][iy], *(tables[name][iy] for name in _MAP_SIDE))
+    """Map-property bitsets, by property name, of every map between the
+    spaces at positions ix and iy of the sweep's tables."""
+    n, families = tables["n"], tables["families"]
+    return _kernels.map_masks(n[ix], families[ix], n[iy], families[iy])
 
 
 def _space_tables(spaces, weights=None, maps=True) -> dict:
     """The sweep's per-space tables, each a tuple indexed by position in
     ``spaces``: point count, the flag of each axiom in ``_AXIOMS``, the class
-    masks that map_masks reads, and the space's weight, its orbit size over
-    class representatives (1 if ``weights`` is None).  One class_masks call
-    per space, on its neighbourhood table, if ``maps``: a sweep of claims
-    that bind no map reads no class masks.
+    masks that map_masks reads (``families``), and the space's weight, its
+    orbit size over class representatives (1 if ``weights`` is None).  One
+    class_masks call per space, on its neighbourhood table, if ``maps``: a
+    sweep of claims that bind no map reads no class masks.
     """
-    columns = {name: [] for name in ("n", *_AXIOMS, *(_MAP_SIDE if maps else ()))}
+    columns = {name: [] for name in ("n", *_AXIOMS, *(("families",) if maps else ()))}
     for s in spaces:
         columns["n"].append(s.n)
         for name, holds in _AXIOMS.items():
             columns[name].append(holds(s))
         if maps:
-            for name, mask in zip(_MAP_SIDE, _kernels.class_masks(s.n, s.min_nbhd)):
-                columns[name].append(mask)
+            columns["families"].append(_kernels.class_masks(s.n, s.min_nbhd))
     columns["weight"] = [1] * len(spaces) if weights is None else weights
     return {name: tuple(column) for name, column in columns.items()}
 
 
 def _count_instances(enc, sizes: Counter) -> int:
     """Bindings of one encoding over spaces of which ``sizes[n]`` have n
-    points: every chain of ``enc.arity`` spaces, times the ``enc.arity - 1``
-    maps along it, one per consecutive pair.  There are b ** a maps from a
-    points to b points, one empty map when a is 0.  Map counts depend only
-    on point counts, so the sum runs over chains of point counts, each
-    weighted by how many spaces have those counts."""
+    points: every chain of ``_arity(enc)`` spaces, times the maps along it,
+    one per consecutive pair.  There are b ** a maps from a points to b
+    points, one empty map when a is 0.  Map counts depend only on point
+    counts, so the sum runs over chains of point counts, each weighted by
+    how many spaces have those counts."""
     return sum(prod(sizes[n] for n in chain)
                * prod(b ** a for a, b in zip(chain, chain[1:]))
-               for chain in product(sizes, repeat=enc.arity))
+               for chain in product(sizes, repeat=_arity(enc)))
 
 
 def _sweep_chunk(encs, tables: dict, outer):
@@ -442,6 +397,11 @@ def _sweep_chunk(encs, tables: dict, outer):
     spaces' weights times.  Each pair of spaces fetches its pair masks once,
     into a row that goes with its X.
 
+    Claims are read from their terms.  A pair claim skips an X whose axiom
+    hypotheses fail; for each Y it ANDs the pair masks of its f terms into
+    the bitset of all maps X -> Y, clears it if a hypothesis on Y fails, and
+    keeps the maps whose conclusion fails.
+
     A composition claim is counted from f alone.  An f: X -> Y with the
     ``_SAFE_F`` property of the hypothesis makes g after f hold for every g
     out of Y: an alpha_m-irresolute f pulls the alpha_m-closed g^-1(C) back
@@ -452,13 +412,12 @@ def _sweep_chunk(encs, tables: dict, outer):
     there be any, are paired with every g out of Y, and the composite's
     pair mask decides each pair (``_kernels.composition_failures``).
     """
-    sizes, t_alpha_m, weight = (tables[name] for name in ("n", "T_alpha_m", "weight"))
+    sizes, weight = tables["n"], tables["weight"]
     failures = [0] * len(encs)
     failing = [set() for _ in encs]
-    singles = [(k, enc) for k, enc in enumerate(encs) if isinstance(enc, _SpaceClaim)]
-    doubles = [(k, enc) for k, enc in enumerate(encs) if isinstance(enc, _PairClaim)]
-    triples = [(k, enc) for k, enc in enumerate(encs) if isinstance(enc, _TripleClaim)]
-    middles = [iy for iy, t in enumerate(t_alpha_m) if t] if triples else []
+    singles, doubles, triples = ([(k, enc) for k, enc in enumerate(encs) if _arity(enc) == a]
+                                 for a in (1, 2, 3))
+    middles = [iy for iy, t in enumerate(tables["T_alpha_m"]) if t] if triples else []
     rows = {}   # X -> {Y: pair masks of X and Y}
 
     def masks(ix, iy):
@@ -469,21 +428,27 @@ def _sweep_chunk(encs, tables: dict, outer):
 
     for ix in outer:
         for k, enc in singles:
-            if tables[enc.hyp][ix] and not tables[enc.concl][ix]:
+            *hyps, (concl, _) = enc
+            if all(tables[name][ix] for name, _ in hyps) and not tables[concl][ix]:
                 failures[k] += weight[ix]
                 failing[k].add((ix,))
-        pairs = [(k, enc) for k, enc in doubles if t_alpha_m[ix] or not enc.space_hyp_x]
+        pairs = [(k, enc) for k, enc in doubles
+                 if all(tables[name][ix] for name, arg in enc[:-1] if arg == "X")]
         for iy in range(len(sizes)) if pairs else ():
             m = masks(ix, iy)
+            every = (1 << sizes[iy] ** sizes[ix]) - 1
             for k, enc in pairs:
-                first, *rest = enc.map_hyp
-                hyp_bits = m[_PROP_IDX[first]]
-                for name in rest:
-                    hyp_bits &= m[_PROP_IDX[name]]
-                if enc.concl_map:
-                    fail_bits = hyp_bits & ~m[_PROP_IDX[enc.concl_map]]
-                else:
-                    fail_bits = 0 if t_alpha_m[iy] else hyp_bits
+                *hyps, (concl, on) = enc
+                fail_bits = every
+                for name, arg in hyps:
+                    if arg == "f":
+                        fail_bits &= m[name]
+                    elif arg == "Y" and not tables[name][iy]:
+                        fail_bits = 0
+                if on == "f":
+                    fail_bits &= ~m[concl]
+                elif tables[concl][iy]:
+                    fail_bits = 0
                 if fail_bits:
                     failures[k] += weight[ix] * weight[iy] * fail_bits.bit_count()
                     failing[k].add((ix, iy))
@@ -492,8 +457,8 @@ def _sweep_chunk(encs, tables: dict, outer):
         for iy in middles:
             m = masks(ix, iy)
             for k, enc in triples:
-                p = _PROP_IDX[enc.map_prop]
-                unsafe = points_of(m[p] & ~m[_PROP_IDX[_SAFE_F[enc.map_prop]]])
+                p = enc[0][0]
+                unsafe = points_of(m[p] & ~m[_SAFE_F[p]])
                 for iz in range(len(sizes)) if unsafe else ():
                     count = _kernels.composition_failures(
                         sizes[ix], sizes[iy], sizes[iz], unsafe,
@@ -519,12 +484,13 @@ def _first_failures(key: str, tuples, members, limit) -> list:
     a finished chain without one raises InternalCheckError.
     """
     enc = _ENCODINGS[key]
+    arity = _arity(enc)
     # every leading part of a failing class tuple
     starts = {t[:j] for t in tuples for j in range(1, len(t) + 1)}
     found = []
 
     def chains(spaces, classes):
-        if len(spaces) == enc.arity:
+        if len(spaces) == arity:
             yield spaces
             return
         for s, c in members:
@@ -583,7 +549,7 @@ def _run_sweep(keys, scope: Scope, jobs: int, pool):
     encs = [_ENCODINGS[key] for key in keys]
     instances = [_count_instances(enc, labeled) for enc in encs]
 
-    tables = _space_tables(reps, weights, maps=any(enc.arity > 1 for enc in encs))
+    tables = _space_tables(reps, weights, maps=any(_arity(enc) > 1 for enc in encs))
     count = partial(_sweep_chunk, encs, tables)
     results = list((pool.map if pool else map)(
         count, [range(i, len(reps), jobs) for i in range(jobs)]))
@@ -607,7 +573,7 @@ def _run_sweep(keys, scope: Scope, jobs: int, pool):
 
 def default_scope(claim_id: str) -> Scope:
     """n <= 4 for the space-quantified claims, n <= 3 for map-quantified ones."""
-    return Scope(4) if _ENCODINGS[_encoding_key(claim_id)].arity == 1 else Scope(3)
+    return Scope(4) if _arity(_ENCODINGS[_encoding_key(claim_id)]) == 1 else Scope(3)
 
 
 def claim_statement(claim_id: str) -> str:

@@ -117,6 +117,18 @@ def test_hostile_input_files(tmp_path, capsys):
         assert err.startswith("error: ") and err.count("\n") == 1, err
 
 
+def test_input_over_the_size_limit_is_refused(tmp_path, capsys, monkeypatch):
+    # a file one byte over the bound is an input error that names the bound
+    from topolab import cli
+
+    sp = tmp_path / "s.json"
+    sp.write_text(T.sierpinski().to_json())
+    monkeypatch.setattr(cli, "MAX_INPUT_BYTES", sp.stat().st_size - 1)
+    code, out, err = run_cli("axioms", "-s", str(sp), capsys=capsys)
+    assert code == 1 and not out
+    assert err.startswith("error: ") and "larger than" in err, err
+
+
 def test_classify_invalid_topology(tmp_path, capsys):
     sp = tmp_path / "bad.json"
     sp.write_text('{"n":2,"opens":[[],[0],[1]]}')

@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 
 import topolab as T
 from topolab import _kernels, classes, maps, space
-from topolab._kernels import MAP_PROP_ORDER
 from topolab.enumeration import enumerate_maps, spaces_up_to
 from topolab.errors import BadParams, SpaceMismatch
 
@@ -222,20 +221,20 @@ KERNEL_PREDS = {
 
 def _check_kernel_map_masks(x, y):
     """Every bit of map_masks for X -> Y against the one-map predicates."""
-    sides = [[classes.family_mask(s, c)
-              for c in ("open", "closed", "alpha_m_closed", "alpha_m_open")]
+    sides = [tuple(classes.family_mask(s, c)
+                   for c in ("open", "closed", "alpha_m_closed", "alpha_m_open"))
              for s in (x, y)]
-    bitsets = _kernels.map_masks(x.n, *sides[0], y.n, *sides[1])
-    assert all(bits >> y.n ** x.n == 0 for bits in bitsets), (x, y)
+    bitsets = _kernels.map_masks(x.n, sides[0], y.n, sides[1])
+    assert set(bitsets) == set(KERNEL_PREDS)
+    assert all(bits >> y.n ** x.n == 0 for bits in bitsets.values()), (x, y)
     for rank, f in enumerate(enumerate_maps(x, y)):
-        for prop, bits in zip(MAP_PROP_ORDER, bitsets):
+        for prop, bits in bitsets.items():
             assert (bits >> rank & 1) == KERNEL_PREDS[prop](f), (x, y, rank, prop)
 
 
 def test_kernel_map_masks_match_direct_predicates():
     # the sweep kernel and the one-map-at-a-time route must agree bit for
     # bit on every map between spaces of at most 3 points (24,907 maps)
-    assert set(KERNEL_PREDS) == set(MAP_PROP_ORDER)
     pool = spaces_up_to(3)
     for x in pool:
         for y in pool:
@@ -296,6 +295,9 @@ def test_map_record_strict():
         T.map_from_json("not json")
     with pytest.raises(BadParams):
         T.map_from_json(5)
+    for raw in ((1, 0), "10", None):
+        with pytest.raises(BadParams, match="'assignment'"):
+            T.map_from_record({**SWAP.to_record(), "assignment": raw})
 
 
 @settings(max_examples=150, deadline=None)

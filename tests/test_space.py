@@ -248,6 +248,9 @@ def test_generator_structures():
     assert T.particular_point(3, 0).opens == (0, 1, 3, 5, 7)
     ex = T.excluded_point(3, 2)
     assert ex.opens == (0, 1, 2, 3, 7)
+    for p in (3, -1, True, "0"):
+        with pytest.raises(BadParams):
+            T.excluded_point(3, p)
 
 
 def test_khalimsky_minimal_neighbourhoods():

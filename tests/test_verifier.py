@@ -310,8 +310,42 @@ def stream_tables():
     return verifier._space_tables(spaces_up_to(4))
 
 
-PAIR_KEYS = [key for key, enc in verifier._ENCODINGS.items()
-             if isinstance(enc, verifier._PairClaim)]
+PAIR_KEYS = [key for key, enc in verifier._ENCODINGS.items() if verifier._arity(enc) == 2]
+
+
+def test_claims_and_pair_kernel_share_one_vocabulary():
+    # every term names an axiom on a bound space or a property of a bound
+    # map, and each property the sweep reads off a pair is a kernel key
+    families = _kernels.class_masks(1, (1,))
+    kernel = set(_kernels.map_masks(1, families, 1, families))
+    assert kernel == set(verifier._DIRECT_MAP_PRED) - {"open_map"}
+    assert set(verifier._SAFE_F) | set(verifier._SAFE_F.values()) <= kernel
+    assert set(verifier._ENCODINGS) == set(verifier._CLAIMS.values())
+    for key, enc in verifier._ENCODINGS.items():
+        arity = verifier._arity(enc)
+        bound_maps = {1: (), 2: ("f",), 3: ("f", "g", "compose(g,f)")}[arity]
+        for name, arg in enc:
+            if name in verifier._AXIOMS:
+                assert arg in ("X", "Y")[:arity], (key, name, arg)
+            else:
+                assert name in kernel and arg in bound_maps, (key, name, arg)
+        if arity == 2:
+            # the sweep reads an axiom conclusion on Y
+            assert any(arg == "f" for _, arg in enc[:-1]) and enc[-1][1] in ("f", "Y"), key
+        if arity == 3:
+            # the form _sweep_chunk counts from f alone
+            p = enc[0][0]
+            assert p in verifier._SAFE_F, key
+            assert enc == ((p, "f"), (p, "g"), ("T_alpha_m", "Y"), (p, "compose(g,f)")), key
+    # the labels are built from the terms
+    f = T.identity_map(SIERP)
+    assert [label for label, _ in verifier._terms(verifier._ENCODINGS["P3_6"], (SIERP,) * 3,
+                                                  (f, f))] == [
+        "alpha_m_continuous(f)", "alpha_m_continuous(g)", "T_alpha_m(Y)",
+        "alpha_m_continuous(compose(g,f))"]
+    assert [label for label, _ in verifier._terms(verifier._ENCODINGS["P3_12_ab"], (SIERP,) * 2,
+                                                  (f,))] == [
+        "bijective(f)", "alpha_m_continuous(inverse(f))", "alpha_m_open_map(f)"]
 
 
 @settings(max_examples=30, deadline=None)
@@ -337,10 +371,12 @@ def test_sweep_tables_match_direct_predicates(stream_tables, data):
 
 
 def _brute_composition(encs, spaces, tables):
-    """The composition fold of ``_sweep_chunk`` over every (f, g) pair, via
-    the composition kernel and the composite's own pair mask: each triple's
-    failures count the product of its spaces' weights times.  Returns the
-    failures and the triples with failures of each encoding."""
+    """The composition claims counted over every (f, g) pair of the
+    hypothesis, not from f alone as ``_sweep_chunk`` counts them: the
+    composition kernel decides each pair against the composite's own pair
+    mask, and each triple's failures count the product of its spaces'
+    weights times.  Returns the failures and the triples with failures of
+    each encoding."""
     weight = tables["weight"]
     rows = [[verifier._pair_masks(tables, ix, iz) for iz in range(len(spaces))]
             for ix in range(len(spaces))]
@@ -352,7 +388,7 @@ def _brute_composition(encs, spaces, tables):
 
     failures, failing = [], []
     for enc in encs:
-        p = verifier._PROP_IDX[enc.map_prop]
+        p = enc[0][0]
         count, triples = 0, set()
         for ix in range(len(spaces)):
             for iy in middles:
@@ -372,7 +408,7 @@ def _brute_composition(encs, spaces, tables):
     return failures, failing
 
 
-def test_composition_fold_matches_every_pair():
+def test_composition_count_matches_every_pair():
     # every class representative with n <= 3 as the middle: the T_alpha_m
     # hypothesis on Y dropped, so that the composition claims fail often.
     # Weighted by orbit size, as the sweep counts, the failures are those of
@@ -398,7 +434,7 @@ def test_composition_count_matches_the_map_predicates():
     tables = dict(verifier._space_tables(reps, weights), T_alpha_m=(True,) * len(reps))
     for key, want in (("P3_6", 16), ("T3_8b", 36)):
         enc = verifier._ENCODINGS[key]
-        holds = maps.MAP_PREDICATES[enc.map_prop]
+        holds = maps.MAP_PREDICATES[enc[0][0]]
         failures, failing = 0, set()
         for (ix, x), (iy, y), (iz, z) in product(enumerate(reps), repeat=3):
             for f, g in product(enumeration.enumerate_maps(x, y),
@@ -559,14 +595,14 @@ def test_kernel_marking_a_closed_map_failing_is_caught(monkeypatch):
     y = next(rep for rep, orbit in enumeration._classes(2) if len(orbit) == 2)
     rank = next(map_index(f) for f in enumeration.enumerate_maps(x, y)
                 if T.is_alpha_m_closed_map(f) and T.is_closed_map(f))
-    target = [(s.n, _kernels.class_masks(s.n, s.min_nbhd)[0]) for s in (x, y)]
+    target = [(s.n, _kernels.class_masks(s.n, s.min_nbhd)) for s in (x, y)]
     masks = verifier._pair_masks
 
     def cleared(tables, ix, iy):
-        m = list(masks(tables, ix, iy))
-        if [(tables["n"][i], tables["open"][i]) for i in (ix, iy)] == target:
-            m[verifier._PROP_IDX["closed_map"]] &= ~(1 << rank)
-        return tuple(m)
+        m = dict(masks(tables, ix, iy))
+        if [(tables["n"][i], tables["families"][i]) for i in (ix, iy)] == target:
+            m["closed_map"] &= ~(1 << rank)
+        return m
 
     monkeypatch.setattr(verifier, "_pair_masks", cleared)
     with pytest.raises(InternalCheckError):
@@ -579,8 +615,8 @@ def test_alpha_m_lemmas_on_every_space_up_to_5():
     # the alpha_m-open sets are the complements of the alpha_m-closed ones
     tables = verifier._space_tables(spaces_up_to(5))
     assert len(tables["n"]) == 7332
-    for n, t_alpha_m, closed, amc, amo in zip(*(tables[name] for name in (
-            "n", "T_alpha_m", "closed", "alpha_m_closed", "alpha_m_open"))):
+    for n, t_alpha_m, (_, closed, amc, amo) in zip(
+            tables["n"], tables["T_alpha_m"], tables["families"]):
         full = (1 << n) - 1
         assert closed & ~amc == 0
         assert t_alpha_m == (amc == closed)
