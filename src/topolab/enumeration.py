@@ -8,7 +8,8 @@ across runs.
 from __future__ import annotations
 
 from functools import cache
-from itertools import permutations, product
+from itertools import groupby, permutations, product
+from math import factorial
 from typing import TYPE_CHECKING, Iterator
 
 from . import _kernels
@@ -19,10 +20,12 @@ if TYPE_CHECKING:
     from .maps import SpaceMap
 
 ENUMERATION_CAP = 5
-# canonical_form tries n! relabelings and keys each distinct table with
-# _key(n).  On a 2-vCPU host the symmetric discrete(7), one table, takes
-# 0.007 s (0.016 s on the first call, which builds _key(7)), and the rigid
-# 7-point chain, 5,040 tables, 0.02-0.03 s; the 8-point chain 0.2-0.27 s
+# canonical_form tries only the relabelings that list the points by
+# non-decreasing |U_x|, and keys each distinct table with _key(n).  On a
+# 2-vCPU host discrete(7) and the indiscrete 7-point space, 5,040 of them
+# giving one table, take 0.007 s and 0.016 s (0.01 s more on the first call,
+# which builds _key(7)), and discrete(8) 0.07 s.  No 7-point space gives
+# more than 72 distinct tables; the rigid 7-point chain tries one, in 0.03 ms
 CANONICAL_FORM_CAP = 7
 
 
@@ -124,63 +127,76 @@ def _orbit(space: FiniteSpace) -> frozenset:
     return frozenset(_permuted(lists, p) for p in permutations(range(space.n)))
 
 
+def _run_images(table) -> Iterator[tuple]:
+    """The image of a table with |U_0| <= ... <= |U_{n-1}| under each
+    relabeling that permutes the points within each run of one |U_x|: one
+    per element of the group H of ``_classes``, whose order is the product
+    of the factorials of the run lengths."""
+    size = [u.bit_count() for u in table]
+    runs = [tuple(run) for _, run in groupby(range(len(table)), key=size.__getitem__)]
+    lists = [points_of(u) for u in table]
+    return (_permuted(lists, sum(p, ())) for p in product(*map(permutations, runs)))
+
+
 def canonical_form(space: FiniteSpace) -> FiniteSpace:
     """Least relabeling of the space; equal iff two spaces are homeomorphic.
 
     The least relabeling compares opens tuples, so it is the first member of
-    the orbit in the labeled stream order.  It tries all n! relabelings, and
-    compares only the distinct tables, by the stream's ``_key(n)``, so
-    spaces above ``CANONICAL_FORM_CAP`` points raise ``ScopeTooLarge``.
-    Only the least table is built into a space.  BadParams if ``space`` is
-    not a FiniteSpace.
+    the orbit in the labeled stream order, and it lists the points by
+    non-decreasing |U_x| (see ``_classes``).  So it relabels the points in
+    that order once, and tries only the ``_run_images`` of that table; the
+    distinct ones are compared by the stream's ``_key(n)``.  There are
+    still n! images of ``discrete(n)``, so spaces above
+    ``CANONICAL_FORM_CAP`` points raise ``ScopeTooLarge``.  Only the least
+    table is built into a space.  BadParams if ``space`` is not a
+    FiniteSpace.
     """
     if check_space(space).n > CANONICAL_FORM_CAP:
         raise ScopeTooLarge(
             f"canonical form is capped at {CANONICAL_FORM_CAP} points, got {space.n}")
-    return FiniteSpace(space.n, min(_orbit(space), key=_key(space.n)))
-
-
-def _image_tables(n: int) -> list:
-    """Per permutation p of n points, (p^-1, the image of every mask under
-    p).  Each image is the image of the mask without its lowest point, joined
-    to that point's image, so a table costs 2^n steps."""
-    tables = []
-    for p in permutations(range(n)):
-        image = [0] * (1 << n)
-        for m in range(1, 1 << n):
-            low = m & -m
-            image[m] = image[m ^ low] | 1 << p[low.bit_length() - 1]
-        inverse = [0] * n
-        for x, y in enumerate(p):
-            inverse[y] = x
-        tables.append((inverse, image))
-    return tables
+    minn = space.min_nbhd
+    # the relabeling that lists the points by |U_x|, ties in label order
+    labels = [0] * space.n
+    for label, x in enumerate(sorted(range(space.n), key=lambda x: minn[x].bit_count())):
+        labels[x] = label
+    table = _permuted([points_of(u) for u in minn], labels)
+    return FiniteSpace(space.n, min(set(_run_images(table)), key=_key(space.n)))
 
 
 # one class walk per point count, kept for the process like the sorted tables
 @cache
 def _classes(n: int) -> tuple:
-    """Each homeomorphism class on n points as (first stream member, orbit),
-    in stream order.  The orbit is the frozenset of its members'
-    neighbourhood tables, so its size is n!/|Aut|.
+    """Each homeomorphism class on n points as (least relabeling, orbit
+    size), in stream order.  The orbit size is n!/|Aut|.
 
-    The stream is sorted by opens, so a class's first member in it is its
-    least relabeling.  The sorted tables, ``_tables(n)``, are walked once:
-    a table starts a new class unless an earlier orbit holds it, and only
-    these tables are built into spaces.  Its orbit is read off the image
-    tables, built once per call: the relabeling by p gives p[x] the image
-    of U_x, so its table is n lookups.  The tables hold n!·2^n entries,
-    which pays at n <= 5 across the classes; ``_orbit`` walks the points of
-    a single space instead.
+    The least relabeling of a space lists its points by non-decreasing
+    |U_x|.  Proof by swap: say |U_y| = j < |U_w| with w labeled below y.
+    An open holding a point holds its U, so no open of size below j holds
+    y or w; of the opens of size j, some hold y (U_y is one) and none
+    hold w.  Swapping the labels of y and w leaves the opens of each size
+    below j as they are, and in each open of size j that holds y trades
+    the bit of y's label for the lower bit of w's: the sorted list of the
+    opens of size j gets lower.  The stream compares opens tuples, which
+    list the opens by size first, so the swapped space comes earlier.
+
+    So the classes are read off the size-sorted tables of
+    ``_kernels.enumerate_masks``, 286 of the 6,942 at n = 5, sorted by
+    ``_key(n)``.  Each table that no earlier orbit holds is its class's
+    least relabeling, and only these are built into spaces.  Its images
+    under H, its ``_run_images``, are marked seen: they are
+    all the size-sorted tables of its class, since a relabeling between
+    two size-sorted tables keeps the runs of one |U_x|.  Every automorphism
+    keeps |U_x|, so Aut lies in H, and the orbit size n!/|Aut| is
+    n!·|H·rep|/|H|.
     """
-    images = _image_tables(n)
     seen, classes = set(), []
-    for minn in _tables(n):
+    for minn in sorted(_kernels.enumerate_masks(n, size_sorted=True), key=_key(n)):
         if minn not in seen:
-            orbit = frozenset(tuple([image[minn[x]] for x in inverse])
-                              for inverse, image in images)
-            seen |= orbit
-            classes.append((FiniteSpace._unchecked(n, minn), orbit))
+            images = list(_run_images(minn))
+            distinct = set(images)
+            seen |= distinct
+            classes.append((FiniteSpace._unchecked(n, minn),
+                            factorial(n) * len(distinct) // len(images)))
     return tuple(classes)
 
 

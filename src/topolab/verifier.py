@@ -11,18 +11,19 @@ Every claim is invariant under relabelling each bound space on its own.
 So the sweep counts failures over one representative per homeomorphism
 class, each tuple of representatives weighted by the product of its orbit
 sizes.  Only to collect the witnesses does it walk labeled spaces: it
-reads the sorted neighbourhood tables in stream order, builds spaces for
-the members of the failing classes alone, evaluates just the bindings
+lists the members of the failing classes alone, each class's orbit sorted
+into stream order, builds spaces for them, evaluates just the bindings
 whose class tuple failed with the direct predicates, and stops at the
 witness limit.  The witnesses are the least failing labeled bindings, as a
 sweep of every labeled binding would list them.
 
 Instances are counted analytically from the binding product over the
-number of labeled tables per point count, so serial and parallel runs of
-the same scope produce identical reports; bindings whose hypotheses fail
-count as (vacuously true) checked instances.  Before it reports, the sweep
-checks that the orbit sizes sum to those numbers and to OEIS A000798, and
-that the walk found as many witnesses as the counted failures allow.
+labeled spaces per point count, the sums of the orbit sizes, so serial and
+parallel runs of the same scope produce identical reports; bindings whose
+hypotheses fail count as (vacuously true) checked instances.  Before it
+reports, the sweep checks that those sums are the labeled counts of OEIS
+A000798, and that the walk found as many witnesses as the counted failures
+allow.
 """
 
 from __future__ import annotations
@@ -520,32 +521,31 @@ def _run_sweep(keys, scope: Scope, jobs: int, pool):
     so the failures are counted over one representative per homeomorphism
     class (Stong 1966): a tuple of representatives counts for the product
     of its orbit sizes.  The count is split into one share per worker:
-    share i is every jobs-th representative from i.  The instances are
-    counted from the number of labeled tables per point count, the lengths
-    of the sorted tables ``enumeration._tables``.  The orbit sizes of each
-    point count must sum to that number, and to the labeled count of OEIS
-    A000798; otherwise the sweep raises InternalCheckError.
+    share i is every jobs-th representative from i.  The orbit sizes of each
+    point count must sum to its labeled count of OEIS A000798, or the sweep
+    raises InternalCheckError; the instances are counted from those sums.
 
     The failing bindings are the least ones of the labeled sweep, as
     :func:`_first_failures` walks them with the direct predicates, one walk
-    per encoding with failures.  Only the tables in the orbit of a class in
-    some failing class tuple are built into spaces.  Each walk must find as
-    many bindings as the witness limit allows of the counted failures, all
-    of them with no limit; otherwise the sweep raises InternalCheckError.
+    per encoding with failures.  Only the members of a class in some
+    failing class tuple are built into spaces: the tables of its
+    ``enumeration._orbit``, sorted by point count and then ``_key``, which
+    is stream order.  Each walk must find as many bindings as the witness
+    limit allows of the counted failures, all of them with no limit;
+    otherwise the sweep raises InternalCheckError.
     """
     points = range(scope.max_points + 1)
     classes = [c for n in points for c in enumeration._classes(n)]
     reps = [s for s, _ in classes]
-    weights = [len(orbit) for _, orbit in classes]
-    labeled = Counter({n: len(enumeration._tables(n)) for n in points})
-    weighted = Counter()
+    weights = [w for _, w in classes]
+    labeled = Counter()
     for s, w in zip(reps, weights):
-        weighted[s.n] += w
+        labeled[s.n] += w
     known = _LABELED_COUNTS[:scope.max_points + 1]
-    if weighted != labeled or tuple(weighted[n] for n in range(len(known))) != known:
+    if tuple(labeled[n] for n in points) != known:
         raise InternalCheckError(
-            f"orbit sizes per point count {dict(weighted)} are not the labeled "
-            f"counts {dict(labeled)} (OEIS A000798: {known})")
+            f"orbit sizes per point count {dict(labeled)} are not the labeled "
+            f"counts of OEIS A000798, {known}")
     encs = [_ENCODINGS[key] for key in keys]
     instances = [_count_instances(enc, labeled) for enc in encs]
 
@@ -555,11 +555,11 @@ def _run_sweep(keys, scope: Scope, jobs: int, pool):
         count, [range(i, len(reps), jobs) for i in range(jobs)]))
     failures = [sum(r[0][k] for r in results) for k in range(len(encs))]
     failing = [set().union(*(r[1][k] for r in results)) for k in range(len(encs))]
-    # the class of each labeled table in the orbit of a failing class
-    where = {t: c for c in {c for tuples in failing for t in tuples for c in t}
-             for t in classes[c][1]}
-    members = [(FiniteSpace._unchecked(n, t), where[t])
-               for n in points for t in enumeration._tables(n) if t in where]
+    # the labeled members of the failing classes, in stream order
+    members = sorted((reps[c].n, enumeration._key(reps[c].n)(t), t, c)
+                     for c in {c for tuples in failing for t in tuples for c in t}
+                     for t in enumeration._orbit(reps[c]))
+    members = [(FiniteSpace._unchecked(n, t), c) for n, _, t, c in members]
     found = [_first_failures(key, tuples, members, scope.witness_limit) if tuples else []
              for key, tuples in zip(keys, failing)]
     limit = scope.witness_limit

@@ -165,3 +165,31 @@ def naive_tables(n):
             if all(t[x] >> x & 1 for x in range(n))
             and all(t[y] & t[x] == t[y]
                     for x in range(n) for y in range(n) if t[x] >> y & 1)]
+
+
+def relabel_table(table, perm):
+    """Push a neighbourhood table through the point relabeling x -> perm[x]:
+    the neighbourhood of perm[x] is the image of U_x."""
+    out = [0] * len(table)
+    for x, u in enumerate(table):
+        image = 0
+        for y in range(len(table)):
+            if u >> y & 1:
+                image |= 1 << perm[y]
+        out[perm[x]] = image
+    return tuple(out)
+
+
+def naive_classes(n, tables):
+    """The homeomorphism classes of the labeled neighbourhood tables
+    ``tables`` on n points, by the orbit-partition walk: the tables are
+    sorted by their opens tuples (``naive_up_sets``), and each table that
+    no earlier orbit holds starts a class, whose orbit is its n!
+    relabelings.  Returns (least member, orbit) per class, in that order."""
+    seen, classes = set(), []
+    for table in sorted(tables, key=lambda t: naive_up_sets(n, t)):
+        if table not in seen:
+            orbit = {relabel_table(table, p) for p in permutations(range(n))}
+            seen |= orbit
+            classes.append((table, orbit))
+    return classes

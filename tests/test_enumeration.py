@@ -10,8 +10,8 @@ from topolab import enumeration as en
 from topolab.errors import BadParams, NotATopology, ScopeTooLarge
 from topolab.space import _opens
 
-from _oracles import (naive_canonical_opens, naive_labeled_families, orbit_count,
-                      relabel_opens)
+from _oracles import (naive_canonical_opens, naive_classes, naive_labeled_families,
+                      naive_up_sets, orbit_count, relabel_opens)
 
 
 def test_labeled_counts_against_naive_oracle():
@@ -115,12 +115,52 @@ def test_homeo_classes_build_one_space_per_class(monkeypatch):
 
 
 def test_class_orbits_are_the_relabelings():
-    # the orbits read off the image tables, against relabel on every
-    # permutation of every class representative
+    # the orbit sizes read off the size-sorted relabelings, against relabel
+    # on every permutation of every class representative; those orbits
+    # partition the labeled tables
     for n in range(6):
         perms = list(permutations(range(n)))
-        for rep, orbit in en._classes(n):
-            assert orbit == {en.relabel(rep, p).min_nbhd for p in perms}, rep
+        tables = set()
+        for rep, size in en._classes(n):
+            orbit = {en.relabel(rep, p).min_nbhd for p in perms}
+            assert size == len(orbit), rep
+            assert not tables & orbit, rep
+            tables |= orbit
+        assert tables == set(en._tables(n)), n
+
+
+def test_least_relabelings_list_points_by_size():
+    # every labeled table on n <= 5 points lies in one orbit of the naive
+    # walk, whose first member in opens order is its least relabeling: that
+    # member has |U_0| <= ... <= |U_{n-1}|
+    for n in range(6):
+        tables = _kernels.enumerate_masks(n)
+        classes = naive_classes(n, tables)
+        assert sum(len(orbit) for _, orbit in classes) == len(tables), n
+        for least, orbit in classes:
+            sizes = [u.bit_count() for u in least]
+            assert sizes == sorted(sizes), least
+            assert least == min(orbit, key=lambda t: naive_up_sets(n, t))
+
+
+def test_class_walk_matches_the_orbit_partition_oracle():
+    # the walk over the size-sorted tables alone against the naive walk over
+    # every labeled table: the same representatives, in the same order, and
+    # each orbit size the size of the naive orbit and of _orbit's
+    for n in range(6):
+        classes = en._classes(n)
+        assert [(rep.min_nbhd, size) for rep, size in classes] == \
+            [(least, len(orbit)) for least, orbit in naive_classes(n, _kernels.enumerate_masks(n))]
+        for rep, size in classes:
+            assert size == len(en._orbit(rep)), rep
+
+
+def test_class_walk_reaches_six_points():
+    # past the enumeration cap: A001930(6) classes, whose orbit sizes sum to
+    # A000798(6)
+    classes = en._classes(6)
+    assert len(classes) == 718
+    assert sum(size for _, size in classes) == 209527
 
 
 def test_stream_order_deterministic_and_sorted():

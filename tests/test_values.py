@@ -106,7 +106,7 @@ def test_value_class_keeps_its_dataclass_behaviour(cls, args, other, params, tex
     assert tuple(getattr(value, name) for name in fields) == values
 
 
-def test_every_claim_kind_and_export_is_covered():
+def test_every_export_is_covered():
     # the claim encodings are tuples of terms, so only the exports are classes
     covered = {v[0] for v in VALUES}
     exported = {obj for obj in (getattr(T, name) for name in T.__all__)

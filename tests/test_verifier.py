@@ -415,7 +415,7 @@ def test_composition_count_matches_every_pair():
     # all 35**3 labeled triples
     classes = [c for n in range(4) for c in enumeration._classes(n)]
     reps = [rep for rep, _ in classes]
-    tables = dict(verifier._space_tables(reps, [len(orbit) for _, orbit in classes]),
+    tables = dict(verifier._space_tables(reps, [size for _, size in classes]),
                   T_alpha_m=(True,) * len(reps))
     encs = [verifier._ENCODINGS["P3_6"], verifier._ENCODINGS["T3_8b"]]
     brute = _brute_composition(encs, reps, tables)
@@ -430,7 +430,7 @@ def test_composition_count_matches_the_map_predicates():
     # weighted by orbit size
     classes = [c for n in range(3) for c in enumeration._classes(n)]
     reps = [rep for rep, _ in classes]
-    weights = [len(orbit) for _, orbit in classes]
+    weights = [size for _, size in classes]
     tables = dict(verifier._space_tables(reps, weights), T_alpha_m=(True,) * len(reps))
     for key, want in (("P3_6", 16), ("T3_8b", 36)):
         enc = verifier._ENCODINGS[key]
@@ -512,13 +512,13 @@ def test_composition_walk_runs_chains_then_maps_in_order(monkeypatch):
 
 
 def test_orbit_weights_are_reconciled(monkeypatch):
-    # one orbit a table too large: its weights no longer sum to the labeled
+    # one orbit size one too large: the weights no longer sum to the labeled
     # count, and the sweep refuses to report
     classes = enumeration._classes
 
     def one_too_many(n):
-        *rest, (rep, orbit) = classes(n)
-        return (*rest, (rep, orbit | {(-1,) * n}))
+        *rest, (rep, size) = classes(n)
+        return (*rest, (rep, size + 1))
 
     monkeypatch.setattr(enumeration, "_classes", one_too_many)
     with pytest.raises(InternalCheckError):
@@ -526,23 +526,23 @@ def test_orbit_weights_are_reconciled(monkeypatch):
 
 
 def test_stream_counts_are_reconciled(monkeypatch):
-    # the orbits as they are, but one Sierpinski table missing from the
-    # sorted tables: the labeled count at n = 2 no longer matches them
-    for n in range(3):
-        enumeration._classes(n)
-    tables = enumeration._tables
-    monkeypatch.setattr(enumeration, "_tables",
-                        lambda n: tuple(t for t in tables(n) if t != (0b01, 0b11)))
-    assert len(enumeration._tables(2)) == 3
+    # one Sierpinski table missing from the size-sorted tables that the
+    # class walk reads, with no cache kept: its class is lost, and the orbit
+    # sizes at n = 2 no longer sum to the labeled count
+    masks = _kernels.enumerate_masks
+    monkeypatch.setattr(_kernels, "enumerate_masks", lambda n, size_sorted=False: [
+        t for t in masks(n, size_sorted) if t != (0b01, 0b11)])
+    monkeypatch.setattr(enumeration, "_classes", enumeration._classes.__wrapped__)
+    assert len(enumeration._classes(2)) == 2
     with pytest.raises(InternalCheckError):
         T.verify_all(verifier.Scope(max_points=2), claims=("T3_2_ab",))
 
 
 @pytest.mark.parametrize("limit", [5, None])
 def test_sweep_reads_no_labeled_stream(monkeypatch, limit):
-    # the counts come from the class orbits and the witnesses from the
-    # sorted tables, so a sweep whose stream of spaces raises reports the
-    # same bytes
+    # the counts come from the class orbit sizes and the witnesses from the
+    # orbits of the failing classes, so a sweep whose stream of spaces and
+    # of sorted labeled tables raises reports the same bytes
     scope = verifier.Scope(max_points=3, witness_limit=limit)
     expected = [r.to_record() for r in T.verify_all(scope)]
 
@@ -551,6 +551,7 @@ def test_sweep_reads_no_labeled_stream(monkeypatch, limit):
 
     monkeypatch.setattr(verifier, "spaces_up_to", no_stream)
     monkeypatch.setattr(enumeration, "spaces_up_to", no_stream)
+    monkeypatch.setattr(enumeration, "_tables", no_stream)
     assert [r.to_record() for r in T.verify_all(scope)] == expected
 
 
@@ -592,7 +593,7 @@ def test_kernel_marking_a_closed_map_failing_is_caught(monkeypatch):
     # map, out of the one point into the Sierpinski class's representative:
     # the count gains a failure that the direct predicates do not find
     (x, _), = enumeration._classes(1)
-    y = next(rep for rep, orbit in enumeration._classes(2) if len(orbit) == 2)
+    y = next(rep for rep, size in enumeration._classes(2) if size == 2)
     rank = next(map_index(f) for f in enumeration.enumerate_maps(x, y)
                 if T.is_alpha_m_closed_map(f) and T.is_closed_map(f))
     target = [(s.n, _kernels.class_masks(s.n, s.min_nbhd)) for s in (x, y)]
