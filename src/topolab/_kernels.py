@@ -245,11 +245,10 @@ def composition_failures(nx, ny, nz, f_indices, g_indices, target_bits):
     the nZ**nX composite ranks in which a clear bit means the composite
     fails the conclusion.
 
-    It is the verifier's exact count of the composition claims' failing
-    pairs, for the f that its one-sided test cannot clear (see
-    ``verifier._sweep_chunk``); no sweep over T_alpha_m middle spaces has
-    any.  The tests count every pair of the composition claims with it, and
-    the benchmark's tracer wraps it by name.
+    No sweep calls it: ``verifier._sweep_chunk`` counts the composition
+    claims from f alone.  The tests count every pair of the composition
+    claims with it, as an oracle, and the benchmark's tracer wraps it by
+    name.
     """
     # here, not at the top: the enumeration loads this module, and must not
     # load the map and class layers

@@ -7,6 +7,7 @@ across runs.
 
 from __future__ import annotations
 
+from collections.abc import Mapping, Set
 from functools import cache
 from itertools import groupby, permutations, product
 from math import factorial
@@ -93,10 +94,14 @@ def relabel(space: FiniteSpace, perm) -> FiniteSpace:
     permutation of its points.
     """
     check_space(space)
-    try:
-        perm = tuple(perm)
-    except TypeError:
-        raise BadParams(f"{perm!r} is not a sequence of point indices") from None
+    if not isinstance(perm, tuple):
+        # a set or mapping has no order that could stand for x -> perm[x]
+        if isinstance(perm, (Set, Mapping)):
+            raise BadParams(f"{perm!r} is not a sequence of point indices")
+        try:
+            perm = tuple(perm)
+        except TypeError:
+            raise BadParams(f"{perm!r} is not a sequence of point indices") from None
     for x in perm:
         if not isinstance(x, int) or isinstance(x, bool):
             raise BadParams(f"permutation entry {x!r} is not an integer")

@@ -9,6 +9,7 @@ assignment convert with :func:`map_index` / :func:`assignment_from_index`.
 from __future__ import annotations
 
 import json
+from collections.abc import Mapping, Set
 
 from .classes import _alpha_m_closed, _union, alpha_m_closed_meet_irreducibles
 from .errors import BadParams, SpaceMismatch
@@ -25,6 +26,10 @@ class SpaceMap(_Frozen):
         check_space(domain, "domain")
         check_space(codomain, "codomain")
         if not isinstance(assignment, tuple):
+            # a set or mapping has no order that could stand for x -> assignment[x]
+            if isinstance(assignment, (Set, Mapping)):
+                raise BadParams(f"assignment {assignment!r} is not a sequence "
+                                "of codomain points")
             try:
                 assignment = tuple(assignment)
             except TypeError:

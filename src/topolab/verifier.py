@@ -44,7 +44,7 @@ from . import _kernels, axioms, enumeration, maps
 from .enumeration import spaces_up_to
 from .errors import ArityMismatch, BadParams, InternalCheckError, ScopeTooLarge
 from .maps import check_map, compose, map_from_record
-from .space import FiniteSpace, _Frozen, check_space, points_of, space_from_record
+from .space import FiniteSpace, _Frozen, check_space, space_from_record
 
 MAX_SCOPE_POINTS = 5
 
@@ -196,7 +196,9 @@ class Witness(_Frozen):
 
 def witness_from_record(obj) -> Witness:
     """Parse a witness record, re-validating the embedded spaces and maps
-    and checking that they bind the claim's spaces and maps."""
+    and checking that they bind the claim's spaces and maps, and that its
+    labels are the claim's terms on them, each hypothesis flagged true and
+    the conclusion false."""
     if not isinstance(obj, dict):
         raise BadParams("witness record must be an object")
     for key, kind in (("claim", str), ("spaces", list), ("maps", list),
@@ -206,19 +208,24 @@ def witness_from_record(obj) -> Witness:
         if not isinstance(obj[key], kind):
             raise BadParams(f"witness record field {key!r} must be a {kind.__name__}")
     claim = obj["claim"]
-    _encoding_key(claim)
-    if len(obj["conclusion"]) != 1:
-        raise BadParams("witness record field 'conclusion' must hold one entry")
+    enc = _ENCODINGS[_encoding_key(claim)]
     spaces = tuple(space_from_record(s) for s in obj["spaces"])
     parsed_maps = tuple(map_from_record(m) for m in obj["maps"])
     try:
         _bind(claim, spaces, parsed_maps)
     except ArityMismatch as exc:
         raise BadParams(f"witness record does not fit its claim: {exc}") from None
-    hyps = tuple((k, bool(v)) for k, v in obj["hypotheses"].items())
-    (c_label, c_value), = obj["conclusion"].items()
+    *hyp_labels, c_label = (label for label, _ in _terms(enc, spaces, parsed_maps))
+    hyps = tuple(obj["hypotheses"].items())
+    conclusion = tuple(obj["conclusion"].items())
+    if [k for k, _ in hyps] != hyp_labels or [k for k, _ in conclusion] != [c_label]:
+        raise BadParams(f"witness record labels are not the terms of {claim}: "
+                        f"hypotheses {hyp_labels}, conclusion {c_label!r}")
+    if any(v is not True for _, v in hyps) or conclusion[0][1] is not False:
+        raise BadParams("witness record flags must be true on every hypothesis "
+                        "and false on the conclusion")
     return Witness(claim=claim, spaces=spaces, maps=parsed_maps,
-                   hypotheses=hyps, conclusion=(c_label, bool(c_value)))
+                   hypotheses=hyps, conclusion=conclusion[0])
 
 
 class TheoremReport(_Frozen):
@@ -395,8 +402,8 @@ def _sweep_chunk(encs, tables: dict, outer):
 
     Every space is read through its position in ``tables``, the sweep's
     :func:`_space_tables`.  A binding's failures count the product of its
-    spaces' weights times.  Each pair of spaces fetches its pair masks once,
-    into a row that goes with its X.
+    spaces' weights times.  For each X one loop over Y fetches the pair
+    masks of X and Y once, if some claim reads them.
 
     Claims are read from their terms.  A pair claim skips an X whose axiom
     hypotheses fail; for each Y it ANDs the pair masks of its f terms into
@@ -409,24 +416,16 @@ def _sweep_chunk(encs, tables: dict, outer):
     to an alpha_m-closed set, and a closed map f pushes a closed S to the
     closed f(S), which g pushes to an alpha_m-closed set.  In a T_alpha_m
     middle Y the alpha_m-closed sets are the closed ones, so every f of the
-    hypothesis is safe, and a real sweep meets no other.  The other f, should
-    there be any, are paired with every g out of Y, and the composite's
-    pair mask decides each pair (``_kernels.composition_failures``).
+    hypothesis is safe, and no binding fails.  The loop checks that each f
+    into a T_alpha_m Y is safe, and raises InternalCheckError on one that
+    is not.
     """
     sizes, weight = tables["n"], tables["weight"]
     failures = [0] * len(encs)
     failing = [set() for _ in encs]
     singles, doubles, triples = ([(k, enc) for k, enc in enumerate(encs) if _arity(enc) == a]
                                  for a in (1, 2, 3))
-    middles = [iy for iy, t in enumerate(tables["T_alpha_m"]) if t] if triples else []
-    rows = {}   # X -> {Y: pair masks of X and Y}
-
-    def masks(ix, iy):
-        row = rows.setdefault(ix, {})
-        if iy not in row:
-            row[iy] = _pair_masks(tables, ix, iy)
-        return row[iy]
-
+    middles = tables["T_alpha_m"] if triples else (False,) * len(sizes)
     for ix in outer:
         for k, enc in singles:
             *hyps, (concl, _) = enc
@@ -435,8 +434,10 @@ def _sweep_chunk(encs, tables: dict, outer):
                 failing[k].add((ix,))
         pairs = [(k, enc) for k, enc in doubles
                  if all(tables[name][ix] for name, arg in enc[:-1] if arg == "X")]
-        for iy in range(len(sizes)) if pairs else ():
-            m = masks(ix, iy)
+        for iy in range(len(sizes)):
+            if not (pairs or middles[iy]):
+                continue
+            m = _pair_masks(tables, ix, iy)
             every = (1 << sizes[iy] ** sizes[ix]) - 1
             for k, enc in pairs:
                 *hyps, (concl, on) = enc
@@ -453,21 +454,12 @@ def _sweep_chunk(encs, tables: dict, outer):
                 if fail_bits:
                     failures[k] += weight[ix] * weight[iy] * fail_bits.bit_count()
                     failing[k].add((ix, iy))
-
-        # f: X -> Y and g: Y -> Z with Y T_alpha_m
-        for iy in middles:
-            m = masks(ix, iy)
-            for k, enc in triples:
+            # f: X -> Y with Y T_alpha_m: g after f holds for every g
+            for _, enc in triples if middles[iy] else ():
                 p = enc[0][0]
-                unsafe = points_of(m[p] & ~m[_SAFE_F[p]])
-                for iz in range(len(sizes)) if unsafe else ():
-                    count = _kernels.composition_failures(
-                        sizes[ix], sizes[iy], sizes[iz], unsafe,
-                        points_of(masks(iy, iz)[p]), masks(ix, iz)[p])
-                    if count:
-                        failures[k] += weight[ix] * weight[iy] * weight[iz] * count
-                        failing[k].add((ix, iy, iz))
-        rows.pop(ix, None)
+                if m[p] & ~m[_SAFE_F[p]]:
+                    raise InternalCheckError(
+                        f"an f with {p} into a T_alpha_m space is not {_SAFE_F[p]}")
     return failures, failing
 
 
@@ -646,11 +638,15 @@ def verify_all(scope: Scope = None, claims=None, jobs: int = 1):
 def validate_witness(report: TheoremReport) -> bool:
     """True iff every witness still refutes its claim after a round trip
     through the serialized text form; BadParams for anything but a
-    TheoremReport."""
+    TheoremReport of Witnesses whose records parse."""
     if not isinstance(report, TheoremReport):
         raise BadParams(f"report {report!r} is not a TheoremReport")
-    for w in report.witnesses:
-        rec = json.loads(json.dumps(w.to_record()))
+    try:
+        records = [json.loads(json.dumps(w.to_record())) for w in report.witnesses]
+    except (AttributeError, TypeError, ValueError):
+        raise BadParams(f"witnesses {report.witnesses!r} are not "
+                        "serializable Witnesses") from None
+    for rec in records:
         back = witness_from_record(rec)
         if check_instance(back.claim, back.spaces, back.maps):
             return False

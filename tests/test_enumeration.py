@@ -222,6 +222,17 @@ def test_canonical_form():
         en.canonical_form(5)
 
 
+def test_relabel_refuses_unordered_containers():
+    # {1, 0} iterates as (0, 1): read as a permutation it would leave the
+    # Sierpinski space unswapped
+    sierp = T.sierpinski()
+    for bad in ({1, 0}, frozenset((1, 0)), {0: 1, 1: 0}, {1: 0, 0: 1}.keys()):
+        with pytest.raises(BadParams):
+            en.relabel(sierp, bad)
+    assert en.relabel(sierp, [1, 0]) == en.relabel(sierp, iter((1, 0))) == \
+        en.relabel(sierp, (1, 0)) != sierp
+
+
 def test_relabel_permutes_the_opens():
     # relabel permutes the neighbourhood table; the opens it lists must be
     # the permuted opens, sorted

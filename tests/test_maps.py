@@ -42,6 +42,15 @@ def test_assignment_validation():
     assert T.SpaceMap(SIERP, SIERP, [1, 1]).assignment == (1, 1)
 
 
+def test_assignment_refuses_unordered_containers():
+    # a set or a mapping has no order to read x -> assignment[x] from: {1, 0}
+    # iterates as (0, 1), and would build the identity, not the swap
+    for bad in ({1, 0}, frozenset((1, 0)), {0: 1, 1: 0}, {1: 0, 0: 1}.keys()):
+        with pytest.raises(BadParams):
+            T.SpaceMap(SIERP, SIERP, bad)
+    assert T.SpaceMap(SIERP, SIERP, iter((1, 0))).assignment == (1, 0)
+
+
 def test_empty_domain_map():
     f = T.SpaceMap(T.discrete(0), SIERP, ())
     assert f.image(0) == 0 and f.preimage(0b11) == 0

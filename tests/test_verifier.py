@@ -277,11 +277,10 @@ def test_verify_is_verify_all_for_one_claim():
 
 
 def test_pair_sweep_requests_each_pair_once():
-    # one count per scope: the composition claims reuse the rows the pair
-    # claims fetched instead of asking for them again, so each pair of the
-    # 14 class representatives is requested once; the witness walk reads
-    # the direct predicates, and requests none; and no pair masks outlive
-    # the sweep
+    # one count per scope: one loop over Y per X serves the pair claims and
+    # the composition claims, so each pair of the 14 class representatives
+    # is requested once; the witness walk reads the direct predicates, and
+    # requests none; and no pair masks outlive the sweep
     for claims in (PAIR_IDS, T.CLAIM_IDS):
         verifier._pair_masks.cache_clear()
         T.verify_all(scope=verifier.Scope(max_points=3), claims=claims)
@@ -372,11 +371,11 @@ def test_sweep_tables_match_direct_predicates(stream_tables, data):
 
 def _brute_composition(encs, spaces, tables):
     """The composition claims counted over every (f, g) pair of the
-    hypothesis, not from f alone as ``_sweep_chunk`` counts them: the
-    composition kernel decides each pair against the composite's own pair
-    mask, and each triple's failures count the product of its spaces'
-    weights times.  Returns the failures and the triples with failures of
-    each encoding."""
+    hypothesis, with no appeal to the lemma that lets ``_sweep_chunk``
+    count them from f alone: the composition kernel decides each pair
+    against the composite's own pair mask, and each triple's failures count
+    the product of its spaces' weights times.  Returns the failures and the
+    triples with failures of each encoding."""
     weight = tables["weight"]
     rows = [[verifier._pair_masks(tables, ix, iz) for iz in range(len(spaces))]
             for ix in range(len(spaces))]
@@ -408,30 +407,50 @@ def _brute_composition(encs, spaces, tables):
     return failures, failing
 
 
-def test_composition_count_matches_every_pair():
-    # every class representative with n <= 3 as the middle: the T_alpha_m
-    # hypothesis on Y dropped, so that the composition claims fail often.
-    # Weighted by orbit size, as the sweep counts, the failures are those of
-    # all 35**3 labeled triples
-    classes = [c for n in range(4) for c in enumeration._classes(n)]
-    reps = [rep for rep, _ in classes]
-    tables = dict(verifier._space_tables(reps, [size for _, size in classes]),
-                  T_alpha_m=(True,) * len(reps))
-    encs = [verifier._ENCODINGS["P3_6"], verifier._ENCODINGS["T3_8b"]]
-    brute = _brute_composition(encs, reps, tables)
-    assert brute[0] == [480232, 298976]
-    assert verifier._sweep_chunk(encs, tables, range(len(reps))) == brute
-
-
-def test_composition_count_matches_the_map_predicates():
-    # an oracle that shares no code with the count: every (f, g) pair of
-    # the class representatives with n <= 2, with T_alpha_m forced on every
-    # middle space, decided by the map predicates on f, g and g after f and
-    # weighted by orbit size
-    classes = [c for n in range(3) for c in enumeration._classes(n)]
+def _forced_tables(max_points):
+    """The class representatives with at most ``max_points`` points, their
+    orbit sizes, and their sweep tables with T_alpha_m forced true on every
+    space, so that the T_alpha_m hypothesis on the middle space is dropped
+    and the composition claims fail often."""
+    classes = [c for n in range(max_points + 1) for c in enumeration._classes(n)]
     reps = [rep for rep, _ in classes]
     weights = [size for _, size in classes]
     tables = dict(verifier._space_tables(reps, weights), T_alpha_m=(True,) * len(reps))
+    return reps, weights, tables
+
+
+def test_maps_into_T_alpha_m_spaces_are_safe():
+    # the lemma the composition count rests on, on the direct predicates:
+    # into a T_alpha_m space Y, every alpha_m-continuous map is
+    # alpha_m-irresolute and every alpha_m-closed map is closed
+    reps = [rep for n in range(4) for rep, _ in enumeration._classes(n)]
+    middles = 0
+    for x, y in product(reps, repeat=2):
+        if not T.is_T_alpha_m(y):
+            continue
+        middles += 1
+        for f in enumeration.enumerate_maps(x, y):
+            for p, safe in verifier._SAFE_F.items():
+                assert not maps.MAP_PREDICATES[p](f) or maps.MAP_PREDICATES[safe](f), \
+                    (p, x, y, f)
+    assert middles > len(reps)
+
+
+@pytest.mark.parametrize("key", ["P3_6", "T3_8b"])
+def test_unsafe_f_into_a_T_alpha_m_middle_is_caught(key):
+    # with T_alpha_m forced on every space, some f of the hypothesis into a
+    # middle space is not safe, and the count refuses to go on
+    reps, _, tables = _forced_tables(2)
+    with pytest.raises(InternalCheckError):
+        verifier._sweep_chunk([verifier._ENCODINGS[key]], tables, range(len(reps)))
+
+
+def test_composition_kernel_matches_the_map_predicates():
+    # the kernel the benchmark's tracer still names, against an oracle that
+    # shares no code with it: every (f, g) pair of the class representatives
+    # with n <= 2, with T_alpha_m forced on every middle space, decided by
+    # the map predicates on f, g and g after f and weighted by orbit size
+    reps, weights, tables = _forced_tables(2)
     for key, want in (("P3_6", 16), ("T3_8b", 36)):
         enc = verifier._ENCODINGS[key]
         holds = maps.MAP_PREDICATES[enc[0][0]]
@@ -443,8 +462,7 @@ def test_composition_count_matches_the_map_predicates():
                     failures += weights[ix] * weights[iy] * weights[iz]
                     failing.add((ix, iy, iz))
         assert failures == want, key
-        assert verifier._sweep_chunk([enc], tables, range(len(reps))) == \
-            ([failures], [failing]), key
+        assert _brute_composition([enc], reps, tables) == ([failures], [failing]), key
 
 
 def test_sweeps_over_T_alpha_m_middles_count_no_pair(monkeypatch):
@@ -715,17 +733,20 @@ def test_validate_witness_true_on_real_reports():
         assert T.validate_witness(r)
 
 
+def _with_witnesses(report, witnesses):
+    return verifier.TheoremReport(
+        claim=report.claim, statement=report.statement, scope=report.scope,
+        instances=report.instances, failures=report.failures, outcome=report.outcome,
+        witnesses=witnesses, wall_time=report.wall_time)
+
+
 def test_validate_witness_false_on_hand_edited():
     r = T.verify("T3_2_ab", verifier.Scope(max_points=2))
     fake = verifier.Witness(
         claim="T3_2_ab", spaces=(DISC2,), maps=(),
         hypotheses=(("T_alpha_m(X)", True),),
         conclusion=("singleton_dichotomy(X)", False))
-    edited = verifier.TheoremReport(
-        claim=r.claim, statement=r.statement, scope=r.scope,
-        instances=r.instances, failures=r.failures, outcome=r.outcome,
-        witnesses=(fake,), wall_time=r.wall_time)
-    assert not T.validate_witness(edited)
+    assert not T.validate_witness(_with_witnesses(r, (fake,)))
 
 
 def test_witness_from_record_rejects_bad_input():
@@ -745,6 +766,57 @@ def test_witness_from_record_rejects_bad_input():
         with pytest.raises(BadParams):
             verifier.witness_from_record(dict(good, **{key: bad}))
     assert verifier.witness_from_record(good).claim == "T3_9b"
+
+
+def test_witness_record_labels_and_flags_are_checked():
+    # the labels must be the claim's terms on the binding, in order, and the
+    # flags JSON true on each hypothesis and false on the conclusion
+    r = T.verify("T3_2_ab", verifier.Scope(max_points=2))
+    good = r.witnesses[0].to_record()
+    assert good["hypotheses"] == {"T_alpha_m(X)": True}
+    assert good["conclusion"] == {"singleton_dichotomy(X)": False}
+    for key, bad in (("hypotheses", {"anything": "yes"}),
+                     ("conclusion", {"nonsense": 0}),
+                     ("conclusion", {"singleton_dichotomy(X)": True}),  # it holds
+                     ("conclusion", {"singleton_dichotomy(X)": 0}),     # not a bool
+                     ("conclusion", {"singleton_dichotomy(X)": None}),
+                     ("conclusion", {}),
+                     ("hypotheses", {"T_alpha_m(X)": 1}),
+                     ("hypotheses", {"T_alpha_m(X)": False}),
+                     ("hypotheses", {}),
+                     ("hypotheses", {"T_alpha_m(X)": True, "T_alpha_m(Y)": True})):
+        with pytest.raises(BadParams):
+            verifier.witness_from_record(dict(good, **{key: bad}))
+    # the hypotheses of a two-hypothesis claim, in the wrong order
+    t3_9b = T.verify("T3_9b", verifier.Scope(max_points=2)).witnesses[0].to_record()
+    assert list(t3_9b["hypotheses"]) == ["alpha_m_closed_map(f)", "T_alpha_m(X)"]
+    with pytest.raises(BadParams):
+        verifier.witness_from_record(dict(t3_9b, hypotheses=dict(
+            reversed(list(t3_9b["hypotheses"].items())))))
+    # a report that carries a nonsense witness does not validate
+    nonsense = verifier.Witness(
+        claim="T3_2_ab", spaces=r.witnesses[0].spaces, maps=(),
+        hypotheses=(("anything", "yes"),), conclusion=("nonsense", 0))
+    with pytest.raises(BadParams):
+        T.validate_witness(_with_witnesses(r, (nonsense,)))
+
+
+def test_validate_witness_rejects_non_witnesses():
+    r = T.verify("T3_2_ab", verifier.Scope(max_points=2))
+    for witnesses in (5, ("x",), (r,), (verifier.Witness("T3_2_ab", (5,), (), (), ("", False)),)):
+        with pytest.raises(BadParams):
+            T.validate_witness(_with_witnesses(r, witnesses))
+
+
+def test_every_witness_round_trips():
+    # every witness of the n <= 3 catalogue, with no limit, parses back to
+    # itself and still refutes its claim
+    reports = T.verify_all(verifier.Scope(3, witness_limit=None))
+    assert sum(len(r.witnesses) for r in reports) > 0
+    for r in reports:
+        for w in r.witnesses:
+            assert verifier.witness_from_record(json.loads(json.dumps(w.to_record()))) == w
+        assert T.validate_witness(r), r.claim
 
 
 def test_report_record_shape():
