@@ -18,7 +18,6 @@ from __future__ import annotations
 
 from functools import cache
 from itertools import product
-from typing import NamedTuple
 
 from .space import _interior, _maximal
 
@@ -65,23 +64,8 @@ def class_masks(n, minn):
     return open_fm, closed_fm, am_closed, am_open
 
 
-class SubsetTables(NamedTuple):
-    """How every map of one shape (nX, nY) carries subsets, as rank bitsets.
-
-    ``pre_ranks`` holds one column per subset D of Y, for preimages, and
-    ``img_ranks`` one per subset S of X, for images.  A column is a pair
-    ``(reach, nibbles)``: ``reach`` is the family mask of the sets that D is
-    carried to by some map, and ``nibbles[k][m]`` is the rank bitset of the
-    maps that carry D to one of the sets 4k + i, i a bit of the 4-bit m.
-    The maps carrying D into any family G are then one table entry per
-    nonzero nibble of G & reach.
-    """
-    pre_ranks: list
-    img_ranks: list
-
-
 def _rank_columns(rows, width):
-    """The columns of :class:`SubsetTables` for ``rows[r][s]``, s < width."""
+    """The columns of :func:`subset_tables` for ``rows[r][s]``, s < width."""
     columns = []
     for s in range(width):
         by_target = {}
@@ -103,7 +87,17 @@ def _rank_columns(rows, width):
 # one entry per shape, so at most 36 up to 5 points
 @cache
 def subset_tables(nx, ny):
-    """The :class:`SubsetTables` of the maps from nX to nY points."""
+    """How every map from nX to nY points carries subsets, as rank bitsets:
+    the pair ``(preimage columns, image columns)``.
+
+    The preimage columns hold one column per subset D of Y, and the image
+    columns one per subset S of X.  A column is a pair ``(reach,
+    nibbles)``: ``reach`` is the family mask of the sets that D is carried
+    to by some map, and ``nibbles[k][m]`` is the rank bitset of the maps
+    that carry D to one of the sets 4k + i, i a bit of the 4-bit m.  The
+    maps carrying D into any family G are then one table entry per nonzero
+    nibble of G & reach.
+    """
     preimages, images = [], []
     for assign in product(range(ny), repeat=nx):     # rank order
         single = [0] * ny
@@ -120,7 +114,7 @@ def subset_tables(nx, ny):
             img[a] = img[a ^ low] | 1 << assign[low.bit_length() - 1]
         preimages.append(pre)
         images.append(img)
-    return SubsetTables(_rank_columns(preimages, 1 << ny), _rank_columns(images, 1 << nx))
+    return _rank_columns(preimages, 1 << ny), _rank_columns(images, 1 << nx)
 
 
 def _carried(columns, members, family, ranks):
@@ -153,29 +147,25 @@ def map_masks(nx, x_families, ny, y_families):
     of Y.  Every property but ``bijective`` and
     ``inverse_alpha_m_continuous`` says that each member of one family is
     carried (by preimage or image) into another, and is folded from the
-    columns of :func:`subset_tables`, all maps at once.
-    ``open_preimages_alpha_m_open`` is ``alpha_m_continuous`` by complements
-    (see :mod:`topolab.maps`), so the alpha_m-open sets of X are not read;
-    no claim reads ``open_map``, so it has no key.  Requires nX, nY <= 5.
+    columns of :func:`subset_tables`, all maps at once.  No claim reads
+    ``open_map``, so it has no key.  Requires nX, nY <= 5.
     """
-    x_open, x_closed, x_amc, _ = x_families
+    x_open, x_closed, x_amc, x_amo = x_families
     y_open, y_closed, y_amc, y_amo = y_families
-    tables = subset_tables(nx, ny)
-    pre, img = tables.pre_ranks, tables.img_ranks
+    pre, img = subset_tables(nx, ny)
     every = (1 << ny ** nx) - 1
     amcm = _carried(img, x_closed, y_amc, every)
     surj = _carried(img, 1 << (1 << nx) - 1, 1 << (1 << ny) - 1, every)
     bij = surj if nx == ny else 0
-    amc = _carried(pre, y_closed, x_amc, every)
     return {"continuous": _carried(pre, y_open, x_open, every),
             "closed_map": _carried(img, x_closed, y_closed, every),
             "surjective": surj,
             "bijective": bij,
-            "alpha_m_continuous": amc,
+            "alpha_m_continuous": _carried(pre, y_closed, x_amc, every),
             "alpha_m_irresolute": _carried(pre, y_amc, x_amc, every),
             "alpha_m_closed_map": amcm,
             "alpha_m_open_map": _carried(img, x_open, y_amo, every),
-            "open_preimages_alpha_m_open": amc,
+            "open_preimages_alpha_m_open": _carried(pre, y_open, x_amo, every),
             # a bijection's inverse pulls each closed C of X back to f(C)
             "inverse_alpha_m_continuous": bij & amcm}
 

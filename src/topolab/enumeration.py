@@ -7,18 +7,14 @@ across runs.
 
 from __future__ import annotations
 
-from collections.abc import Mapping, Set
+from collections.abc import Iterator, Mapping, Set
 from functools import cache
 from itertools import groupby, permutations, product
 from math import factorial
-from typing import TYPE_CHECKING, Iterator
 
 from . import _kernels
 from .errors import BadParams, ScopeTooLarge
 from .space import FiniteSpace, canonical_subsets, check_space, points_of
-
-if TYPE_CHECKING:
-    from .maps import SpaceMap
 
 ENUMERATION_CAP = 5
 # canonical_form tries only the relabelings that list the points by

@@ -239,11 +239,21 @@ def open_preimages_alpha_m_open(f: SpaceMap) -> bool:
     """Preimage of every open set is alpha_m-open.
 
     Each open set of Y is the union of the U_y it holds, preimages commute
-    with unions, and alpha_m-open sets are closed under unions; so it
-    suffices that f^-1(U_y) is alpha_m-open for every y.  That is the test
-    that decides :func:`is_alpha_m_continuous`, so the two properties
-    coincide."""
-    return is_alpha_m_continuous(f)
+    with unions, and alpha_m-open sets, the complements of alpha_m-closed
+    ones, are closed under unions; so it suffices that A = f^-1(U_y) is
+    alpha_m-open for every y.  That is tested on A itself, by the criterion
+    A - cl(int(A)) <= M of :mod:`topolab.classes`, not on its complement as
+    in :func:`is_alpha_m_continuous`, so the claims that pair the two
+    properties compare two computations."""
+    check_map(f)
+    minn, maximal, full = f.domain.min_nbhd, f.domain.maximal, f.domain.full
+    fib = _fibres(f)
+    for u in f.codomain.min_nbhd:
+        a = _union(fib, u)
+        cia = full ^ _interior(minn, full ^ _interior(minn, a))     # cl(int(A))
+        if a & (cia | maximal) != a:
+            return False
+    return True
 
 
 # the one-map properties by name, in MapClassification field order

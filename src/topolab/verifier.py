@@ -31,13 +31,12 @@ from __future__ import annotations
 import json
 import os
 import time
-from collections import Counter
+from collections import Counter, namedtuple
 from collections.abc import Iterable
 from contextlib import nullcontext
 from functools import lru_cache, partial
 from itertools import product
 from math import prod
-from typing import NamedTuple
 
 from . import _kernels, axioms, enumeration, maps
 # not called here; kept because perfbench/tracer.py replaces it by this name
@@ -302,12 +301,8 @@ def _terms(enc, spaces, bound_maps) -> list:
     return terms
 
 
-class InstanceEvaluation(NamedTuple):
-    """Outcome of one bound instance: labeled flags plus overall truth."""
-
-    hypotheses: tuple
-    conclusion: tuple
-    holds: bool
+InstanceEvaluation = namedtuple("InstanceEvaluation", "hypotheses conclusion holds")
+InstanceEvaluation.__doc__ = "Outcome of one bound instance: labeled flags plus overall truth."
 
 
 def _evaluate(enc, spaces, bound_maps) -> InstanceEvaluation:
@@ -655,13 +650,18 @@ def validate_witness(report: TheoremReport) -> bool:
 
 def reports_to_json(reports) -> str:
     """Deterministic structured output for a batch of reports; BadParams
-    for anything but an iterable of TheoremReports."""
+    for anything but an iterable of TheoremReports that serialize."""
     if not isinstance(reports, Iterable):
         raise BadParams(f"reports {reports!r} must be an iterable of TheoremReports")
     records = []
-    for r in reports:
+    for i, r in enumerate(reports):
         if not isinstance(r, TheoremReport):
             raise BadParams(f"report {r!r} is not a TheoremReport")
-        records.append(r.to_record())
-    payload = {"note": SCOPE_NOTE, "reports": records}
-    return json.dumps(payload, separators=(",", ":"))
+        try:
+            records.append(r.to_record())
+        except (AttributeError, TypeError, ValueError):
+            raise BadParams(f"report {i} of the batch does not serialize") from None
+    try:
+        return json.dumps({"note": SCOPE_NOTE, "reports": records}, separators=(",", ":"))
+    except (TypeError, ValueError):
+        raise BadParams("a report holds a field that JSON cannot encode") from None

@@ -13,6 +13,16 @@ from topolab.errors import TopolabError
 SIERP = T.sierpinski()
 IDS = T.identity_map(SIERP)
 
+
+def _report(scope=verifier.Scope(1), witnesses=()):
+    return verifier.TheoremReport("T3_5_fwd", "st", scope, 0, 0, "holds-on-scope",
+                                  witnesses, 0.0)
+
+
+# TheoremReports whose fields do not serialize
+BAD_REPORTS = ([_report(witnesses=5)], [_report(scope=None)],
+               [_report(witnesses=(verifier.Witness("T3_5_fwd", (5,), (), (), ("c", False)),))])
+
 # no space, map, report or point count; each call adds the wrong kind
 BAD = (None, 0, True, "ab", [1])
 
@@ -33,7 +43,7 @@ def _predicate_call(name):
 CALLS = {
     **{name: _predicate_call(name) for name in PREDICATES},
     "validate_witness": (T.validate_witness, BAD + (IDS,)),
-    "reports_to_json": (verifier.reports_to_json, BAD + ((IDS,),)),
+    "reports_to_json": (verifier.reports_to_json, BAD + ((IDS,),) + BAD_REPORTS),
     "identity_map": (T.identity_map, BAD + (IDS,)),
     "generate": (T.generate, BAD + (SIERP,)),
     "subset_of_points(points)": (lambda points: T.subset_of_points(points, 1),

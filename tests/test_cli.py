@@ -428,11 +428,11 @@ def test_entry_points_load_only_what_they_use(code, loaded, tmp_path):
     # exports load on first use, so each entry point loads exactly its own
     # layers; the CLI loads a subcommand's layers when it runs, so only the
     # verify subcommand loads the verifier.  No module builds its classes
-    # with dataclasses, which would load inspect too.  ``-S`` keeps site's
-    # preloads from hiding an import.
+    # with dataclasses, which would load inspect too, and none imports
+    # typing.  ``-S`` keeps site's preloads from hiding an import.
     check = (f"SPACE = {str(tmp_path / 'space.json')!r}\n{code}\nimport sys\n"
              "print([m for m in sorted(sys.modules) if m.split('.')[0] == 'topolab'],"
-             " [m for m in ('dataclasses', 'inspect') if m in sys.modules])")
+             " [m for m in ('dataclasses', 'inspect', 'typing') if m in sys.modules])")
     out = subprocess.run([sys.executable, "-S", "-c", check], capture_output=True,
                          text=True, timeout=60, env=_child_env())
     assert out.returncode == 0, out.stderr
@@ -468,17 +468,17 @@ def test_verify_help_and_claim_choices_load_no_verifier():
 
 def test_closed_stdout_exits_quietly():
     # a reader that stops early, like `topolab enumerate -n 5 | head -1`
-    child = subprocess.Popen([sys.executable, "-m", "topolab", "enumerate", "-n", "5"],
-                             stdout=subprocess.PIPE, stderr=subprocess.PIPE,
-                             env=_child_env())
-    try:
-        assert child.stdout.readline().startswith(b'{"n":5,')
-        child.stdout.close()
-        err = child.stderr.read().decode()
-        assert child.wait(timeout=60) == 1
-    finally:
-        child.kill()
-        child.wait()
+    # leaving the block closes both pipes
+    with subprocess.Popen([sys.executable, "-m", "topolab", "enumerate", "-n", "5"],
+                          stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                          env=_child_env()) as child:
+        try:
+            assert child.stdout.readline().startswith(b'{"n":5,')
+            child.stdout.close()
+            err = child.stderr.read().decode()
+            assert child.wait(timeout=60) == 1
+        finally:
+            child.kill()
     assert "Traceback" not in err and not err.strip(), err
 
 

@@ -445,6 +445,22 @@ def test_unsafe_f_into_a_T_alpha_m_middle_is_caught(key):
         verifier._sweep_chunk([verifier._ENCODINGS[key]], tables, range(len(reps)))
 
 
+def test_T3_5_reads_the_alpha_m_open_sets_of_X():
+    # with X's alpha_m-open family cut to {empty set}, no preimage of an
+    # open set under a map out of a nonempty X is alpha_m-open, so each
+    # alpha_m-continuous such map fails T3_5_fwd; a count that read
+    # alpha_m-continuity for both terms would find none
+    reps = [rep for n in range(4) for rep, _ in enumeration._classes(n)]
+    tables = verifier._space_tables(reps)
+    tables["families"] = tuple(fam[:3] + (1,) for fam in tables["families"])
+    failures, failing = verifier._sweep_chunk(
+        [verifier._ENCODINGS["T3_5_fwd"]], tables, range(len(reps)))
+    want = sum(verifier._pair_masks(tables, ix, iy)["alpha_m_continuous"].bit_count()
+               for ix, iy in product(range(len(reps)), repeat=2) if reps[ix].n)
+    assert failures == [want] and want > 0
+    assert {reps[ix].n for ix, _ in failing[0]} == {1, 2, 3}
+
+
 def test_composition_kernel_matches_the_map_predicates():
     # the kernel the benchmark's tracer still names, against an oracle that
     # shares no code with it: every (f, g) pair of the class representatives
